@@ -12,6 +12,7 @@ with status 2, numerical failures with status 3.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -61,14 +62,13 @@ def _fail(exc: Exception):
 
 
 def _guard(func):
+    @functools.wraps(func)
     def wrapper(*args, **kwargs):
         try:
             _setup_logging()
             return func(*args, **kwargs)
         except DiracNodalError as exc:
             _fail(exc)
-    wrapper.__name__ = func.__name__
-    wrapper.__doc__ = func.__doc__
     return wrapper
 
 

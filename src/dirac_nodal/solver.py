@@ -9,10 +9,28 @@ lambda is what keeps high-index eigenvalues at 1e-10 accuracy without
 step-count escalation; a classical RK4 at the same step count loses four
 orders of magnitude by n = 40.
 
+Each public call samples the potential at the mesh's Gauss points once.
+The 2x2 step matrices are unimodular and their product may be grouped in
+any order, so propagation is a log-depth computation on whole arrays, with
+no loop over steps:
+
+* the terminal state at x = pi multiplies the step matrices by pairwise
+  halving, as if the mesh were padded with identity steps to a power of
+  two.  Steps are taken in aligned power-of-two chunks that hold about
+  ``_CHUNK_ENTRIES`` step-lambda entries at a time; every chunk width gives
+  the same full tree, so each lambda's result is bitwise independent of
+  the batch it is computed in;
+* a trajectory is the inclusive prefix product (Hillis-Steele scan) of the
+  step matrices at one lambda, giving the state at every mesh node.
+
+Both agree with a step-by-step loop to roundoff.
+
 Eigenvalues are located by scanning a bracket around an asymptotic seed for
 sign changes of the characteristic function and bisecting; the whole search
 is vectorized across the requested indices, with every lambda probe sharing
-one batched integration.
+one batched propagation.  Nodes are bracketed by sign changes on the full
+mesh and refined by bisection on a partial Magnus step from the bracketing
+mesh node.
 """
 
 from __future__ import annotations
@@ -20,6 +38,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +57,9 @@ _GAUSS_HI = 0.5 + math.sqrt(3.0) / 6.0
 # Nodes refined closer to an endpoint than this are residual-level phantom
 # zeros of a component that vanishes at the boundary; drop them.
 _ENDPOINT_GUARD = 1e-8
+
+# Step-lambda entries per chunk of step tables in _terminal.
+_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -78,13 +100,18 @@ class EigenSearchConfig:
 
 def _coshc_sinhc(u):
     """cosh(sqrt(u)) and sinh(sqrt(u))/sqrt(u) for signed u (cos/sinc branch
-    for negative arguments), series-safe near zero."""
+    for negative arguments), series-safe near zero.  Each entry evaluates
+    only the branch its sign selects."""
     t = np.sqrt(np.abs(u))
     pos = u > 0
-    c = np.where(pos, np.cosh(t), np.cos(t))
+    neg = ~pos
     small = t < 1e-8
     t_safe = np.where(small, 1.0, t)
-    s = np.where(pos, np.sinh(t_safe), np.sin(t_safe)) / t_safe
+    c = np.cosh(t, out=np.empty_like(t), where=pos)
+    np.cos(t, out=c, where=neg)
+    s = np.sinh(t_safe, out=np.empty_like(t), where=pos)
+    np.sin(t_safe, out=s, where=neg)
+    s /= t_safe
     s = np.where(small, 1.0 + u / 6.0, s)
     return c, s
 
@@ -100,94 +127,142 @@ def _initial_state(problem, lams):
     return y1, y2
 
 
-def _step_tables(problem, lams, n_steps):
-    """Per-step propagator entries P11, P12, P21, P22, shape (n_steps, K)."""
+class _Mesh(NamedTuple):
+    """Uniform mesh of [0, pi] with the potential sampled at its Gauss points."""
+
+    h: float
+    vbar: np.ndarray
+    g: np.ndarray
+
+
+def _sample(problem, x0, h):
+    """Mean potential vbar and commutator weight g of the steps [x0, x0 + h]."""
+    v_lo = np.asarray(problem.potential(x0 + _GAUSS_LO * h), dtype=float)
+    v_hi = np.asarray(problem.potential(x0 + _GAUSS_HI * h), dtype=float)
+    vbar = 0.5 * (v_lo + v_hi)
+    g = (math.sqrt(3.0) / 6.0) * problem.mass * h * h * (v_hi - v_lo)
+    return vbar, g
+
+
+def _mesh(problem, n_steps):
     h = math.pi / n_steps
-    x0 = np.arange(n_steps) * h
-    v_lo = np.asarray(problem.potential(x0 + _GAUSS_LO * h), dtype=float)
-    v_hi = np.asarray(problem.potential(x0 + _GAUSS_HI * h), dtype=float)
-    vbar = 0.5 * (v_lo + v_hi)
-    m = problem.mass
-    g = (math.sqrt(3.0) / 6.0) * m * h * h * (v_hi - v_lo)
-
-    w = lams[None, :] - vbar[:, None]
-    bb = -h * (w + m)
-    cc = h * (w - m)
-    s2 = (g * g)[:, None] + bb * cc
-    ec, es = _coshc_sinhc(s2)
-    gcol = g[:, None]
-    p11 = ec - es * gcol
-    p12 = es * bb
-    p21 = es * cc
-    p22 = ec + es * gcol
-    return p11, p12, p21, p22
+    return _Mesh(h, *_sample(problem, np.arange(n_steps) * h, h))
 
 
-def _propagate(problem, lams, n_steps, keep_stride=None):
-    """Propagate all lambdas through [0, pi] in lockstep.
-
-    Returns (y1, y2) at x = pi, or (xs, Y) with Y of shape
-    (n_kept + 1, 2, K) when keep_stride is given.
-    """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if not np.all(np.isfinite(lams)):
-        raise InputError("lambda values must be finite")
-    p11, p12, p21, p22 = _step_tables(problem, lams, n_steps)
-    y1, y2 = _initial_state(problem, lams)
-
-    keep = keep_stride is not None
-    if keep:
-        n_kept = n_steps // keep_stride
-        out = np.empty((n_kept + 1, 2, lams.size))
-        out[0, 0] = y1
-        out[0, 1] = y2
-        slot = 1
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            y1, y2 = p11[i] * y1 + p12[i] * y2, p21[i] * y1 + p22[i] * y2
-            if keep and (i + 1) % keep_stride == 0:
-                out[slot, 0] = y1
-                out[slot, 1] = y2
-                slot += 1
-
-    if not (np.all(np.isfinite(y1)) and np.all(np.isfinite(y2))):
-        raise IntegrationFailure(
-            f"components overflowed during integration (mass={problem.mass}, "
-            f"lambda range [{lams.min():.6g}, {lams.max():.6g}])")
-    if keep:
-        xs = np.arange(n_kept + 1) * (math.pi / n_steps) * keep_stride
-        return xs, out
-    return y1, y2
-
-
-def _refine_step(problem, lam, x0, h, y1, y2):
-    """One Magnus step of elementwise width h from anchor positions x0,
-    at a single spectral parameter lam."""
-    m = problem.mass
-    v_lo = np.asarray(problem.potential(x0 + _GAUSS_LO * h), dtype=float)
-    v_hi = np.asarray(problem.potential(x0 + _GAUSS_HI * h), dtype=float)
-    vbar = 0.5 * (v_lo + v_hi)
-    g = (math.sqrt(3.0) / 6.0) * m * h * h * (v_hi - v_lo)
-    w = lam - vbar
+def _entries(m, h, vbar, g, lams):
+    """Step propagator entries P11, P12, P21, P22 for any broadcast of steps
+    (h, vbar, g) against spectral parameters lams."""
+    w = lams - vbar
     bb = -h * (w + m)
     cc = h * (w - m)
     s2 = g * g + bb * cc
     ec, es = _coshc_sinhc(s2)
-    new1 = (ec - es * g) * y1 + es * bb * y2
-    new2 = es * cc * y1 + (ec + es * g) * y2
-    return new1, new2
+    return ec - es * g, es * bb, es * cc, ec + es * g
+
+
+def _mul(b, a):
+    """Entries of the 2x2 product b @ a: step a is taken first."""
+    b11, b12, b21, b22 = b
+    a11, a12, a21, a22 = a
+    return (b11 * a11 + b12 * a21, b11 * a12 + b12 * a22,
+            b21 * a11 + b22 * a21, b21 * a12 + b22 * a22)
+
+
+def _reduce(p):
+    """Ordered product of the matrices along axis 0 by pairwise halving.
+
+    An unpaired last matrix is carried up one level unchanged, which gives
+    the same result as padding with identity steps to the next power of
+    two.  Returns entries with a leading axis of length 1.
+    """
+    while p[0].shape[0] > 1:
+        even = p[0].shape[0] // 2 * 2
+        pairs = _mul([x[1:even:2] for x in p], [x[0:even:2] for x in p])
+        if even < p[0].shape[0]:
+            pairs = [np.concatenate((q, x[even:])) for q, x in zip(pairs, p)]
+        p = pairs
+    return p
+
+
+def _scan(p):
+    """Inclusive prefix products along axis 0 (Hillis-Steele): entry i
+    becomes P_i ... P_0."""
+    d = 1
+    while d < p[0].shape[0]:
+        tail = _mul([x[d:] for x in p], [x[:-d] for x in p])
+        p = [np.concatenate((x[:d], t)) for x, t in zip(p, tail)]
+        d *= 2
+    return p
+
+
+def _lambdas(values):
+    lams = np.atleast_1d(np.asarray(values, dtype=float))
+    if not np.all(np.isfinite(lams)):
+        raise InputError("lambda values must be finite")
+    return lams
+
+
+def _check_finite(problem, lams, *arrays):
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise IntegrationFailure(
+            f"components overflowed during integration (mass={problem.mass}, "
+            f"lambda range [{lams.min():.6g}, {lams.max():.6g}])")
+
+
+def _terminal(problem, lams, mesh):
+    """(y1, y2) at x = pi for every lambda.
+
+    The step matrices are multiplied in aligned power-of-two chunks of
+    steps, each reduced by pairwise halving, and the chunk products are
+    reduced by the same halving.  That is the full pairwise tree over the
+    mesh whatever the chunk width, so each lambda's result does not depend
+    on the batch it is computed in, while the width bounds the tables held
+    at once to about _CHUNK_ENTRIES step-lambda entries.
+    """
+    lams = _lambdas(lams)
+    # the largest power of two of steps whose tables fit _CHUNK_ENTRIES
+    width = 1 << max(0, (_CHUNK_ENTRIES // lams.size).bit_length() - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        chunks = [_reduce(_entries(problem.mass, mesh.h,
+                                   mesh.vbar[s:s + width, None],
+                                   mesh.g[s:s + width, None], lams))
+                  for s in range(0, mesh.vbar.size, width)]
+        q11, q12, q21, q22 = (x[0] for x in _reduce(
+            [np.concatenate(c) for c in zip(*chunks)]))
+        y1, y2 = _initial_state(problem, lams)
+        y1_pi = q11 * y1 + q12 * y2
+        y2_pi = q21 * y1 + q22 * y2
+    _check_finite(problem, lams, y1_pi, y2_pi)
+    return y1_pi, y2_pi
+
+
+def _trajectory(problem, lam, mesh):
+    """Mesh nodes xs and the states at them, shape (n_steps + 1, 2), at one
+    spectral parameter, from the prefix products of the step matrices."""
+    lams = _lambdas(float(lam))
+    n = mesh.vbar.size
+    out = np.empty((n + 1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q11, q12, q21, q22 = _scan(_entries(problem.mass, mesh.h, mesh.vbar,
+                                            mesh.g, lams))
+        y1, y2 = _initial_state(problem, lams)
+        out[0] = y1[0], y2[0]
+        out[1:, 0] = q11 * y1 + q12 * y2
+        out[1:, 1] = q21 * y1 + q22 * y2
+    _check_finite(problem, lams, out)
+    return np.arange(n + 1) * mesh.h, out
 
 
 def integrate(problem: DiracProblem, lam: float,
               cfg: IntegratorConfig | None = None) -> list[SpinorState]:
-    """Integrate the system at spectral parameter lam; returns the retained
-    trajectory starting from the exact boundary-determined initial spinor."""
+    """Integrate the system at spectral parameter lam; returns the trajectory
+    at every keep_stride-th mesh node, starting from the exact
+    boundary-determined initial spinor."""
     cfg = cfg or IntegratorConfig()
-    xs, out = _propagate(problem, np.array([float(lam)]), cfg.n_steps,
-                         keep_stride=cfg.keep_stride)
-    y1 = out[:, 0, 0]
-    y2 = out[:, 1, 0]
+    xs, out = _trajectory(problem, lam, _mesh(problem, cfg.n_steps))
+    xs = xs[::cfg.keep_stride]
+    y1 = out[::cfg.keep_stride, 0]
+    y2 = out[::cfg.keep_stride, 1]
     norms = np.hypot(y1, y2)
     if norms.min() <= 1e-300:
         raise IntegrationFailure("solution components vanished simultaneously")
@@ -203,10 +278,9 @@ def _terminal_form(problem, lams, y1_pi, y2_pi):
             + (lams * math.sin(b.beta) + b.b1) * y2_pi)
 
 
-def _characteristic_batch(problem, lams, n_steps):
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    y1_pi, y2_pi = _propagate(problem, lams, n_steps)
-    return _terminal_form(problem, lams, y1_pi, y2_pi)
+def _characteristic_batch(problem, lams, mesh):
+    lams = _lambdas(lams)
+    return _terminal_form(problem, lams, *_terminal(problem, lams, mesh))
 
 
 def characteristic(problem: DiracProblem, lam: float,
@@ -214,7 +288,8 @@ def characteristic(problem: DiracProblem, lam: float,
     """Boundary form evaluated on the terminal state; zero exactly at the
     eigenvalues."""
     cfg = cfg or IntegratorConfig()
-    return float(_characteristic_batch(problem, [float(lam)], cfg.n_steps)[0])
+    mesh = _mesh(problem, cfg.n_steps)
+    return float(_characteristic_batch(problem, [float(lam)], mesh)[0])
 
 
 def _bracket_from_scan(index, grid, chi):
@@ -274,7 +349,8 @@ def find_eigenvalues(problem: DiracProblem, indices,
     offsets = np.linspace(-search.bracket_half_width, search.bracket_half_width,
                           search.scan_points)
     grid = seeds[None, :] + offsets[:, None]
-    chi = _characteristic_batch(problem, grid.ravel(), integrator.n_steps)
+    mesh = _mesh(problem, integrator.n_steps)
+    chi = _characteristic_batch(problem, grid.ravel(), mesh)
     chi = chi.reshape(grid.shape)
 
     lo = np.empty(len(indices))
@@ -283,17 +359,17 @@ def find_eigenvalues(problem: DiracProblem, indices,
         lo[k], hi[k] = _bracket_from_scan(n, grid[:, k], chi[:, k])
     brackets = list(zip(lo.copy(), hi.copy()))
 
-    f_lo = _characteristic_batch(problem, lo, integrator.n_steps)
+    f_lo = _characteristic_batch(problem, lo, mesh)
     for _ in range(search.max_iterations):
         mid = 0.5 * (lo + hi)
-        f_mid = _characteristic_batch(problem, mid, integrator.n_steps)
+        f_mid = _characteristic_batch(problem, mid, mesh)
         take_left = f_lo * f_mid <= 0.0
         hi = np.where(take_left, mid, hi)
         lo = np.where(take_left, lo, mid)
         f_lo = np.where(take_left, f_lo, f_mid)
 
     roots = 0.5 * (lo + hi)
-    residuals = _characteristic_batch(problem, roots, integrator.n_steps)
+    residuals = _characteristic_batch(problem, roots, mesh)
     records = [EigenRecord(n, float(roots[k]), float(residuals[k]), brackets[k])
                for k, n in enumerate(indices)]
     records.sort(key=lambda r: r.index)
@@ -337,27 +413,26 @@ def extract_nodes(problem: DiracProblem, rec: EigenRecord, component: int,
                   cfg: IntegratorConfig | None = None,
                   refine_iterations: int = 44) -> NodalSet:
     """All interior zeros of one eigenfunction component, each refined by
-    bisection that re-integrates over the bracketing subinterval."""
+    bisection that re-integrates from the bracketing mesh node.
+
+    Nodes are bracketed on every node of the ``cfg.n_steps`` mesh;
+    ``cfg.keep_stride`` only thins what ``integrate`` returns.
+    """
     if component not in (1, 2):
         raise InputError("component must be 1 or 2")
     cfg = cfg or IntegratorConfig()
-    xs, out = _propagate(problem, np.array([rec.lam]), cfg.n_steps,
-                         keep_stride=cfg.keep_stride)
-    traj = out[:, :, 0]
+    xs, traj = _trajectory(problem, rec.lam, _mesh(problem, cfg.n_steps))
     comp = traj[:, component - 1]
 
     scale = float(np.max(np.abs(comp)))
     if scale == 0.0:
         raise DegenerateComponent(f"component {component} is identically zero")
     near = np.abs(comp) <= 1e-12 * scale
-    run = 0
-    for flag in near:
-        run = run + 1 if flag else 0
-        if run >= 3:
-            raise DegenerateComponent(
-                f"component {component} vanishes on an interval of the grid")
+    if np.any(near[:-2] & near[1:-1] & near[2:]):
+        raise DegenerateComponent(
+            f"component {component} vanishes on an interval of the grid")
 
-    nodes = [float(xs[k]) for k in range(1, len(xs) - 1) if near[k]]
+    nodes = xs[1:-1][near[1:-1]].tolist()
 
     solid = ~near
     cells = np.nonzero(solid[:-1] & solid[1:] & (comp[:-1] * comp[1:] < 0))[0]
@@ -370,9 +445,13 @@ def extract_nodes(problem: DiracProblem, rec: EigenRecord, component: int,
         f_lo = comp[cells].copy()
         for _ in range(refine_iterations):
             mid = 0.5 * (lo + hi)
-            m1, m2 = _refine_step(problem, rec.lam, anchor_x, mid - anchor_x,
-                                  anchor_y1, anchor_y2)
-            f_mid = m1 if component == 1 else m2
+            h = mid - anchor_x
+            p11, p12, p21, p22 = _entries(problem.mass, h,
+                                          *_sample(problem, anchor_x, h), rec.lam)
+            if component == 1:
+                f_mid = p11 * anchor_y1 + p12 * anchor_y2
+            else:
+                f_mid = p21 * anchor_y1 + p22 * anchor_y2
             take_left = f_lo * f_mid <= 0.0
             hi = np.where(take_left, mid, hi)
             lo = np.where(take_left, lo, mid)

@@ -225,20 +225,106 @@ class TestExtractNodes:
         assert a.count == b.count
         assert np.max(np.abs(a.points - b.points)) < 1e-8
 
+    def test_nodes_do_not_follow_keep_stride(self):
+        p = DiracProblem(0.5, named_potential("sin2x"), Classical(0.3, 0.7))
+        rec = find_eigenvalue(p, 30, IntegratorConfig(4096))
+        full = extract_nodes(p, rec, 1, IntegratorConfig(4096))
+        thinned = extract_nodes(p, rec, 1, IntegratorConfig(4096, keep_stride=64))
+        assert np.array_equal(thinned.points, full.points)
+
     def test_degenerate_component_guard(self, monkeypatch):
         p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
         rec = find_eigenvalue(p, 5, FAST)
 
-        def fake_propagate(problem, lams, n_steps, keep_stride=None):
+        def fake_trajectory(problem, lam, mesh):
             xs = np.linspace(0.0, PI, 65)
-            out = np.zeros((65, 2, 1))
-            out[:, 0, 0] = 0.0   # identically-zero first component
-            out[:, 1, 0] = 1.0
+            out = np.zeros((65, 2))
+            out[:, 0] = 0.0   # identically-zero first component
+            out[:, 1] = 1.0
             return xs, out
 
-        monkeypatch.setattr(solver_mod, "_propagate", fake_propagate)
+        monkeypatch.setattr(solver_mod, "_trajectory", fake_trajectory)
         with pytest.raises(DegenerateComponent):
             extract_nodes(p, rec, 1, FAST)
+
+
+def loop_reference(problem, lams, n_steps):
+    """States at every mesh node, shape (n_steps + 1, 2, K), by a plain
+    per-step loop: step tables with both branches of cosh/cos and sinh/sin
+    evaluated everywhere, then one matrix-vector product per step."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    m = problem.mass
+    h = PI / n_steps
+    x0 = np.arange(n_steps) * h
+    v_lo = problem.potential(x0 + (0.5 - math.sqrt(3.0) / 6.0) * h)
+    v_hi = problem.potential(x0 + (0.5 + math.sqrt(3.0) / 6.0) * h)
+    vbar = 0.5 * (v_lo + v_hi)
+    g = ((math.sqrt(3.0) / 6.0) * m * h * h * (v_hi - v_lo))[:, None]
+    w = lams[None, :] - vbar[:, None]
+    bb = -h * (w + m)
+    cc = h * (w - m)
+    s2 = g * g + bb * cc
+    t = np.sqrt(np.abs(s2))
+    ec = np.where(s2 > 0, np.cosh(t), np.cos(t))
+    small = t < 1e-8
+    t_safe = np.where(small, 1.0, t)
+    es = np.where(s2 > 0, np.sinh(t_safe), np.sin(t_safe)) / t_safe
+    es = np.where(small, 1.0 + s2 / 6.0, es)
+    p11, p12, p21, p22 = ec - es * g, es * bb, es * cc, ec + es * g
+
+    out = np.empty((n_steps + 1, 2, lams.size))
+    out[0] = solver_mod._initial_state(problem, lams)
+    for i in range(n_steps):
+        y1, y2 = out[i]
+        out[i + 1, 0] = p11[i] * y1 + p12[i] * y2
+        out[i + 1, 1] = p21[i] * y1 + p22[i] * y2
+    return out
+
+
+KERNEL_PROBLEMS = {
+    "heavy_zero": (10.0, named_potential("zero"), Classical(0.3, 1.0)),
+    "pd_example": (0.5, named_potential("sin2x"), canonical_pd(0.4, 0.5)),
+    "poly_m6": (6.0, named_potential("poly", coeffs=[1.0, -2.0, 0.5]),
+                Classical(0.2, 0.9)),
+}
+
+
+class TestPropagationKernel:
+    """The pairwise product and prefix scan against the sequential loop."""
+
+    @pytest.mark.parametrize("n_steps", [1000, 4096, 4097])
+    @pytest.mark.parametrize("label", sorted(KERNEL_PROBLEMS))
+    def test_matches_sequential_loop(self, label, n_steps):
+        p = DiracProblem(*KERNEL_PROBLEMS[label])
+        # 494 values from below the mass gap, through it, to far above it
+        lams = np.linspace(-p.mass - 6.0, p.mass + 40.0, 494)
+        inside, outside = 0.3 * p.mass, p.mass + 12.5
+        assert abs(inside) < p.mass < abs(outside)
+        ref = loop_reference(p, np.concatenate([lams, [inside, outside]]), n_steps)
+        scale = np.max(np.abs(ref), axis=(0, 1))   # max |y| per lambda
+        mesh = solver_mod._mesh(p, n_steps)
+
+        y1, y2 = solver_mod._terminal(p, lams, mesh)
+        err = np.maximum(np.abs(y1 - ref[-1, 0, :-2]), np.abs(y2 - ref[-1, 1, :-2]))
+        assert np.all(err <= 1e-11 * scale[:-2])
+
+        for k, lam in ((-2, inside), (-1, outside)):
+            y1, y2 = solver_mod._terminal(p, [lam], mesh)
+            assert abs(y1[0] - ref[-1, 0, k]) <= 1e-11 * scale[k]
+            assert abs(y2[0] - ref[-1, 1, k]) <= 1e-11 * scale[k]
+            xs, traj = solver_mod._trajectory(p, lam, mesh)
+            assert xs.size == n_steps + 1 and xs[-1] == pytest.approx(PI)
+            assert np.max(np.abs(traj - ref[:, :, k])) <= 1e-11 * scale[k]
+
+    @pytest.mark.parametrize("label", sorted(KERNEL_PROBLEMS))
+    def test_batch_invariance(self, label):
+        p = DiracProblem(*KERNEL_PROBLEMS[label])
+        mesh = solver_mod._mesh(p, 4096)
+        lams = np.linspace(-p.mass - 6.0, p.mass + 40.0, 494)
+        batch = solver_mod._characteristic_batch(p, lams, mesh)
+        alone = [solver_mod._characteristic_batch(p, [lam], mesh)[0]
+                 for lam in lams]
+        assert np.array_equal(batch, alone)
 
 
 class TestNodeCountPrediction:
