@@ -26,15 +26,18 @@ no loop over steps:
 Both agree with a step-by-step loop to roundoff.
 
 Eigenvalues are located by scanning a bracket around an asymptotic seed for
-sign changes of the characteristic function and bisecting; the whole search
-is vectorized across the requested indices, with every lambda probe sharing
-one batched propagation.  Nodes are bracketed by sign changes on the full
-mesh and refined by bisection on a partial Magnus step from the bracketing
-mesh node.
+sign changes of the characteristic function, then refining each bracket
+with a safeguarded Illinois regula falsi until it is ``lambda_tolerance``
+wide; the whole search is vectorized across the requested indices, with
+every lambda probe sharing one batched propagation, and each index stops
+on its own.  Nodes are bracketed by sign changes on the full mesh and
+refined by the same root finder on a partial Magnus step from the
+bracketing mesh node.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -45,7 +48,8 @@ import numpy as np
 from . import asymptotics
 from .errors import (AmbiguousBracket, ComputationError, ConstantsUnavailable,
                      DegenerateComponent, DomainError, InputError,
-                     IntegrationFailure, SeedFailure, UnsupportedPrediction)
+                     IntegrationFailure, IterationFailure, SeedFailure,
+                     UnsupportedPrediction)
 from .model import (Classical, DiracProblem, EigenRecord, NodalSet,
                     SpinorState)
 
@@ -57,6 +61,9 @@ _GAUSS_HI = 0.5 + math.sqrt(3.0) / 6.0
 # Nodes refined closer to an endpoint than this are residual-level phantom
 # zeros of a component that vanishes at the boundary; drop them.
 _ENDPOINT_GUARD = 1e-8
+
+# Bracket width at which a refined node is final.
+_NODE_TOLERANCE = 1e-14
 
 # Step-lambda entries per chunk of step tables in _terminal.
 _CHUNK_ENTRIES = 1 << 16
@@ -78,7 +85,13 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class EigenSearchConfig:
-    """Bracketing and bisection parameters for the eigenvalue search."""
+    """Bracketing and root-finding parameters for the eigenvalue search.
+
+    ``lambda_tolerance`` is the bracket width at which a root is final;
+    ``max_iterations`` caps the characteristic-function evaluations the root
+    finder spends on each index, and an index still open at the cap raises
+    IterationFailure.
+    """
 
     lambda_tolerance: float = 1e-10
     bracket_half_width: float = 0.6
@@ -292,8 +305,67 @@ def characteristic(problem: DiracProblem, lam: float,
     return float(_characteristic_batch(problem, [float(lam)], mesh)[0])
 
 
+def _illinois(f, lo, hi, f_lo, f_hi, tolerance, max_evals, describe):
+    """Roots of f in brackets [lo, hi] with f_lo * f_hi < 0, by a
+    safeguarded Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971)
+    vectorized over the brackets.
+
+    ``f(x, open_)`` returns f at the points x of the brackets at positions
+    ``open_``.  Each iterate lies strictly inside its bracket and at least
+    ``tolerance / 2`` from its ends, so an end that converges while the
+    other stays put is closed off in one more step; a bracket that did not
+    at least halve over its last two steps takes a bisection step instead.
+    A bracket is frozen, and never evaluated or updated again, once it is at
+    most ``tolerance`` wide (or holds no float strictly inside) or f is
+    exactly 0 at an iterate, so each root is bitwise independent of the
+    batch it is found in.  The root of a frozen bracket is the linear
+    interpolant of its true end values.  A bracket still open after
+    ``max_evals`` evaluations raises IterationFailure, naming the open
+    brackets by ``describe(position)``.
+    """
+    lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
+    g_lo, g_hi = f_lo.copy(), f_hi.copy()   # Illinois-weighted end values
+    kept = np.zeros(lo.size)                # +1: last step kept hi, -1: kept lo
+    width_1 = np.full(lo.size, np.inf)      # widths one and two steps ago
+    width_2 = width_1.copy()
+    open_ = np.arange(lo.size)
+    roots = np.empty(lo.size)
+    for evals in itertools.count():
+        mid = 0.5 * (lo + hi)
+        done = (hi - lo <= tolerance) | ~((lo < mid) & (mid < hi))
+        if done.any():
+            roots[open_[done]] = (lo + (hi - lo) * (f_lo / (f_lo - f_hi)))[done]
+            (open_, lo, hi, f_lo, f_hi, g_lo, g_hi, kept, width_1, width_2,
+             mid) = (v[~done] for v in (open_, lo, hi, f_lo, f_hi, g_lo, g_hi,
+                                        kept, width_1, width_2, mid))
+            if not open_.size:
+                return roots
+        if evals == max_evals:
+            raise IterationFailure(
+                f"root not within {tolerance:g} after {max_evals} evaluations: "
+                + ", ".join(describe(k) for k in open_))
+        width = hi - lo
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.clip(lo + width * (g_lo / (g_lo - g_hi)),
+                        lo + 0.5 * tolerance, hi - 0.5 * tolerance)
+        x = np.where((width <= 0.5 * width_2) & (lo < x) & (x < hi), x, mid)
+        fx = f(x, open_)
+
+        width_1, width_2 = width, width_1
+        move_lo = np.sign(fx) == np.sign(f_lo)
+        # Illinois: an end kept for a second step in a row has its weight halved
+        g_hi = np.where(move_lo, np.where(kept > 0, 0.5 * g_hi, g_hi), fx)
+        g_lo = np.where(move_lo, fx, np.where(kept < 0, 0.5 * g_lo, g_lo))
+        kept = np.where(move_lo, 1.0, -1.0)
+        f_lo = np.where(move_lo, fx, f_lo)
+        f_hi = np.where(move_lo, f_hi, fx)
+        # an exact zero moves hi to x; closing lo onto it too freezes x as the root
+        lo = np.where(move_lo | (fx == 0.0), x, lo)
+        hi = np.where(move_lo, hi, x)
+
+
 def _bracket_from_scan(index, grid, chi):
-    """Locate exactly one sign change of chi on the scan grid."""
+    """Positions (i, j) on the scan grid of its one sign change of chi."""
     scale = float(np.max(np.abs(chi)))
     if scale == 0.0:
         raise SeedFailure(index, (float(grid[0]), float(grid[-1])))
@@ -312,8 +384,7 @@ def _bracket_from_scan(index, grid, chi):
         raise SeedFailure(index, (float(grid[0]), float(grid[-1])))
     if len(changes) > 1:
         raise AmbiguousBracket(index, len(changes))
-    i, j = changes[0]
-    return float(grid[i]), float(grid[j])
+    return changes[0]
 
 
 def find_eigenvalues(problem: DiracProblem, indices,
@@ -353,22 +424,16 @@ def find_eigenvalues(problem: DiracProblem, indices,
     chi = _characteristic_batch(problem, grid.ravel(), mesh)
     chi = chi.reshape(grid.shape)
 
-    lo = np.empty(len(indices))
-    hi = np.empty(len(indices))
-    for k, n in enumerate(indices):
-        lo[k], hi[k] = _bracket_from_scan(n, grid[:, k], chi[:, k])
-    brackets = list(zip(lo.copy(), hi.copy()))
+    cols = np.arange(len(indices))
+    i, j = np.array([_bracket_from_scan(n, grid[:, k], chi[:, k])
+                     for k, n in enumerate(indices)]).T
+    lo, hi = grid[i, cols], grid[j, cols]
+    brackets = list(zip(lo, hi))
 
-    f_lo = _characteristic_batch(problem, lo, mesh)
-    for _ in range(search.max_iterations):
-        mid = 0.5 * (lo + hi)
-        f_mid = _characteristic_batch(problem, mid, mesh)
-        take_left = f_lo * f_mid <= 0.0
-        hi = np.where(take_left, mid, hi)
-        lo = np.where(take_left, lo, mid)
-        f_lo = np.where(take_left, f_lo, f_mid)
-
-    roots = 0.5 * (lo + hi)
+    roots = _illinois(lambda x, _: _characteristic_batch(problem, x, mesh),
+                      lo, hi, chi[i, cols], chi[j, cols],
+                      search.lambda_tolerance, search.max_iterations,
+                      lambda k: f"eigenvalue index {indices[k]}")
     residuals = _characteristic_batch(problem, roots, mesh)
     records = [EigenRecord(n, float(roots[k]), float(residuals[k]), brackets[k])
                for k, n in enumerate(indices)]
@@ -412,11 +477,14 @@ def node_count_prediction(boundary, n: int, component: int) -> int:
 def extract_nodes(problem: DiracProblem, rec: EigenRecord, component: int,
                   cfg: IntegratorConfig | None = None,
                   refine_iterations: int = 44) -> NodalSet:
-    """All interior zeros of one eigenfunction component, each refined by
-    bisection that re-integrates from the bracketing mesh node.
+    """All interior zeros of one eigenfunction component.
 
     Nodes are bracketed on every node of the ``cfg.n_steps`` mesh;
-    ``cfg.keep_stride`` only thins what ``integrate`` returns.
+    ``cfg.keep_stride`` only thins what ``integrate`` returns.  Each is
+    refined by the eigenvalue search's root finder on a partial Magnus step
+    from the bracketing mesh node, to a bracket ``_NODE_TOLERANCE`` wide;
+    ``refine_iterations`` caps the evaluations per node, and a node still
+    open at the cap raises IterationFailure.
     """
     if component not in (1, 2):
         raise InputError("component must be 1 or 2")
@@ -437,26 +505,22 @@ def extract_nodes(problem: DiracProblem, rec: EigenRecord, component: int,
     solid = ~near
     cells = np.nonzero(solid[:-1] & solid[1:] & (comp[:-1] * comp[1:] < 0))[0]
     if cells.size:
-        anchor_x = xs[cells]
-        anchor_y1 = traj[cells, 0]
-        anchor_y2 = traj[cells, 1]
-        lo = xs[cells].copy()
-        hi = xs[cells + 1].copy()
-        f_lo = comp[cells].copy()
-        for _ in range(refine_iterations):
-            mid = 0.5 * (lo + hi)
-            h = mid - anchor_x
+        def comp_at(x, open_):
+            """The component at x from the state at its cell's left node."""
+            x0 = xs[cells[open_]]
+            y1, y2 = traj[cells[open_]].T
+            h = x - x0
             p11, p12, p21, p22 = _entries(problem.mass, h,
-                                          *_sample(problem, anchor_x, h), rec.lam)
+                                          *_sample(problem, x0, h), rec.lam)
             if component == 1:
-                f_mid = p11 * anchor_y1 + p12 * anchor_y2
-            else:
-                f_mid = p21 * anchor_y1 + p22 * anchor_y2
-            take_left = f_lo * f_mid <= 0.0
-            hi = np.where(take_left, mid, hi)
-            lo = np.where(take_left, lo, mid)
-            f_lo = np.where(take_left, f_lo, f_mid)
-        nodes.extend((0.5 * (lo + hi)).tolist())
+                return p11 * y1 + p12 * y2
+            return p21 * y1 + p22 * y2
+
+        nodes.extend(_illinois(
+            comp_at, xs[cells], xs[cells + 1], comp[cells], comp[cells + 1],
+            _NODE_TOLERANCE, refine_iterations,
+            lambda k: (f"component {component} node in "
+                       f"[{xs[cells[k]]:.6g}, {xs[cells[k] + 1]:.6g}]")).tolist())
 
     nodes.sort()
     filtered = [x for x in nodes

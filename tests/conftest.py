@@ -57,6 +57,9 @@ class SolveCache:
     def problem(self, label):
         return self._problems[label][0]
 
+    def integrator(self, label):
+        return self._problems[label][1]
+
     def records(self, label, indices):
         problem, integrator, search = self._problems[label]
         store = self._records.setdefault(label, {})

@@ -6,18 +6,22 @@ constant-coefficient system is solvable by hand.  Those closed forms are the
 oracles here; none of them go through the integrator.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from conftest import canonical_pd
 from dirac_nodal import (AmbiguousBracket, Classical, DiracProblem,
                          EigenSearchConfig, IntegratorConfig, DegenerateComponent,
-                         IntegrationFailure, SeedFailure, UnsupportedPrediction,
+                         IntegrationFailure, IterationFailure, SeedFailure,
+                         UnsupportedPrediction,
                          characteristic, extract_nodes, find_eigenvalue,
                          find_eigenvalues, integrate, named_potential,
                          node_count_prediction, DomainError)
+from dirac_nodal import cli
 from dirac_nodal import solver as solver_mod
 
 PI = math.pi
@@ -45,6 +49,64 @@ def bisect_root(f, a, b, iters=100):
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
+
+
+def bisect_eigenvalues(problem, records, n_steps, iters=100):
+    """Eigenvalues by plain bisection of the characteristic function on each
+    record's scan bracket."""
+    mesh = solver_mod._mesh(problem, n_steps)
+    lo, hi = np.array([rec.bracket for rec in records]).T
+    f_lo = solver_mod._characteristic_batch(problem, lo, mesh)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        f_mid = solver_mod._characteristic_batch(problem, mid, mesh)
+        left = f_lo * f_mid <= 0.0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        f_lo = np.where(left, f_lo, f_mid)
+    return 0.5 * (lo + hi)
+
+
+def bisect_nodes(problem, lam, component, n_steps, iters=44):
+    """Interior nodes of one component: zeros on the mesh, and sign changes
+    each bisected on a partial Magnus step from its cell's left mesh node."""
+    xs, traj = solver_mod._trajectory(problem, lam, solver_mod._mesh(problem, n_steps))
+    comp = traj[:, component - 1]
+    near = np.abs(comp) <= 1e-12 * np.max(np.abs(comp))
+    solid = ~near
+    cells = np.nonzero(solid[:-1] & solid[1:] & (comp[:-1] * comp[1:] < 0))[0]
+    x0, (y1, y2) = xs[cells], traj[cells].T
+    lo, hi, f_lo = x0.copy(), xs[cells + 1].copy(), comp[cells].copy()
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        h = mid - x0
+        p = solver_mod._entries(problem.mass, h, *solver_mod._sample(problem, x0, h), lam)
+        row = 2 * (component - 1)   # P11, P12 or P21, P22
+        f_mid = p[row] * y1 + p[row + 1] * y2
+        left = f_lo * f_mid <= 0.0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        f_lo = np.where(left, f_lo, f_mid)
+    return np.sort(np.concatenate((xs[1:-1][near[1:-1]], 0.5 * (lo + hi))))
+
+
+def sign_only_chi(problem, lams, mesh):
+    """A characteristic function that gives away only its sign, with roots at
+    n + 0.0372: regula falsi steps gain nothing over bisection on it."""
+    return np.sign(np.sin(PI * (np.asarray(lams, dtype=float) - 0.0372)))
+
+
+def count_terminal(monkeypatch):
+    """Record the number of lambdas in every _terminal call."""
+    sizes = []
+    terminal = solver_mod._terminal
+
+    def counted(problem, lams, mesh):
+        sizes.append(np.size(lams))
+        return terminal(problem, lams, mesh)
+
+    monkeypatch.setattr(solver_mod, "_terminal", counted)
+    return sizes
 
 
 class TestIntegrate:
@@ -185,6 +247,83 @@ class TestFindEigenvalue:
             assert abs(a.lam - b.lam) < 16 * 1e-10
 
 
+class TestRootFinder:
+    """The safeguarded Illinois search that refines each scan bracket."""
+
+    @pytest.mark.parametrize("label", ["sin_half", "zero_half_mass", "pd_example"])
+    def test_matches_bisection_reference(self, cache, label):
+        recs = list(cache.records(label, [3, 10, 25, 40, -7]).values())
+        ref = bisect_eigenvalues(cache.problem(label), recs,
+                                 cache.integrator(label).n_steps)
+        assert np.max(np.abs([r.lam for r in recs] - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("label", ["sin_half", "pd_example"])
+    def test_record_independent_of_batch(self, cache, label):
+        p, integ = cache.problem(label), cache.integrator(label)
+        batch = find_eigenvalues(p, range(3, 41), integ)
+        for rec in batch:
+            alone = find_eigenvalue(p, rec.index, integ)
+            assert (alone.lam, alone.residual, alone.bracket) \
+                == (rec.lam, rec.residual, rec.bracket)
+
+    def test_loose_tolerance_evaluates_less(self, cache, monkeypatch):
+        p, integ = cache.problem("sin_half"), cache.integrator("sin_half")
+        sizes = count_terminal(monkeypatch)
+        tight = find_eigenvalues(p, range(3, 41), integ, EigenSearchConfig())
+        tight_evals = sum(sizes)
+        sizes.clear()
+        loose = find_eigenvalues(p, range(3, 41), integ,
+                                 EigenSearchConfig(lambda_tolerance=1e-4))
+        assert sum(sizes) < tight_evals
+        assert max(abs(a.lam - b.lam) for a, b in zip(loose, tight)) <= 1e-4
+
+    def test_terminal_calls_bounded(self, cache, monkeypatch):
+        # one scan, at most 28 root-finder rounds, one residual
+        p, integ = cache.problem("sin_half"), cache.integrator("sin_half")
+        sizes = count_terminal(monkeypatch)
+        find_eigenvalues(p, range(3, 41), integ)
+        assert len(sizes) <= 30
+
+    def test_exact_zero_freezes(self):
+        calls = []
+
+        def line(x, open_):
+            calls.append(open_.tolist())
+            return x - 0.5
+
+        roots = solver_mod._illinois(line, [0.0, 0.0], [1.0, 0.9], [-0.5, -0.5],
+                                     [0.5, 0.4], 1e-10, 16, str)
+        assert roots[0] == 0.5   # the first regula falsi step lands on it
+        assert abs(roots[1] - 0.5) <= 1e-10
+        assert calls[0] == [0, 1] and all(c == [1] for c in calls[1:])
+
+    def test_exhausted_cap_raises(self, monkeypatch):
+        p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
+        monkeypatch.setattr(solver_mod, "_characteristic_batch", sign_only_chi)
+        recs = find_eigenvalues(p, range(3, 41), FAST)   # default cap of 48
+        assert all(abs(r.lam - r.index - 0.0372) <= 1e-10 for r in recs)
+        with pytest.raises(IterationFailure, match="eigenvalue index 5"):
+            find_eigenvalue(p, 5, FAST, EigenSearchConfig(max_iterations=16))
+
+    def test_exhausted_cap_exits_3_from_cli(self, tmp_path, monkeypatch):
+        # in-process, so that the monkeypatched chi reaches the command
+        doc = {"mass": 0.0,
+               "potential": {"kind": "named", "name": "zero", "params": {}},
+               "boundary": {"kind": "classical", "alpha": 0.0, "beta": 0.0},
+               "solver": {"steps": 512, "max_iterations": 16}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        monkeypatch.delenv("DIRAC_NODAL_LOG", raising=False)
+        monkeypatch.setattr(solver_mod, "_characteristic_batch", sign_only_chi)
+        res = CliRunner().invoke(cli.main, [
+            "spectrum", "--problem", str(cfg), "--n-min", "4", "--n-max", "6",
+            "--out", str(tmp_path / "x.csv")])
+        assert res.exit_code == 3, res.output
+        payload = json.loads(res.stderr.strip().splitlines()[-1])
+        assert payload["type"] == "IterationFailure"
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestExtractNodes:
     def test_zero_potential_component1(self):
         p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
@@ -231,6 +370,22 @@ class TestExtractNodes:
         full = extract_nodes(p, rec, 1, IntegratorConfig(4096))
         thinned = extract_nodes(p, rec, 1, IntegratorConfig(4096, keep_stride=64))
         assert np.array_equal(thinned.points, full.points)
+
+    @pytest.mark.parametrize("label,n,component", [
+        ("sin_half", 16, 1), ("sin_half", 40, 2), ("pd_example", 20, 1),
+        ("zero_half_mass", 25, 2)])
+    def test_nodes_match_bisection_reference(self, cache, label, n, component):
+        ns = cache.nodal(label, n, component)
+        ref = bisect_nodes(cache.problem(label), cache.record(label, n).lam,
+                           component, cache.integrator(label).n_steps)
+        assert ns.count == ref.size
+        assert np.max(np.abs(ns.points - ref)) <= 1e-13
+
+    def test_refine_iterations_cap_raises(self, cache):
+        p, integ = cache.problem("sin_half"), cache.integrator("sin_half")
+        with pytest.raises(IterationFailure, match="component 1 node in"):
+            extract_nodes(p, cache.record("sin_half", 10), 1, integ,
+                          refine_iterations=2)
 
     def test_degenerate_component_guard(self, monkeypatch):
         p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
