@@ -9,11 +9,11 @@ the inverse problem.
 
 __version__ = "0.1.0"
 
-from .errors import (AmbiguousBracket, BoundaryConditionError, CaseMismatch,
-                     ComputationError, ConfigError, ConstantsUnavailable,
-                     DegenerateComponent, DiracNodalError, DomainError,
-                     InputError, IntegrationFailure, IterationFailure,
-                     RowMismatch, SeedFailure, UnsupportedPrediction)
+from .errors import (BoundaryConditionError, CaseMismatch, ComputationError,
+                     ConfigError, ConstantsUnavailable, DegenerateComponent,
+                     DiracNodalError, DomainError, InputError,
+                     IntegrationFailure, IterationFailure,
+                     RotationLimitExceeded, RowMismatch, UnsupportedPrediction)
 from .model import (Classical, DiracProblem, EigenRecord, GridSequence,
                     NodalSet, ParamDependent, Potential, SpinorState,
                     cumulative_integral, make_potential_sampled)

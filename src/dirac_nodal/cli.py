@@ -18,7 +18,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -100,40 +99,21 @@ def _write_json(path, obj):
                           encoding="utf-8")
 
 
-def _spectrum_records(cfg: LoadedConfig, indices, jobs, seedless):
-    integrator = cfg.solver.integrator()
-    search = cfg.solver.search(require_constants=seedless)
-    if jobs <= 1 or len(indices) < 2:
-        return solver.find_eigenvalues(cfg.problem, indices, integrator, search)
-    chunks = [list(indices[i::jobs]) for i in range(jobs)]
-    chunks = [c for c in chunks if c]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(
-            lambda c: solver.find_eigenvalues(cfg.problem, c, integrator, search),
-            chunks))
-    records = [rec for part in parts for rec in part]
-    records.sort(key=lambda r: r.index)
-    return records
+def _spectrum_records(cfg: LoadedConfig, indices, seedless):
+    return solver.find_eigenvalues(cfg.problem, indices, cfg.solver.integrator(),
+                                   cfg.solver.search(require_constants=seedless))
 
 
-def _nodal_sets(cfg: LoadedConfig, records, component, jobs):
+def _nodal_sets(cfg: LoadedConfig, records, component):
     integrator = cfg.solver.integrator()
-    if jobs <= 1 or len(records) < 2:
-        return [solver.extract_nodes(cfg.problem, rec, component, integrator)
-                for rec in records]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(
-            lambda rec: solver.extract_nodes(cfg.problem, rec, component, integrator),
-            records))
+    return [solver.extract_nodes(cfg.problem, rec, component, integrator)
+            for rec in records]
 
 
 def _common_options(func):
-    func = click.option("--jobs", type=int, default=1, show_default=True,
-                        help="Workers for independent indices.")(func)
-    func = click.option("--seedless", is_flag=True,
+    return click.option("--seedless", is_flag=True,
                         help="Fail instead of degrading when second-order "
                              "expansion constants are unavailable.")(func)
-    return func
 
 
 @click.group()
@@ -149,14 +129,14 @@ def main():
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_common_options
 @_guard
-def spectrum(problem_path, n_min, n_max, out_path, jobs, seedless):
+def spectrum(problem_path, n_min, n_max, out_path, seedless):
     """Eigenvalues over an index range; CSV columns n, lambda, residual."""
     cfg = load_config(problem_path)
     if n_max < n_min:
         raise InputError("--n-max must be at least --n-min")
     indices = list(range(n_min, n_max + 1))
     indices = [n for n in indices if n != 0]
-    records = _spectrum_records(cfg, indices, jobs, seedless)
+    records = _spectrum_records(cfg, indices, seedless)
     rows = [[str(r.index), _fmt(r.lam), _fmt(r.residual)] for r in records]
     _write_csv(out_path, f"config={cfg.hash[:12]}", ["n", "lambda", "residual"], rows)
 
@@ -168,7 +148,7 @@ def spectrum(problem_path, n_min, n_max, out_path, jobs, seedless):
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_common_options
 @_guard
-def nodes(problem_path, index, component, out_path, jobs, seedless):
+def nodes(problem_path, index, component, out_path, seedless):
     """Nodal points of one eigenfunction component; CSV columns j, x, length."""
     cfg = load_config(problem_path)
     search = cfg.solver.search(require_constants=seedless)
@@ -194,8 +174,7 @@ def nodes(problem_path, index, component, out_path, jobs, seedless):
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_common_options
 @_guard
-def reconstruct(problem_path, index, mode_tag, lambda_source, out_path, jobs,
-                seedless):
+def reconstruct(problem_path, index, mode_tag, lambda_source, out_path, seedless):
     """Step-function reconstruction at one index; CSV plus a JSON report."""
     cfg = load_config(problem_path)
     mode = ReconstructionMode(
@@ -231,7 +210,7 @@ def reconstruct(problem_path, index, mode_tag, lambda_source, out_path, jobs,
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_common_options
 @_guard
-def stability_cmd(path_a, path_b, n_min, n_max, out_path, jobs, seedless):
+def stability_cmd(path_a, path_b, n_min, n_max, out_path, seedless):
     """Stability-identity table for two problems sharing mass and boundary."""
     cfg_a = load_config(path_a)
     cfg_b = load_config(path_b)
@@ -281,12 +260,12 @@ def stability_cmd(path_a, path_b, n_min, n_max, out_path, jobs, seedless):
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_common_options
 @_guard
-def validate_asymptotics(problem_path, n_min, n_max, out_path, jobs, seedless):
+def validate_asymptotics(problem_path, n_min, n_max, out_path, seedless):
     """Compare solver output with the closed-form expansions over a window."""
     cfg = load_config(problem_path)
     indices = [n for n in range(n_min, n_max + 1) if n != 0]
-    records = _spectrum_records(cfg, indices, jobs, seedless)
-    nodal_sets = _nodal_sets(cfg, records, 1, jobs)
+    records = _spectrum_records(cfg, indices, seedless)
+    nodal_sets = _nodal_sets(cfg, records, 1)
     problem = cfg.problem
     alpha = problem.boundary.alpha
     rows = []
@@ -338,7 +317,7 @@ def validate_asymptotics(problem_path, n_min, n_max, out_path, jobs, seedless):
 @_common_options
 @_guard
 def quasinodal_check_cmd(problem_path, n_min, n_max, grid_file,
-                         admissibility_constant, out_path, jobs, seedless):
+                         admissibility_constant, out_path, seedless):
     """Quasinodal admissibility report for a grid sequence."""
     cfg = load_config(problem_path)
     if grid_file is not None:
@@ -351,9 +330,8 @@ def quasinodal_check_cmd(problem_path, n_min, n_max, grid_file,
         indices = [n for n in seq.indices() if n_min <= n <= n_max]
         seq = GridSequence(seq.case, {n: seq.row(n) for n in indices})
     else:
-        records = _spectrum_records(cfg, list(range(n_min, n_max + 1)), jobs,
-                                    seedless)
-        nodal_sets = _nodal_sets(cfg, records, 1, jobs)
+        records = _spectrum_records(cfg, list(range(n_min, n_max + 1)), seedless)
+        nodal_sets = _nodal_sets(cfg, records, 1)
         seq = GridSequence.from_nodal_sets(nodal_sets, cfg.problem.case)
     report = stability.quasinodal_check(
         seq, cfg.problem.potential, cfg.problem.mass, cfg.problem.boundary,

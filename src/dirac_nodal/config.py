@@ -21,7 +21,7 @@ from .reconstruction import ReconstructionMode
 from .solver import EigenSearchConfig, IntegratorConfig
 
 _TOP_KEYS = {"mass", "potential", "boundary", "solver", "modes"}
-_SOLVER_KEYS = {"steps", "lambda_tol", "bracket_expansion", "max_iterations"}
+_SOLVER_KEYS = {"steps", "lambda_tol", "max_iterations"}
 _MODE_KEYS = {"reconstruction", "lambda_source"}
 _CLASSICAL_KEYS = {"kind", "alpha", "beta"}
 _PARAM_KEYS = {"kind", "alpha", "beta", "a0", "b0", "a1", "b1"}
@@ -31,7 +31,6 @@ _PARAM_KEYS = {"kind", "alpha", "beta", "a0", "b0", "a1", "b1"}
 class SolverSettings:
     steps: int = 4096
     lambda_tol: float = 1e-10
-    bracket_expansion: float = 0.6
     max_iterations: int = 48
 
     def integrator(self) -> IntegratorConfig:
@@ -39,7 +38,6 @@ class SolverSettings:
 
     def search(self, require_constants: bool = False) -> EigenSearchConfig:
         return EigenSearchConfig(lambda_tolerance=self.lambda_tol,
-                                 bracket_half_width=self.bracket_expansion,
                                  max_iterations=self.max_iterations,
                                  require_constants=require_constants)
 
@@ -113,7 +111,6 @@ def parse_config(document) -> LoadedConfig:
     settings = SolverSettings(
         steps=steps,
         lambda_tol=float(solver_obj.get("lambda_tol", 1e-10)),
-        bracket_expansion=float(solver_obj.get("bracket_expansion", 0.6)),
         max_iterations=int(solver_obj.get("max_iterations", 48)),
     )
 

@@ -36,31 +36,13 @@ class ComputationError(DiracNodalError):
 
 
 class IntegrationFailure(ComputationError):
-    """Initial-value integration produced non-finite components."""
+    """Initial-value integration produced non-finite components, or a state at
+    pi lost to cancellation."""
 
 
-class SeedFailure(ComputationError):
-    """No sign change of the characteristic function in the scanned bracket."""
-
-    def __init__(self, index, interval):
-        self.index = index
-        self.interval = interval
-        super().__init__(
-            f"no sign change for index {index} in scanned interval "
-            f"[{interval[0]:.6g}, {interval[1]:.6g}]"
-        )
-
-
-class AmbiguousBracket(ComputationError):
-    """More than one sign change in the scanned bracket."""
-
-    def __init__(self, index, count):
-        self.index = index
-        self.count = count
-        super().__init__(
-            f"{count} sign changes for index {index}; shrink the bracket "
-            f"expansion or increase the index"
-        )
+class RotationLimitExceeded(ComputationError):
+    """The mesh is too coarse to count the turns of the Prufer angle at some
+    spectral parameter: one step may turn it by more than the count allows."""
 
 
 class DegenerateComponent(ComputationError):

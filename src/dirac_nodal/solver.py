@@ -25,13 +25,29 @@ no loop over steps:
 
 Both agree with a step-by-step loop to roundoff.
 
-Eigenvalues are located by scanning a bracket around an asymptotic seed for
-sign changes of the characteristic function, then refining each bracket
-with a safeguarded Illinois regula falsi until it is ``lambda_tolerance``
-wide; the whole search is vectorized across the requested indices, with
-every lambda probe sharing one batched propagation, and each index stops
-on its own.  Nodes are bracketed by sign changes on the full mesh and
-refined by the same root finder on a partial Magnus step from the
+Eigenvalues are labelled by the Prufer angle theta of the solution,
+y1 = r sin(theta) and y2 = -r cos(theta) (Levitan and Sargsjan, 1991; the
+approach of SLEIGN2, Bailey, Everitt and Zettl, ACM TOMS 27, 2001).  The
+unwrapped theta(pi) increases strictly in lambda, and the eigenvalue with
+index n is where theta(pi) = psi + k pi: psi is beta in the classical case
+and the lambda-dependent angle of the boundary form in case I, and the
+rotation index k is n classically and n - 1 in case I.  With ``angle``,
+``_terminal`` returns theta(pi) beside the terminal state: the pairwise
+tree keeps the level whose blocks of steps turn theta by at most pi/2, the
+states at the block ends unwrap theta, and that fixes the 2 pi branch of
+the terminal state's own angle.  theta(pi) is therefore bitwise the same
+for every such level and every batch.
+
+From the asymptotic seeds, each index jumps by its angle mismatch until
+both ends of its bracket lie within pi of the target angle, one on each
+side; chi changes sign exactly once in such a bracket, and a safeguarded
+Illinois regula falsi refines it until it is ``lambda_tolerance`` wide.
+Every round of the search evaluates one lambda per open index in one
+batched propagation, and each index stops on its own.  A state at pi that
+cancels to a tiny fraction of its terms, as for an eigenfunction decaying
+from x = 0 across a mass gap, raises IntegrationFailure instead of
+yielding a wrong root.  Nodes are bracketed by sign changes on the full
+mesh and refined by the same root finder on a partial Magnus step from the
 bracketing mesh node.
 """
 
@@ -46,10 +62,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import asymptotics
-from .errors import (AmbiguousBracket, ComputationError, ConstantsUnavailable,
+from .errors import (ComputationError, ConstantsUnavailable,
                      DegenerateComponent, DomainError, InputError,
-                     IntegrationFailure, IterationFailure, SeedFailure,
-                     UnsupportedPrediction)
+                     IntegrationFailure, IterationFailure,
+                     RotationLimitExceeded, UnsupportedPrediction)
 from .model import (Classical, DiracProblem, EigenRecord, NodalSet,
                     SpinorState)
 
@@ -65,8 +81,22 @@ _ENDPOINT_GUARD = 1e-8
 # Bracket width at which a refined node is final.
 _NODE_TOLERANCE = 1e-14
 
-# Step-lambda entries per chunk of step tables in _terminal.
-_CHUNK_ENTRIES = 1 << 16
+# Step-lambda entries per chunk of step tables in _terminal: the chunk's
+# temporaries (128 KiB per array) then stay in a 2 MiB L2 cache, which made
+# a batch of 38 lambdas at 4096 steps 26 % faster than chunks of 1 << 16.
+_CHUNK_ENTRIES = 1 << 14
+
+# Angle mismatch, in rad, that the eigenvalue bracket's ends aim for.
+_AIM = math.pi / 16
+
+# A state at pi smaller than this fraction of the terms it is summed from
+# has kept no more than about four significant digits.
+_CANCELLATION = 1e-12
+
+# Largest bound on the turn of the Prufer angle over one block of steps when
+# the angle is unwrapped between block ends; below pi, with a margin for the
+# difference between the sampled and the true potential.
+_BLOCK_TURN = math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -87,26 +117,19 @@ class IntegratorConfig:
 class EigenSearchConfig:
     """Bracketing and root-finding parameters for the eigenvalue search.
 
-    ``lambda_tolerance`` is the bracket width at which a root is final;
-    ``max_iterations`` caps the characteristic-function evaluations the root
-    finder spends on each index, and an index still open at the cap raises
-    IterationFailure.
+    ``lambda_tolerance`` is the bracket width at which a root is final.
+    ``max_iterations`` caps, per index, both the angle evaluations that
+    bracket it and the characteristic-function evaluations that refine the
+    bracket; an index still open at either cap raises IterationFailure.
     """
 
     lambda_tolerance: float = 1e-10
-    bracket_half_width: float = 0.6
-    scan_points: int = 13
     max_iterations: int = 48
-    min_index: int = 3
     require_constants: bool = False
 
     def __post_init__(self):
         if self.lambda_tolerance <= 0:
             raise InputError("lambda_tolerance must be positive")
-        if self.bracket_half_width <= 0:
-            raise InputError("bracket_half_width must be positive")
-        if self.scan_points < 5 or self.scan_points % 2 == 0:
-            raise InputError("scan_points must be odd and at least 5")
         if self.max_iterations < 16:
             raise InputError("max_iterations must be at least 16")
 
@@ -119,13 +142,15 @@ def _coshc_sinhc(u):
     pos = u > 0
     neg = ~pos
     small = t < 1e-8
-    t_safe = np.where(small, 1.0, t)
+    any_small = small.any()
+    t_safe = np.where(small, 1.0, t) if any_small else t
     c = np.cosh(t, out=np.empty_like(t), where=pos)
     np.cos(t, out=c, where=neg)
     s = np.sinh(t_safe, out=np.empty_like(t), where=pos)
     np.sin(t_safe, out=s, where=neg)
     s /= t_safe
-    s = np.where(small, 1.0 + u / 6.0, s)
+    if any_small:
+        s[small] = 1.0 + u[small] / 6.0
     return c, s
 
 
@@ -164,31 +189,44 @@ def _mesh(problem, n_steps):
 
 def _entries(m, h, vbar, g, lams):
     """Step propagator entries P11, P12, P21, P22 for any broadcast of steps
-    (h, vbar, g) against spectral parameters lams."""
+    (h, vbar, g) against spectral parameters lams.  Products are formed in
+    place where the operands allow it: fewer large temporaries, and the
+    same values bit for bit."""
     w = lams - vbar
     bb = -h * (w + m)
     cc = h * (w - m)
-    s2 = g * g + bb * cc
-    ec, es = _coshc_sinhc(s2)
-    return ec - es * g, es * bb, es * cc, ec + es * g
+    ec, es = _coshc_sinhc(g * g + bb * cc)
+    esg = es * g
+    p11 = ec - esg
+    ec += esg
+    bb *= es
+    cc *= es
+    return p11, bb, cc, ec
 
 
 def _mul(b, a):
-    """Entries of the 2x2 product b @ a: step a is taken first."""
+    """Entries of the 2x2 product b @ a: step a is taken first.  The sums are
+    accumulated in place through one scratch array."""
     b11, b12, b21, b22 = b
     a11, a12, a21, a22 = a
-    return (b11 * a11 + b12 * a21, b11 * a12 + b12 * a22,
-            b21 * a11 + b22 * a21, b21 * a12 + b22 * a22)
+    out = (b11 * a11, b11 * a12, b21 * a11, b21 * a12)
+    tmp = np.empty_like(out[0])
+    for o, x, y in zip(out, (b12, b12, b22, b22), (a21, a22, a21, a22)):
+        o += np.multiply(x, y, out=tmp)
+    return out
 
 
-def _reduce(p):
-    """Ordered product of the matrices along axis 0 by pairwise halving.
+def _reduce(p, levels=None):
+    """Ordered products of aligned blocks of 2**levels matrices along axis 0,
+    by pairwise halving (the product of all of them when levels is None).
 
     An unpaired last matrix is carried up one level unchanged, which gives
     the same result as padding with identity steps to the next power of
-    two.  Returns entries with a leading axis of length 1.
+    two.  Halving in stages gives the same tree as halving at once.
     """
-    while p[0].shape[0] > 1:
+    for _ in itertools.count() if levels is None else range(levels):
+        if p[0].shape[0] == 1:
+            break
         even = p[0].shape[0] // 2 * 2
         pairs = _mul([x[1:even:2] for x in p], [x[0:even:2] for x in p])
         if even < p[0].shape[0]:
@@ -222,31 +260,113 @@ def _check_finite(problem, lams, *arrays):
             f"lambda range [{lams.min():.6g}, {lams.max():.6g}])")
 
 
-def _terminal(problem, lams, mesh):
-    """(y1, y2) at x = pi for every lambda.
+def _angle(y1, y2):
+    """Prufer angle in (-pi, pi] of the states y1 = r sin(theta),
+    y2 = -r cos(theta)."""
+    return np.arctan2(y1, -y2)
+
+
+def _start_angle(problem, lams, y1, y2):
+    """theta(0) of the initial states: alpha in the classical case; in case I
+    the state turns continuously from angle alpha (lambda -> -inf) to
+    alpha + pi (lambda -> +inf), so theta(0) is taken in (alpha, alpha + pi)."""
+    b = problem.boundary
+    if isinstance(b, Classical):
+        return np.full_like(lams, b.alpha)
+    return b.alpha + np.mod(_angle(y1, y2) - b.alpha, 2 * math.pi)
+
+
+def _end_angle(problem, lams):
+    """The angle psi, modulo pi, that an eigenfunction has at x = pi: beta in
+    the classical case; in case I the boundary form's normal turns from
+    beta + pi (lambda -> -inf) down to beta (lambda -> +inf), so psi is taken
+    in [beta, beta + pi)."""
+    b = problem.boundary
+    if isinstance(b, Classical):
+        return np.full_like(lams, b.beta)
+    return b.beta + np.mod(np.arctan2(lams * math.sin(b.beta) + b.b1,
+                                      lams * math.cos(b.beta) + b.a1) - b.beta,
+                           math.pi)
+
+
+def _block_level(problem, lams, mesh):
+    """log2 of the steps per block over which the angle is unwrapped: the
+    largest power of two whose blocks turn the angle by at most
+    _BLOCK_TURN, from |theta'| <= |lambda| + max|V| + |m|."""
+    rate = float(np.max(np.abs(lams))) + float(np.max(np.abs(mesh.vbar))) \
+        + abs(problem.mass)
+    steps = _BLOCK_TURN / (mesh.h * rate) if rate > 0 else mesh.vbar.size
+    if steps < 1:
+        raise RotationLimitExceeded(
+            f"lambda = {float(np.max(np.abs(lams))):.6g}: one step of the "
+            f"{mesh.vbar.size}-step mesh may turn the Prufer angle by "
+            f"{mesh.h * rate:.3g} rad, more than the {_BLOCK_TURN:.3g} rad the "
+            f"rotation count allows; increase the number of steps")
+    return min(int(steps), mesh.vbar.size).bit_length() - 1
+
+
+def _rotation(problem, lams, blocks, y1, y2, y1_pi, y2_pi):
+    """Unwrapped theta(pi) from the products of consecutive blocks of steps,
+    each turning the angle by less than pi: the turns between block ends
+    sum to theta(pi) up to roundoff, which fixes its 2 pi branch; the value
+    within the branch is the angle of the terminal state (y1_pi, y2_pi)."""
+    s11, s12, s21, s22 = _scan(blocks)
+    ends = _angle(s11 * y1 + s12 * y2, s21 * y1 + s22 * y2)
+    start = _start_angle(problem, lams, y1, y2)
+    turns = np.diff(ends, axis=0, prepend=start[None, :])
+    turns -= 2 * math.pi * np.round(turns / (2 * math.pi))
+    end = _angle(y1_pi, y2_pi)
+    return end + 2 * math.pi * np.round((start + turns.sum(axis=0) - end)
+                                        / (2 * math.pi))
+
+
+def _terminal(problem, lams, mesh, angle=False):
+    """(y1, y2) at x = pi for every lambda, and with ``angle`` the unwrapped
+    Prufer angle theta(pi) as a third array.
 
     The step matrices are multiplied in aligned power-of-two chunks of
     steps, each reduced by pairwise halving, and the chunk products are
     reduced by the same halving.  That is the full pairwise tree over the
     mesh whatever the chunk width, so each lambda's result does not depend
     on the batch it is computed in, while the width bounds the tables held
-    at once to about _CHUNK_ENTRIES step-lambda entries.
+    at once to about _CHUNK_ENTRIES step-lambda entries.  For the angle the
+    halving pauses at the tree level whose blocks turn the angle by at most
+    _BLOCK_TURN (``_block_level``) and keeps those block products; the tree
+    and so the terminal state are unchanged, and theta(pi) is bitwise the
+    same for every such level and batch.
     """
     lams = _lambdas(lams)
     # the largest power of two of steps whose tables fit _CHUNK_ENTRIES
     width = 1 << max(0, (_CHUNK_ENTRIES // lams.size).bit_length() - 1)
+    level = _block_level(problem, lams, mesh) if angle else None
+    inner = None if level is None else min(level, width.bit_length() - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         chunks = [_reduce(_entries(problem.mass, mesh.h,
                                    mesh.vbar[s:s + width, None],
-                                   mesh.g[s:s + width, None], lams))
+                                   mesh.g[s:s + width, None], lams), inner)
                   for s in range(0, mesh.vbar.size, width)]
-        q11, q12, q21, q22 = (x[0] for x in _reduce(
-            [np.concatenate(c) for c in zip(*chunks)]))
+        blocks = [np.concatenate(c) for c in zip(*chunks)]
+        if angle:
+            blocks = _reduce(blocks, level - inner)
+        q11, q12, q21, q22 = (x[0] for x in _reduce(blocks))
         y1, y2 = _initial_state(problem, lams)
         y1_pi = q11 * y1 + q12 * y2
         y2_pi = q21 * y1 + q22 * y2
+        terms = np.maximum(np.abs(q11 * y1) + np.abs(q12 * y2),
+                           np.abs(q21 * y1) + np.abs(q22 * y2))
+        if angle:
+            theta = _rotation(problem, lams, blocks, y1, y2, y1_pi, y2_pi)
     _check_finite(problem, lams, y1_pi, y2_pi)
-    return y1_pi, y2_pi
+    lost = np.hypot(y1_pi, y2_pi) < _CANCELLATION * terms
+    if lost.any():
+        raise IntegrationFailure(
+            f"the state at pi cancelled to below {_CANCELLATION:g} of its terms "
+            f"at lambda = {lams[lost][0]:.6g}: shooting from x = 0 cannot "
+            "resolve a solution that decays from x = 0 across a mass gap")
+    if not angle:
+        return y1_pi, y2_pi
+    _check_finite(problem, lams, theta)
+    return y1_pi, y2_pi, theta
 
 
 def _trajectory(problem, lam, mesh):
@@ -314,7 +434,8 @@ def _illinois(f, lo, hi, f_lo, f_hi, tolerance, max_evals, describe):
     ``open_``.  Each iterate lies strictly inside its bracket and at least
     ``tolerance / 2`` from its ends, so an end that converges while the
     other stays put is closed off in one more step; a bracket that did not
-    at least halve over its last two steps takes a bisection step instead.
+    at least halve over its last three steps takes a bisection step instead,
+    which leaves the Illinois halving of a kept end's weight a step to act.
     A bracket is frozen, and never evaluated or updated again, once it is at
     most ``tolerance`` wide (or holds no float strictly inside) or f is
     exactly 0 at an iterate, so each root is bitwise independent of the
@@ -326,8 +447,9 @@ def _illinois(f, lo, hi, f_lo, f_hi, tolerance, max_evals, describe):
     lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
     g_lo, g_hi = f_lo.copy(), f_hi.copy()   # Illinois-weighted end values
     kept = np.zeros(lo.size)                # +1: last step kept hi, -1: kept lo
-    width_1 = np.full(lo.size, np.inf)      # widths one and two steps ago
+    width_1 = np.full(lo.size, np.inf)      # widths one, two and three steps ago
     width_2 = width_1.copy()
+    width_3 = width_1.copy()
     open_ = np.arange(lo.size)
     roots = np.empty(lo.size)
     for evals in itertools.count():
@@ -336,8 +458,9 @@ def _illinois(f, lo, hi, f_lo, f_hi, tolerance, max_evals, describe):
         if done.any():
             roots[open_[done]] = (lo + (hi - lo) * (f_lo / (f_lo - f_hi)))[done]
             (open_, lo, hi, f_lo, f_hi, g_lo, g_hi, kept, width_1, width_2,
-             mid) = (v[~done] for v in (open_, lo, hi, f_lo, f_hi, g_lo, g_hi,
-                                        kept, width_1, width_2, mid))
+             width_3, mid) = (v[~done] for v in (
+                 open_, lo, hi, f_lo, f_hi, g_lo, g_hi, kept, width_1, width_2,
+                 width_3, mid))
             if not open_.size:
                 return roots
         if evals == max_evals:
@@ -348,10 +471,10 @@ def _illinois(f, lo, hi, f_lo, f_hi, tolerance, max_evals, describe):
         with np.errstate(divide="ignore", invalid="ignore"):
             x = np.clip(lo + width * (g_lo / (g_lo - g_hi)),
                         lo + 0.5 * tolerance, hi - 0.5 * tolerance)
-        x = np.where((width <= 0.5 * width_2) & (lo < x) & (x < hi), x, mid)
+        x = np.where((width <= 0.5 * width_3) & (lo < x) & (x < hi), x, mid)
         fx = f(x, open_)
 
-        width_1, width_2 = width, width_1
+        width_1, width_2, width_3 = width, width_1, width_2
         move_lo = np.sign(fx) == np.sign(f_lo)
         # Illinois: an end kept for a second step in a row has its weight halved
         g_hi = np.where(move_lo, np.where(kept > 0, 0.5 * g_hi, g_hi), fx)
@@ -364,27 +487,82 @@ def _illinois(f, lo, hi, f_lo, f_hi, tolerance, max_evals, describe):
         hi = np.where(move_lo, hi, x)
 
 
-def _bracket_from_scan(index, grid, chi):
-    """Positions (i, j) on the scan grid of its one sign change of chi."""
-    scale = float(np.max(np.abs(chi)))
-    if scale == 0.0:
-        raise SeedFailure(index, (float(grid[0]), float(grid[-1])))
-    signs = np.sign(chi)
-    signs[np.abs(chi) <= 1e-12 * scale] = 0.0
+def _free_phase(m, lams):
+    """sign(lambda) sqrt(lambda^2 - m^2), and 0 inside the mass gap: theta(pi)
+    / pi of the free (V = 0) system up to a constant."""
+    return np.sign(lams) * np.sqrt(np.maximum(lams * lams - m * m, 0.0))
 
-    changes = []
-    last = None
-    for i, s in enumerate(signs):
-        if s == 0.0:
-            continue
-        if last is not None and s != signs[last]:
-            changes.append((last, i))
-        last = i
-    if not changes:
-        raise SeedFailure(index, (float(grid[0]), float(grid[-1])))
-    if len(changes) > 1:
-        raise AmbiguousBracket(index, len(changes))
-    return changes[0]
+
+def _free_lambda(m, phase):
+    """The lambda outside the mass gap, or 0, of a free phase."""
+    return np.sign(phase) * np.sqrt(phase * phase + m * m)
+
+
+def _rotation_index(boundary, n):
+    """The number k of half-turns, theta(pi) = psi + k pi, of the eigenfunction
+    labelled n: k = n in the classical case and k = n - 1 in case I, where
+    that keeps the labels of the asymptotic expansion.  Label 0 names no
+    eigenvalue (rotation index 0 classically, -1 in case I)."""
+    if n == 0:
+        raise DomainError("eigenvalue index n must be nonzero")
+    return n if isinstance(boundary, Classical) else n - 1
+
+
+def _bracket(problem, turns, seeds, mesh, max_evals, describe):
+    """Brackets [lo, hi] of the eigenvalues with the given rotation indices.
+
+    The angle mismatch f(lambda) = theta(pi) - psi - k pi increases strictly
+    in lambda and vanishes at the eigenvalue.  An end is accepted once f is
+    in (-pi, 0) at lo and in (0, pi) at hi; chi changes sign exactly once
+    in between.  Each index starts _AIM / pi below its seed.  Each round it
+    jumps from the end whose mismatch is nearer the aim f = -_AIM (lo still
+    missing) or +_AIM (hi missing), by that difference converted to lambda
+    through the phase of the free (V = 0) system.  While one side is
+    unknown, jumps in a row are stretched 2**k-fold, to at most twice the
+    one before, so that they cross a plateau of f.  Once both sides are
+    known, a jump that leaves the bracket is replaced by bisection.  Every
+    round evaluates one lambda per open index, and each index follows only
+    its own values, so its bracket does not depend on the batch.
+    Returns lo, hi and chi at both; an index still open after ``max_evals``
+    rounds raises IterationFailure.
+    """
+    size = turns.size
+    lo, f_lo, chi_lo = np.full(size, -np.inf), np.full(size, -np.inf), np.zeros(size)
+    hi, f_hi, chi_hi = np.full(size, np.inf), np.full(size, np.inf), np.zeros(size)
+    streak = np.zeros(size)   # jumps in a row from a one-sided bracket
+    step = np.zeros(size)     # and the last of them
+    x = seeds - _AIM / math.pi
+    open_ = np.arange(size)
+    for evals in itertools.count(1):
+        y1, y2, theta = _terminal(problem, x, mesh, angle=True)
+        f = theta - _end_angle(problem, x) - math.pi * turns[open_]
+        chi = _terminal_form(problem, x, y1, y2)
+        left = f < 0.0
+        for nearer, ends in ((left & (x > lo[open_]), (lo, f_lo, chi_lo)),
+                             (~left & (x < hi[open_]), (hi, f_hi, chi_hi))):
+            for end, value in zip(ends, (x, f, chi)):
+                end[open_[nearer]] = value[nearer]
+        open_ = open_[(f_lo[open_] <= -math.pi) | (f_hi[open_] >= math.pi)]
+        if not open_.size:
+            return lo, hi, chi_lo, chi_hi
+        if evals == max_evals:
+            raise IterationFailure(
+                f"no bracket within pi of the target angle after {max_evals} "
+                "evaluations: " + ", ".join(describe(k) for k in open_))
+        a, b, fa, fb = lo[open_], hi[open_], f_lo[open_], f_hi[open_]
+        aim = np.where(fa <= -math.pi, -_AIM, _AIM)
+        one_sided = np.isinf(a) | np.isinf(b)
+        from_hi = np.abs(fb - aim) < np.abs(fa - aim)
+        base, f_base = np.where(from_hi, b, a), np.where(from_hi, fb, fa)
+        jump = _free_lambda(problem.mass, _free_phase(problem.mass, base)
+                            + (aim - f_base) / math.pi) - base
+        jump *= 2.0 ** streak[open_]
+        last = 2 * np.abs(step[open_])
+        jump = np.where(last > 0, np.clip(jump, -last, last), jump)
+        streak[open_] = np.where(one_sided, streak[open_] + 1, 0)
+        step[open_] = np.where(one_sided, jump, 0.0)
+        x = base + jump
+        x = np.where(one_sided | ((a < x) & (x < b)), x, 0.5 * (a + b))
 
 
 def find_eigenvalues(problem: DiracProblem, indices,
@@ -392,18 +570,18 @@ def find_eigenvalues(problem: DiracProblem, indices,
                      search: EigenSearchConfig | None = None) -> list[EigenRecord]:
     """Locate the eigenvalues with the given indices, batched.
 
-    Seeds come from the second-order eigenvalue expansion (first order when
-    the second-order constant is singular and ``require_constants`` is off).
+    Index n labels the eigenvalue whose eigenfunction has rotation index
+    ``_rotation_index(boundary, n)``.  Seeds come from the second-order
+    eigenvalue expansion (first order when the second-order constant is
+    singular and ``require_constants`` is off); ``_bracket`` turns them into
+    brackets by the Prufer angle, and ``_illinois`` refines chi in each.
     """
     integrator = integrator or IntegratorConfig()
     search = search or EigenSearchConfig()
     indices = [int(n) for n in indices]
     if not indices:
         return []
-    for n in indices:
-        if n == 0 or abs(n) < search.min_index:
-            raise DomainError(
-                f"index {n} below the configured minimum |n| >= {search.min_index}")
+    turns = np.array([_rotation_index(problem.boundary, n) for n in indices])
     if len(set(indices)) != len(indices):
         raise InputError("duplicate eigenvalue indices")
 
@@ -417,25 +595,19 @@ def find_eigenvalues(problem: DiracProblem, indices,
             logger.debug("order-2 constants unavailable; seeding index %d at order 1", n)
             seeds[pos] = asymptotics.lambda_asym(problem, n, order=1)
 
-    offsets = np.linspace(-search.bracket_half_width, search.bracket_half_width,
-                          search.scan_points)
-    grid = seeds[None, :] + offsets[:, None]
     mesh = _mesh(problem, integrator.n_steps)
-    chi = _characteristic_batch(problem, grid.ravel(), mesh)
-    chi = chi.reshape(grid.shape)
 
-    cols = np.arange(len(indices))
-    i, j = np.array([_bracket_from_scan(n, grid[:, k], chi[:, k])
-                     for k, n in enumerate(indices)]).T
-    lo, hi = grid[i, cols], grid[j, cols]
-    brackets = list(zip(lo, hi))
+    def describe(k):
+        return f"eigenvalue index {indices[k]}"
 
+    lo, hi, chi_lo, chi_hi = _bracket(problem, turns, seeds, mesh,
+                                      search.max_iterations, describe)
     roots = _illinois(lambda x, _: _characteristic_batch(problem, x, mesh),
-                      lo, hi, chi[i, cols], chi[j, cols],
-                      search.lambda_tolerance, search.max_iterations,
-                      lambda k: f"eigenvalue index {indices[k]}")
+                      lo, hi, chi_lo, chi_hi, search.lambda_tolerance,
+                      search.max_iterations, describe)
     residuals = _characteristic_batch(problem, roots, mesh)
-    records = [EigenRecord(n, float(roots[k]), float(residuals[k]), brackets[k])
+    records = [EigenRecord(n, float(roots[k]), float(residuals[k]),
+                           (float(lo[k]), float(hi[k])))
                for k, n in enumerate(indices)]
     records.sort(key=lambda r: r.index)
     for a, b in zip(records, records[1:]):

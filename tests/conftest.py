@@ -12,7 +12,7 @@ import pytest
 
 from dirac_nodal import (Classical, DiracProblem, EigenSearchConfig,
                          IntegratorConfig, ParamDependent, extract_nodes,
-                         find_eigenvalues, named_potential)
+                         find_eigenvalues, named_potential, solver)
 
 
 def canonical_pd(alpha, beta):
@@ -31,6 +31,24 @@ def cli_env(**overrides):
     env = {k: v for k, v in os.environ.items() if k != "DIRAC_NODAL_LOG"}
     env.update(overrides)
     return env
+
+
+def unreachable_angle(monkeypatch, turns, at):
+    """Make the solver's _terminal report theta(pi) = psi + turns * pi - 2 pi
+    below lambda = ``at`` and + 2 pi above it: no lambda then comes within
+    pi of rotation index ``turns``, so that eigenvalue cannot be bracketed."""
+    terminal = solver._terminal
+
+    def jumping(problem, lams, mesh, angle=False):
+        out = terminal(problem, lams, mesh, angle)
+        if not angle:
+            return out
+        lams = np.asarray(lams, dtype=float)
+        theta = (solver._end_angle(problem, lams) + math.pi * turns
+                 + np.where(lams < at, -2 * math.pi, 2 * math.pi))
+        return (*out[:2], theta)
+
+    monkeypatch.setattr(solver, "_terminal", jumping)
 
 
 def loglog_slope(ns, errs):

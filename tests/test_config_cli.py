@@ -14,9 +14,11 @@ import sys
 
 import pytest
 
-from conftest import cli_env
-from dirac_nodal import Classical, ConfigError
-from dirac_nodal.cli import read_csv_table
+from click.testing import CliRunner
+
+from conftest import cli_env, unreachable_angle
+from dirac_nodal import Classical, ConfigError, InputError
+from dirac_nodal.cli import main, read_csv_table
 from dirac_nodal.config import config_hash, load_config, parse_config
 
 PI = math.pi
@@ -65,6 +67,11 @@ class TestConfigParsing:
     def test_unknown_solver_key(self):
         doc = dict(ZERO_QUARTER, solver={"steps": 512, "nonsense": 2})
         with pytest.raises(ConfigError, match="solver"):
+            parse_config(doc)
+
+    def test_removed_bracket_expansion_rejected(self):
+        doc = dict(ZERO_QUARTER, solver={"steps": 512, "bracket_expansion": 0.6})
+        with pytest.raises(InputError, match="bracket_expansion"):
             parse_config(doc)
 
     def test_missing_boundary(self):
@@ -125,15 +132,6 @@ class TestSpectrumCommand:
             n = int(row[0])
             assert float(row[1]) == pytest.approx(n + 0.25, abs=1e-9)
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        cfg = write_config(tmp_path, ZERO_QUARTER)
-        out1, out2 = tmp_path / "j1.csv", tmp_path / "j3.csv"
-        run_cli("spectrum", "--problem", str(cfg), "--n-min", "3", "--n-max",
-                "9", "--out", str(out1), "--jobs", "1")
-        run_cli("spectrum", "--problem", str(cfg), "--n-min", "3", "--n-max",
-                "9", "--out", str(out2), "--jobs", "3")
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_invalid_boundary_exits_2_with_json(self, tmp_path):
         doc = dict(ZERO_QUARTER)
         doc["boundary"] = {"kind": "param_dependent", "alpha": 0.0, "beta": 0.0,
@@ -145,19 +143,32 @@ class TestSpectrumCommand:
         payload = json.loads(res.stderr.strip().splitlines()[-1])
         assert "a0*sin(alpha)" in payload["message"]
 
-    def test_seed_failure_exits_3(self, tmp_path):
-        doc = {
-            "mass": 0.5,
-            "potential": {"kind": "named", "name": "constant", "params": {"c": 0.5}},
-            "boundary": {"kind": "classical", "alpha": 0.0, "beta": 0.0},
-            "solver": {"steps": 512, "bracket_expansion": 0.01},
-        }
+    def test_rotation_limit_exits_3(self, tmp_path):
+        # one step of pi/64 cannot resolve the Prufer angle at lambda ~ 100
+        doc = dict(ZERO_QUARTER, solver={"steps": 64})
         cfg = write_config(tmp_path, doc)
-        res = run_cli("spectrum", "--problem", str(cfg), "--n-min", "4",
-                      "--n-max", "4", "--out", str(tmp_path / "x.csv"))
-        assert res.returncode == 3
+        res = run_cli("spectrum", "--problem", str(cfg), "--n-min", "99",
+                      "--n-max", "100", "--out", str(tmp_path / "x.csv"))
+        assert res.returncode == 3, res.stderr
         payload = json.loads(res.stderr.strip().splitlines()[-1])
-        assert payload["type"] == "SeedFailure"
+        assert payload["type"] == "RotationLimitExceeded"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_bracket_cap_exits_3(self, tmp_path, monkeypatch):
+        # in-process, so that the altered angle reaches the command; no index
+        # of 4..6 comes within pi of its target angle
+        doc = dict(ZERO_QUARTER, solver={"steps": 512, "max_iterations": 16})
+        cfg = write_config(tmp_path, doc)
+        monkeypatch.delenv("DIRAC_NODAL_LOG", raising=False)
+        unreachable_angle(monkeypatch, 5, at=5.5)
+        res = CliRunner().invoke(main, [
+            "spectrum", "--problem", str(cfg), "--n-min", "4", "--n-max", "6",
+            "--out", str(tmp_path / "x.csv")])
+        assert res.exit_code == 3, res.output
+        payload = json.loads(res.stderr.strip().splitlines()[-1])
+        assert payload["type"] == "IterationFailure"
+        assert "no bracket" in payload["message"]
+        assert not (tmp_path / "x.csv").exists()
 
     def test_seedless_rejects_singular_constants(self, tmp_path):
         doc = {
@@ -173,15 +184,6 @@ class TestSpectrumCommand:
         assert res.returncode == 3
         payload = json.loads(res.stderr.strip().splitlines()[-1])
         assert payload["type"] == "ConstantsUnavailable"
-
-    def test_ambiguous_bracket_exits_3(self, tmp_path):
-        doc = dict(ZERO_QUARTER, solver={"steps": 512, "bracket_expansion": 1.3})
-        cfg = write_config(tmp_path, doc)
-        res = run_cli("spectrum", "--problem", str(cfg), "--n-min", "6",
-                      "--n-max", "6", "--out", str(tmp_path / "x.csv"))
-        assert res.returncode == 3
-        assert json.loads(res.stderr.strip().splitlines()[-1])["type"] \
-            == "AmbiguousBracket"
 
 
 class TestNodesCommand:

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import canonical_pd
-from dirac_nodal import (AmbiguousBracket, Classical, DiracProblem,
+from conftest import canonical_pd, unreachable_angle
+from dirac_nodal import (Classical, DiracProblem,
                          EigenSearchConfig, IntegratorConfig, DegenerateComponent,
-                         IntegrationFailure, IterationFailure, SeedFailure,
-                         UnsupportedPrediction,
+                         IntegrationFailure, IterationFailure, Potential,
+                         RotationLimitExceeded, UnsupportedPrediction,
                          characteristic, extract_nodes, find_eigenvalue,
                          find_eigenvalues, integrate, named_potential,
                          node_count_prediction, DomainError)
@@ -97,16 +97,40 @@ def sign_only_chi(problem, lams, mesh):
 
 
 def count_terminal(monkeypatch):
-    """Record the number of lambdas in every _terminal call."""
+    """Record the number of lambdas in every _terminal call, with or without
+    the angle."""
     sizes = []
     terminal = solver_mod._terminal
 
-    def counted(problem, lams, mesh):
+    def counted(problem, lams, mesh, angle=False):
         sizes.append(np.size(lams))
-        return terminal(problem, lams, mesh)
+        return terminal(problem, lams, mesh, angle)
 
     monkeypatch.setattr(solver_mod, "_terminal", counted)
     return sizes
+
+
+def trajectory_angles(problem, lam, n_steps):
+    """The Prufer angle theta (y1 = r sin theta, y2 = -r cos theta) at every
+    node of the mesh, unwrapped step by step along the trajectory, with
+    theta(0) in (alpha - pi/2, alpha + 3 pi/2); and the angle psi, modulo pi,
+    in [beta, beta + pi) that an eigenfunction has at pi."""
+    _, traj = solver_mod._trajectory(problem, lam, solver_mod._mesh(problem, n_steps))
+    theta = np.unwrap(np.arctan2(traj[:, 0], -traj[:, 1]))
+    b = problem.boundary
+    theta -= 2 * PI * math.floor((theta[0] - b.alpha + PI / 2) / (2 * PI))
+    if isinstance(b, Classical):
+        return theta, b.beta
+    psi = math.atan2(lam * math.sin(b.beta) + b.b1, lam * math.cos(b.beta) + b.a1)
+    return theta, b.beta + (psi - b.beta) % PI
+
+
+def trajectory_rotation(problem, lam, n_steps):
+    """Rotation index k, theta(pi) = psi + k pi, counted along the trajectory."""
+    theta, psi = trajectory_angles(problem, lam, n_steps)
+    k = (theta[-1] - psi) / PI
+    assert abs(k - round(k)) < 1e-3, "lambda is not an eigenvalue"
+    return round(k)
 
 
 class TestIntegrate:
@@ -215,17 +239,21 @@ class TestFindEigenvalue:
         lams = [recs[n].lam for n in range(6, 16)]
         assert all(a < b for a, b in zip(lams, lams[1:]))
 
-    def test_seed_failure(self):
-        p = DiracProblem(0.5, named_potential("constant", c=0.5), Classical(0.0, 0.0))
-        cfg = EigenSearchConfig(bracket_half_width=0.01)
-        with pytest.raises(SeedFailure):
-            find_eigenvalue(p, 4, FAST, cfg)
-
-    def test_ambiguous_bracket(self):
+    def test_bracket_cap_raises(self, monkeypatch):
         p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
-        cfg = EigenSearchConfig(bracket_half_width=1.3)
-        with pytest.raises(AmbiguousBracket):
-            find_eigenvalue(p, 6, FAST, cfg)
+        unreachable_angle(monkeypatch, 5, at=5.3)
+        with pytest.raises(IterationFailure,
+                           match="no bracket .* after 16 evaluations: "
+                                 "eigenvalue index 5"):
+            find_eigenvalue(p, 5, FAST, EigenSearchConfig(max_iterations=16))
+
+    def test_rotation_limit_exceeded(self):
+        # at lambda ~ 100 one step of pi/64 may turn the angle by about 4.9 rad
+        p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
+        coarse = IntegratorConfig(n_steps=64)
+        assert find_eigenvalue(p, 20, coarse).lam == pytest.approx(20.0, abs=1e-9)
+        with pytest.raises(RotationLimitExceeded, match="64-step mesh"):
+            find_eigenvalue(p, 100, coarse)
 
     def test_require_constants(self):
         from dirac_nodal import ConstantsUnavailable
@@ -234,10 +262,22 @@ class TestFindEigenvalue:
         with pytest.raises(ConstantsUnavailable):
             find_eigenvalue(p, 6, FAST, cfg)
 
-    def test_index_below_minimum_rejected(self):
-        p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
-        with pytest.raises(DomainError):
-            find_eigenvalue(p, 2, FAST)
+    def test_cancelled_terminal_state_raises(self):
+        # case I, m = 8: index 1 decays from x = 0 across the mass gap, so its
+        # state at pi is roundoff; index 2 decays towards x = 0 and is found
+        p = DiracProblem(8.0, named_potential("sin2x"), canonical_pd(-0.4, 0.5))
+        rec = find_eigenvalue(p, 2)
+        assert abs(rec.lam - find_eigenvalue(p, 2, IntegratorConfig(8192)).lam) <= 1e-10
+        assert trajectory_rotation(p, rec.lam, 4096) == 1
+        with pytest.raises(IntegrationFailure, match="cancelled"):
+            find_eigenvalue(p, 1)
+
+    @pytest.mark.parametrize("boundary", [Classical(0.0, 0.0), canonical_pd(0.4, 0.5)],
+                             ids=["classical", "case_one"])
+    def test_index_zero_rejected(self, boundary):
+        p = DiracProblem(0.0, named_potential("zero"), boundary)
+        with pytest.raises(DomainError, match="nonzero"):
+            find_eigenvalues(p, [3, 0], FAST)
 
     def test_grid_independence(self, cache):
         p = cache.problem("sin_half")
@@ -278,7 +318,7 @@ class TestRootFinder:
         assert max(abs(a.lam - b.lam) for a, b in zip(loose, tight)) <= 1e-4
 
     def test_terminal_calls_bounded(self, cache, monkeypatch):
-        # one scan, at most 28 root-finder rounds, one residual
+        # a few bracket rounds, the root-finder rounds, one residual
         p, integ = cache.problem("sin_half"), cache.integrator("sin_half")
         sizes = count_terminal(monkeypatch)
         find_eigenvalues(p, range(3, 41), integ)
@@ -322,6 +362,63 @@ class TestRootFinder:
         payload = json.loads(res.stderr.strip().splitlines()[-1])
         assert payload["type"] == "IterationFailure"
         assert not (tmp_path / "x.csv").exists()
+
+
+HEAVY = (10.0, named_potential("zero"), Classical(0.3, 1.0))
+POLY_M2 = (2.0, named_potential("poly", coeffs=[1.0, -2.0, 0.5]), Classical(0.3, 0.7))
+SIN_CLASSICAL = (0.5, named_potential("sin2x"), Classical(0.3, 0.7))
+# wells deeper than the mass gap: nearly degenerate pairs, and plateaus of
+# theta(pi) that the bracket search has to jump across
+STRONG = (10.0, Potential(func=lambda x: 8.0 * np.sin(6.0 * x)), Classical(0.2, 0.9))
+
+
+class TestRotationLabels:
+    """Label n is the eigenvalue whose eigenfunction turns theta(pi) = psi +
+    k pi, k = n (classical) or n - 1 (case I), counted here independently
+    along the trajectory."""
+
+    @pytest.mark.parametrize("args,indices", [
+        (HEAVY, range(1, 61)),
+        (POLY_M2, range(3, 61)),
+        (SIN_CLASSICAL, [-2, -1, 1, 2] + list(range(-20, -2))),
+        (STRONG, list(range(-12, -1)) + list(range(1, 13))),
+    ], ids=["heavy_mass", "poly_m2", "sin2x_small_and_negative", "strong_potential"])
+    def test_label_is_rotation_index(self, args, indices):
+        p = DiracProblem(*args)
+        records = find_eigenvalues(p, indices)
+        assert [r.index for r in records] == sorted(indices)
+        for rec in records:
+            assert trajectory_rotation(p, rec.lam, 4096) == rec.index
+
+    def test_case_one_label_offset(self, cache):
+        p = cache.problem("pd_example")
+        indices = [-6, -2, -1, 1, 2, 3, 20]
+        for n, rec in cache.records("pd_example", indices).items():
+            assert trajectory_rotation(p, rec.lam, cache.integrator("pd_example").n_steps) \
+                == n - 1
+
+    def test_small_labels_in_order(self, cache):
+        lams = [r.lam for r in cache.records("sin_half", [-3, -2, -1, 1, 2, 3]).values()]
+        assert all(a < b for a, b in zip(lams, lams[1:]))
+
+    @pytest.mark.parametrize("label", ["sin_half", "pd_example"])
+    def test_angle_matches_trajectory(self, cache, label):
+        p, integ = cache.problem(label), cache.integrator(label)
+        mesh = solver_mod._mesh(p, integ.n_steps)
+        lams = np.linspace(-45.0, 45.0, 91)
+        _, _, theta = solver_mod._terminal(p, lams, mesh, angle=True)
+        along = [trajectory_angles(p, lam, integ.n_steps)[0][-1] for lam in lams]
+        assert np.max(np.abs(theta - along)) <= 1e-9
+        assert np.all(np.diff(theta) > 0)
+
+    @pytest.mark.parametrize("args", [HEAVY, SIN_CLASSICAL])
+    def test_no_scan(self, args, monkeypatch):
+        sizes = count_terminal(monkeypatch)
+        find_eigenvalues(DiracProblem(*args), range(3, 41))
+        assert 0 < max(sizes) <= 38
+        sizes.clear()
+        find_eigenvalue(DiracProblem(*args), 10)
+        assert set(sizes) == {1}
 
 
 class TestExtractNodes:
@@ -380,6 +477,19 @@ class TestExtractNodes:
                            component, cache.integrator(label).n_steps)
         assert ns.count == ref.size
         assert np.max(np.abs(ns.points - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("args,indices", [
+        (HEAVY, range(3, 21)), (SIN_CLASSICAL, range(3, 41))],
+        ids=["heavy_mass", "sin2x"])
+    def test_count_equals_angle_crossings(self, args, indices):
+        # component 1 vanishes where theta crosses k pi, component 2 where it
+        # crosses k pi + pi/2
+        p = DiracProblem(*args)
+        for rec in find_eigenvalues(p, indices):
+            theta, _ = trajectory_angles(p, rec.lam, 4096)
+            for component, shift in ((1, 0.0), (2, PI / 2)):
+                crossings = np.abs(np.diff(np.floor((theta - shift) / PI))).sum()
+                assert extract_nodes(p, rec, component).count == crossings
 
     def test_refine_iterations_cap_raises(self, cache):
         p, integ = cache.problem("sin_half"), cache.integrator("sin_half")
@@ -480,6 +590,18 @@ class TestPropagationKernel:
         alone = [solver_mod._characteristic_batch(p, [lam], mesh)[0]
                  for lam in lams]
         assert np.array_equal(batch, alone)
+
+    @pytest.mark.parametrize("label", sorted(KERNEL_PROBLEMS))
+    def test_angle_batch_and_level_invariance(self, label, monkeypatch):
+        p = DiracProblem(*KERNEL_PROBLEMS[label])
+        mesh = solver_mod._mesh(p, 4096)
+        lams = np.linspace(-p.mass - 6.0, p.mass + 40.0, 494)
+        y1, y2, theta = solver_mod._terminal(p, lams, mesh, angle=True)
+        assert np.array_equal(y1, solver_mod._terminal(p, lams, mesh)[0])
+        alone = [solver_mod._terminal(p, [lam], mesh, angle=True)[2][0] for lam in lams]
+        assert np.array_equal(theta, alone)
+        monkeypatch.setattr(solver_mod, "_BLOCK_TURN", PI / 16)
+        assert np.array_equal(theta, solver_mod._terminal(p, lams, mesh, angle=True)[2])
 
 
 class TestNodeCountPrediction:
