@@ -10,17 +10,17 @@ the inverse problem.
 __version__ = "0.1.0"
 
 from .errors import (BoundaryConditionError, CaseMismatch, ComputationError,
-                     ConfigError, ConstantsUnavailable, DegenerateComponent,
-                     DiracNodalError, DomainError, InputError,
-                     IntegrationFailure, IterationFailure,
-                     RotationLimitExceeded, RowMismatch, UnsupportedPrediction)
+                     ConfigError, DegenerateComponent, DiracNodalError,
+                     DomainError, InputError, IntegrationFailure,
+                     IterationFailure, RotationLimitExceeded, RowMismatch,
+                     UnsupportedPrediction)
 from .model import (Classical, DiracProblem, EigenRecord, GridSequence,
-                    NodalSet, ParamDependent, Potential, SpinorState,
-                    cumulative_integral, make_potential_sampled)
+                    NodalSet, ParamDependent, Potential, cumulative_integral,
+                    make_potential_sampled)
 from .potentials import named_potential, potential_from_json, potential_to_json
-from .solver import (EigenSearchConfig, IntegratorConfig, characteristic,
-                     extract_nodes, find_eigenvalue, find_eigenvalues,
-                     integrate, node_count_prediction)
+from .solver import (EigenSearchConfig, IntegratorConfig, Trajectory,
+                     characteristic, extract_nodes, find_eigenvalue,
+                     find_eigenvalues, integrate, node_count_prediction)
 from .asymptotics import (AsymptoticConstants, eigenfunction_asym, lambda_asym,
                           lambda_inverse_asym, mean_shift, nodal_length_asym,
                           nodal_point_asym, nodal_point_series)

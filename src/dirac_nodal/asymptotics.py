@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (ConstantsUnavailable, DomainError, InputError,
-                     IterationFailure, UnsupportedPrediction)
+from .errors import (DomainError, InputError, IterationFailure,
+                     UnsupportedPrediction)
 from .model import Classical, DiracProblem, ParamDependent
 
-_COS_SINGULARITY_TOL = 1e-9
 _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_MAX_ITER = 50
 
@@ -30,8 +29,19 @@ def mean_shift(problem: DiracProblem) -> float:
 
 @dataclass(frozen=True)
 class AsymptoticConstants:
-    """Expansion constants: v always; c for the parameter-dependent family,
-    c1 for the classical one."""
+    """Expansion constants of lambda_n = mu + v/pi + c/n + o(1/n), where mu is
+    n - 2 for n > 0 in case I and n otherwise: v always; c for the
+    parameter-dependent family,
+
+        c = m^2/2 + m (sin 2 alpha - sin 2 beta) / (2 pi)
+            + (a0 sin alpha - b0 cos alpha) / pi
+            - (a1 sin beta - b1 cos beta) / pi,
+
+    and c1 for the classical one,
+
+        c1 = (m (sin 2 alpha - sin 2 beta) + m^2 pi) / (2 pi).
+
+    Both match the constant fitted from solver eigenvalues to 1e-3."""
 
     v: float
     c: float | None = None
@@ -48,12 +58,8 @@ class AsymptoticConstants:
                  + b.left_sign_term / math.pi
                  - b.right_sign_term / math.pi)
             return cls(v=v, c=c)
-        cos_v = math.cos(v)
-        if abs(cos_v) <= _COS_SINGULARITY_TOL:
-            raise ConstantsUnavailable(
-                f"second-order constant singular: cos(v) = {cos_v:.3e} with v = {v:.6g}")
         c1 = ((m * (math.sin(2 * b.alpha) - math.sin(2 * b.beta)) + m * m * math.pi)
-              / (2 * math.pi * cos_v * cos_v))
+              / (2 * math.pi))
         return cls(v=v, c1=c1)
 
     @property

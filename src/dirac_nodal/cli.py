@@ -99,21 +99,15 @@ def _write_json(path, obj):
                           encoding="utf-8")
 
 
-def _spectrum_records(cfg: LoadedConfig, indices, seedless):
+def _spectrum_records(cfg: LoadedConfig, indices):
     return solver.find_eigenvalues(cfg.problem, indices, cfg.solver.integrator(),
-                                   cfg.solver.search(require_constants=seedless))
+                                   cfg.solver.search())
 
 
 def _nodal_sets(cfg: LoadedConfig, records, component):
     integrator = cfg.solver.integrator()
     return [solver.extract_nodes(cfg.problem, rec, component, integrator)
             for rec in records]
-
-
-def _common_options(func):
-    return click.option("--seedless", is_flag=True,
-                        help="Fail instead of degrading when second-order "
-                             "expansion constants are unavailable.")(func)
 
 
 @click.group()
@@ -127,16 +121,15 @@ def main():
 @click.option("--n-min", type=int, required=True)
 @click.option("--n-max", type=int, required=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_common_options
 @_guard
-def spectrum(problem_path, n_min, n_max, out_path, seedless):
+def spectrum(problem_path, n_min, n_max, out_path):
     """Eigenvalues over an index range; CSV columns n, lambda, residual."""
     cfg = load_config(problem_path)
     if n_max < n_min:
         raise InputError("--n-max must be at least --n-min")
     indices = list(range(n_min, n_max + 1))
     indices = [n for n in indices if n != 0]
-    records = _spectrum_records(cfg, indices, seedless)
+    records = _spectrum_records(cfg, indices)
     rows = [[str(r.index), _fmt(r.lam), _fmt(r.residual)] for r in records]
     _write_csv(out_path, f"config={cfg.hash[:12]}", ["n", "lambda", "residual"], rows)
 
@@ -146,13 +139,12 @@ def spectrum(problem_path, n_min, n_max, out_path, seedless):
 @click.option("--n", "index", type=int, required=True)
 @click.option("--component", type=click.IntRange(1, 2), default=1, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_common_options
 @_guard
-def nodes(problem_path, index, component, out_path, seedless):
+def nodes(problem_path, index, component, out_path):
     """Nodal points of one eigenfunction component; CSV columns j, x, length."""
     cfg = load_config(problem_path)
-    search = cfg.solver.search(require_constants=seedless)
-    rec = solver.find_eigenvalue(cfg.problem, index, cfg.solver.integrator(), search)
+    rec = solver.find_eigenvalue(cfg.problem, index, cfg.solver.integrator(),
+                                 cfg.solver.search())
     nodal = solver.extract_nodes(cfg.problem, rec, component, cfg.solver.integrator())
     lengths = nodal.lengths
     rows = []
@@ -172,16 +164,15 @@ def nodes(problem_path, index, component, out_path, seedless):
               type=click.Choice(["integer_seed", "numeric", "asymptotic"]),
               default=None, help="Override the configuration's lambda source.")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_common_options
 @_guard
-def reconstruct(problem_path, index, mode_tag, lambda_source, out_path, seedless):
+def reconstruct(problem_path, index, mode_tag, lambda_source, out_path):
     """Step-function reconstruction at one index; CSV plus a JSON report."""
     cfg = load_config(problem_path)
     mode = ReconstructionMode(
         tag=mode_tag or cfg.mode.tag,
         lambda_source=lambda_source or cfg.mode.lambda_source)
-    search = cfg.solver.search(require_constants=seedless)
-    rec = solver.find_eigenvalue(cfg.problem, index, cfg.solver.integrator(), search)
+    rec = solver.find_eigenvalue(cfg.problem, index, cfg.solver.integrator(),
+                                 cfg.solver.search())
     nodal = solver.extract_nodes(cfg.problem, rec, 1, cfg.solver.integrator())
     step = reconstruct_step(nodal, cfg.problem, mode, lam=rec.lam)
     adjust = mode.lambda_source == "integer_seed"
@@ -208,9 +199,8 @@ def reconstruct(problem_path, index, mode_tag, lambda_source, out_path, seedless
 @click.option("--n-min", type=int, required=True)
 @click.option("--n-max", type=int, required=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_common_options
 @_guard
-def stability_cmd(path_a, path_b, n_min, n_max, out_path, seedless):
+def stability_cmd(path_a, path_b, n_min, n_max, out_path):
     """Stability-identity table for two problems sharing mass and boundary."""
     cfg_a = load_config(path_a)
     cfg_b = load_config(path_b)
@@ -223,7 +213,7 @@ def stability_cmd(path_a, path_b, n_min, n_max, out_path, seedless):
         cfg_a.problem.boundary, cfg_a.problem.mass,
         range(n_min, n_max + 1),
         integrator=cfg_a.solver.integrator(),
-        search=cfg_a.solver.search(require_constants=seedless))
+        search=cfg_a.solver.search())
     rows = []
     for n in report.indices:
         s = report.s_values[n]
@@ -258,13 +248,12 @@ def stability_cmd(path_a, path_b, n_min, n_max, out_path, seedless):
 @click.option("--n-min", type=int, required=True)
 @click.option("--n-max", type=int, required=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_common_options
 @_guard
-def validate_asymptotics(problem_path, n_min, n_max, out_path, seedless):
+def validate_asymptotics(problem_path, n_min, n_max, out_path):
     """Compare solver output with the closed-form expansions over a window."""
     cfg = load_config(problem_path)
     indices = [n for n in range(n_min, n_max + 1) if n != 0]
-    records = _spectrum_records(cfg, indices, seedless)
+    records = _spectrum_records(cfg, indices)
     nodal_sets = _nodal_sets(cfg, records, 1)
     problem = cfg.problem
     alpha = problem.boundary.alpha
@@ -314,10 +303,9 @@ def validate_asymptotics(problem_path, n_min, n_max, out_path, seedless):
 @click.option("--admissibility-constant", type=float, default=10.0,
               show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_common_options
 @_guard
 def quasinodal_check_cmd(problem_path, n_min, n_max, grid_file,
-                         admissibility_constant, out_path, seedless):
+                         admissibility_constant, out_path):
     """Quasinodal admissibility report for a grid sequence."""
     cfg = load_config(problem_path)
     if grid_file is not None:
@@ -330,7 +318,7 @@ def quasinodal_check_cmd(problem_path, n_min, n_max, grid_file,
         indices = [n for n in seq.indices() if n_min <= n <= n_max]
         seq = GridSequence(seq.case, {n: seq.row(n) for n in indices})
     else:
-        records = _spectrum_records(cfg, list(range(n_min, n_max + 1)), seedless)
+        records = _spectrum_records(cfg, list(range(n_min, n_max + 1)))
         nodal_sets = _nodal_sets(cfg, records, 1)
         seq = GridSequence.from_nodal_sets(nodal_sets, cfg.problem.case)
     report = stability.quasinodal_check(

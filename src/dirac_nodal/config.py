@@ -36,10 +36,9 @@ class SolverSettings:
     def integrator(self) -> IntegratorConfig:
         return IntegratorConfig(n_steps=self.steps)
 
-    def search(self, require_constants: bool = False) -> EigenSearchConfig:
+    def search(self) -> EigenSearchConfig:
         return EigenSearchConfig(lambda_tolerance=self.lambda_tol,
-                                 max_iterations=self.max_iterations,
-                                 require_constants=require_constants)
+                                 max_iterations=self.max_iterations)
 
 
 @dataclass(frozen=True)

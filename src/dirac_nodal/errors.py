@@ -49,10 +49,6 @@ class DegenerateComponent(ComputationError):
     """Eigenfunction component is identically zero on part of the grid."""
 
 
-class ConstantsUnavailable(ComputationError):
-    """Second-order expansion constants are singular for this problem."""
-
-
 class IterationFailure(ComputationError):
     """A fixed-point iteration failed to converge."""
 

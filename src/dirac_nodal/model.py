@@ -252,19 +252,6 @@ class DiracProblem:
 
 
 @dataclass(frozen=True)
-class SpinorState:
-    """Solution components at one position."""
-
-    x: float
-    y1: float
-    y2: float
-
-    @property
-    def norm(self):
-        return math.hypot(self.y1, self.y2)
-
-
-@dataclass(frozen=True)
 class EigenRecord:
     """One located eigenvalue with solver diagnostics."""
 

@@ -62,12 +62,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import asymptotics
-from .errors import (ComputationError, ConstantsUnavailable,
-                     DegenerateComponent, DomainError, InputError,
-                     IntegrationFailure, IterationFailure,
+from .errors import (ComputationError, DegenerateComponent, DomainError,
+                     InputError, IntegrationFailure, IterationFailure,
                      RotationLimitExceeded, UnsupportedPrediction)
-from .model import (Classical, DiracProblem, EigenRecord, NodalSet,
-                    SpinorState)
+from .model import Classical, DiracProblem, EigenRecord, NodalSet
 
 logger = logging.getLogger(__name__)
 
@@ -104,13 +102,10 @@ class IntegratorConfig:
     """Fixed-step integration grid over [0, pi]."""
 
     n_steps: int = 4096
-    keep_stride: int = 1
 
     def __post_init__(self):
         if self.n_steps < 64:
             raise InputError("n_steps must be at least 64")
-        if self.keep_stride < 1 or self.n_steps % self.keep_stride:
-            raise InputError("keep_stride must divide n_steps")
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,6 @@ class EigenSearchConfig:
 
     lambda_tolerance: float = 1e-10
     max_iterations: int = 48
-    require_constants: bool = False
 
     def __post_init__(self):
         if self.lambda_tolerance <= 0:
@@ -163,6 +157,14 @@ def _initial_state(problem, lams):
         y1 = -(lams * math.sin(b.alpha) + b.b0)
         y2 = lams * math.cos(b.alpha) + b.a0
     return y1, y2
+
+
+class Trajectory(NamedTuple):
+    """Mesh nodes xs, shape (n_steps + 1,), and the states at them, y of shape
+    (n_steps + 1, 2) with columns y1 and y2."""
+
+    xs: np.ndarray
+    y: np.ndarray
 
 
 class _Mesh(NamedTuple):
@@ -370,8 +372,8 @@ def _terminal(problem, lams, mesh, angle=False):
 
 
 def _trajectory(problem, lam, mesh):
-    """Mesh nodes xs and the states at them, shape (n_steps + 1, 2), at one
-    spectral parameter, from the prefix products of the step matrices."""
+    """The Trajectory at one spectral parameter, from the prefix products of
+    the step matrices."""
     lams = _lambdas(float(lam))
     n = mesh.vbar.size
     out = np.empty((n + 1, 2))
@@ -383,24 +385,19 @@ def _trajectory(problem, lam, mesh):
         out[1:, 0] = q11 * y1 + q12 * y2
         out[1:, 1] = q21 * y1 + q22 * y2
     _check_finite(problem, lams, out)
-    return np.arange(n + 1) * mesh.h, out
+    return Trajectory(np.arange(n + 1) * mesh.h, out)
 
 
 def integrate(problem: DiracProblem, lam: float,
-              cfg: IntegratorConfig | None = None) -> list[SpinorState]:
-    """Integrate the system at spectral parameter lam; returns the trajectory
-    at every keep_stride-th mesh node, starting from the exact
-    boundary-determined initial spinor."""
+              cfg: IntegratorConfig | None = None) -> Trajectory:
+    """Integrate the system at spectral parameter lam from the exact
+    boundary-determined initial spinor; returns the state at every mesh
+    node."""
     cfg = cfg or IntegratorConfig()
-    xs, out = _trajectory(problem, lam, _mesh(problem, cfg.n_steps))
-    xs = xs[::cfg.keep_stride]
-    y1 = out[::cfg.keep_stride, 0]
-    y2 = out[::cfg.keep_stride, 1]
-    norms = np.hypot(y1, y2)
-    if norms.min() <= 1e-300:
+    traj = _trajectory(problem, lam, _mesh(problem, cfg.n_steps))
+    if np.hypot(traj.y[:, 0], traj.y[:, 1]).min() <= 1e-300:
         raise IntegrationFailure("solution components vanished simultaneously")
-    return [SpinorState(float(x), float(a), float(b))
-            for x, a, b in zip(xs, y1, y2)]
+    return traj
 
 
 def _terminal_form(problem, lams, y1_pi, y2_pi):
@@ -572,9 +569,8 @@ def find_eigenvalues(problem: DiracProblem, indices,
 
     Index n labels the eigenvalue whose eigenfunction has rotation index
     ``_rotation_index(boundary, n)``.  Seeds come from the second-order
-    eigenvalue expansion (first order when the second-order constant is
-    singular and ``require_constants`` is off); ``_bracket`` turns them into
-    brackets by the Prufer angle, and ``_illinois`` refines chi in each.
+    eigenvalue expansion; ``_bracket`` turns them into brackets by the Prufer
+    angle, and ``_illinois`` refines chi in each.
     """
     integrator = integrator or IntegratorConfig()
     search = search or EigenSearchConfig()
@@ -585,15 +581,8 @@ def find_eigenvalues(problem: DiracProblem, indices,
     if len(set(indices)) != len(indices):
         raise InputError("duplicate eigenvalue indices")
 
-    seeds = np.empty(len(indices))
-    for pos, n in enumerate(indices):
-        try:
-            seeds[pos] = asymptotics.lambda_asym(problem, n, order=2)
-        except ConstantsUnavailable:
-            if search.require_constants:
-                raise
-            logger.debug("order-2 constants unavailable; seeding index %d at order 1", n)
-            seeds[pos] = asymptotics.lambda_asym(problem, n, order=1)
+    seeds = np.array([asymptotics.lambda_asym(problem, n, order=2)
+                      for n in indices])
 
     mesh = _mesh(problem, integrator.n_steps)
 
@@ -651,8 +640,7 @@ def extract_nodes(problem: DiracProblem, rec: EigenRecord, component: int,
                   refine_iterations: int = 44) -> NodalSet:
     """All interior zeros of one eigenfunction component.
 
-    Nodes are bracketed on every node of the ``cfg.n_steps`` mesh;
-    ``cfg.keep_stride`` only thins what ``integrate`` returns.  Each is
+    Nodes are bracketed on every node of the ``cfg.n_steps`` mesh.  Each is
     refined by the eigenvalue search's root finder on a partial Magnus step
     from the bracketing mesh node, to a bracket ``_NODE_TOLERANCE`` wide;
     ``refine_iterations`` caps the evaluations per node, and a node still

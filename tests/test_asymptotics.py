@@ -3,18 +3,67 @@ validated against the forward solver."""
 
 import math
 
+import numpy as np
 import pytest
 
 from conftest import canonical_pd, loglog_slope
-from dirac_nodal import (AsymptoticConstants, Classical, ConstantsUnavailable,
-                         DiracProblem, DomainError, IntegratorConfig,
-                         IterationFailure, UnsupportedPrediction,
-                         eigenfunction_asym, find_eigenvalue, integrate,
+from dirac_nodal import (AsymptoticConstants, Classical, DiracProblem,
+                         DomainError, IntegratorConfig, IterationFailure,
+                         UnsupportedPrediction, eigenfunction_asym,
+                         find_eigenvalue, find_eigenvalues, integrate,
                          lambda_asym, lambda_inverse_asym, mean_shift,
                          named_potential, nodal_length_asym, nodal_point_asym,
                          nodal_point_series)
 
 PI = math.pi
+
+# cos(v) = 0: v = integral of V + beta - alpha = pi/2
+QUARTER_TURN = DiracProblem(0.5, named_potential("constant", c=0.5),
+                            Classical(0.0, 0.0))
+
+# Problems of the second-order oracle beyond the conftest fixtures
+ORACLE_PROBLEMS = {
+    "zero_m05_a03_b10": DiracProblem(0.5, named_potential("zero"),
+                                     Classical(0.3, 1.0)),
+    "zero_m1_a0_bq": DiracProblem(1.0, named_potential("zero"),
+                                  Classical(0.0, PI / 4)),
+    "sin_m05_a03_b07": DiracProblem(0.5, named_potential("sin2x"),
+                                    Classical(0.3, 0.7)),
+    "quarter_turn": QUARTER_TURN,
+    "poly_m6_a03_b07": DiracProblem(6.0, named_potential("poly", coeffs=[1, -2, 0.5]),
+                                    Classical(0.3, 0.7)),
+}
+
+# (problem label, indices of the Richardson fit)
+ORACLE_CASES = [
+    # the conftest fixtures; pd_example checks the case-I constant c
+    ("zero_quarter", (80, 160)),
+    ("zero_flat", (80, 160)),
+    ("zero_half_mass", (80, 160)),
+    ("sin_half", (80, 160)),
+    ("const_one", (80, 160)),
+    ("pd_example", (80, 160)),
+    ("zero_m05_a03_b10", (80, 160)),
+    ("zero_m1_a0_bq", (80, 160)),
+    ("sin_m05_a03_b07", (80, 160)),
+    ("sin_m05_a03_b07", (-80, -160)),
+    ("quarter_turn", (80, 160)),
+    # m = 6: lambda_n has a large 1/n^3 term, e/n^2 in g, so the fit
+    # c + d/n at n = 80 and 160 is off by 1.1e-2; the fit
+    # c + d/n + e/n^2 through n = 80, 160 and 320 is within 3e-5
+    ("poly_m6_a03_b07", (80, 160, 320)),
+]
+
+
+def fitted_second_order(problem, ns, steps=8192):
+    """The constant term of g(n) = n (lambda_n - lambda_asym(n, order=1)),
+    fitted by Richardson extrapolation: g = c + d/n + e/n^2 + ... with one
+    power of 1/n per index in ns, solved exactly through the solver's
+    eigenvalues at ns."""
+    recs = find_eigenvalues(problem, ns, IntegratorConfig(steps))
+    g = [r.index * (r.lam - lambda_asym(problem, r.index, order=1)) for r in recs]
+    inv = 1.0 / np.array([float(r.index) for r in recs])
+    return float(np.linalg.solve(np.vander(inv, len(recs), increasing=True), g)[0])
 
 
 class TestConstants:
@@ -31,24 +80,33 @@ class TestConstants:
         assert constants.v == 0.0
         assert constants.c == pytest.approx(2.0 / PI, abs=1e-14)
 
-    def test_classical_c1_value(self):
-        m, alpha, beta = 0.5, 0.3, 0.8
-        p = DiracProblem(m, named_potential("zero"), Classical(alpha, beta))
-        v = beta - alpha
-        expected = (m * (math.sin(2 * alpha) - math.sin(2 * beta)) + m * m * PI) \
-            / (2 * PI * math.cos(v) ** 2)
-        assert AsymptoticConstants.from_problem(p).c1 == pytest.approx(expected)
-
-    def test_classical_c1_singularity(self):
-        # v = pi/2 makes cos(v) vanish
-        p = DiracProblem(0.5, named_potential("constant", c=0.5),
-                         Classical(0.0, 0.0))
-        with pytest.raises(ConstantsUnavailable):
-            AsymptoticConstants.from_problem(p)
-
     def test_massless_classical_c1_zero(self):
         p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, PI / 4))
         assert AsymptoticConstants.from_problem(p).c1 == 0.0
+
+    def test_quarter_turn_shift_is_regular(self):
+        # c1 does not depend on cos(v); v = pi/2 once made it singular
+        assert AsymptoticConstants.from_problem(QUARTER_TURN).c1 == 0.125
+        assert lambda_asym(QUARTER_TURN, 6, order=2) == pytest.approx(
+            6.5 + 0.125 / 6, abs=1e-14)
+        assert math.isfinite(lambda_asym(QUARTER_TURN, -6, order=2))
+        assert lambda_inverse_asym(QUARTER_TURN, 6) == pytest.approx(
+            1 / 6 - 0.5 / 36 + (0.25 - 0.125) / 216, abs=1e-15)
+
+
+class TestSecondOrderOracle:
+    """The second-order constant of AsymptoticConstants against the one fitted
+    from solver eigenvalues at 8192 steps, by Richardson extrapolation of
+    n (lambda_n - n - v/pi) over 1/n (n - 2 for n > 0 in case I), to 1e-3."""
+
+    @pytest.mark.parametrize("label,ns", ORACLE_CASES,
+                             ids=[f"{label}@{ns[0]}..{ns[-1]}"
+                                  for label, ns in ORACLE_CASES])
+    def test_fitted_matches_formula(self, cache, label, ns):
+        problem = ORACLE_PROBLEMS.get(label) or cache.problem(label)
+        expected = AsymptoticConstants.from_problem(problem).second_order
+        assert fitted_second_order(problem, list(ns)) == pytest.approx(expected,
+                                                                        abs=1e-3)
 
 
 class TestLambdaAsym:
@@ -228,11 +286,12 @@ class TestEigenfunctionAsym:
         worst = {}
         for n in (20, 40):
             rec = cache.record("pd_example", n)
-            traj = integrate(p, rec.lam, IntegratorConfig(2048, 16))
-            errs = [max(abs(s.y1 - eigenfunction_asym(p, rec.lam, s.x, 1)),
-                        abs(s.y2 - eigenfunction_asym(p, rec.lam, s.x, 2)))
-                    for s in traj]
-            amp = max(max(abs(s.y1), abs(s.y2)) for s in traj)
+            xs, y = integrate(p, rec.lam, IntegratorConfig(2048))
+            xs, y = xs[::16], y[::16]
+            errs = [max(abs(y1 - eigenfunction_asym(p, rec.lam, x, 1)),
+                        abs(y2 - eigenfunction_asym(p, rec.lam, x, 2)))
+                    for x, (y1, y2) in zip(xs, y)]
+            amp = float(np.max(np.abs(y)))
             worst[n] = max(errs)
             # absolute error stays O(1) while the amplitude grows like lam
             assert worst[n] / amp < 0.005
@@ -243,9 +302,9 @@ class TestEigenfunctionAsym:
         worst = {}
         for n in (15, 30):
             rec = find_eigenvalue(p, n, IntegratorConfig(2048))
-            traj = integrate(p, rec.lam, IntegratorConfig(2048, 16))
-            worst[n] = max(max(abs(s.y1 - eigenfunction_asym(p, rec.lam, s.x, 1)),
-                               abs(s.y2 - eigenfunction_asym(p, rec.lam, s.x, 2)))
-                           for s in traj)
+            xs, y = integrate(p, rec.lam, IntegratorConfig(2048))
+            worst[n] = max(max(abs(y1 - eigenfunction_asym(p, rec.lam, x, 1)),
+                               abs(y2 - eigenfunction_asym(p, rec.lam, x, 2)))
+                           for x, (y1, y2) in zip(xs[::16], y[::16]))
         assert worst[15] < 0.02
         assert worst[30] < worst[15] / 2.0

