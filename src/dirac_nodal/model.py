@@ -253,7 +253,13 @@ class DiracProblem:
 
 @dataclass(frozen=True)
 class EigenRecord:
-    """One located eigenvalue with solver diagnostics."""
+    """One located eigenvalue with solver diagnostics.
+
+    ``residual`` is the characteristic function at ``lam`` divided by
+    |y(pi)| and by the norm of the boundary form's coefficients at pi, so it
+    does not depend on the size of the unnormalized solution.  ``bracket``
+    is the bracket the root finder started from.
+    """
 
     index: int
     lam: float

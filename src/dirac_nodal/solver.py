@@ -17,13 +17,22 @@ no loop over steps:
 * the terminal state at x = pi multiplies the step matrices by pairwise
   halving, as if the mesh were padded with identity steps to a power of
   two.  Steps are taken in aligned power-of-two chunks that hold about
-  ``_CHUNK_ENTRIES`` step-lambda entries at a time; every chunk width gives
-  the same full tree, so each lambda's result is bitwise independent of
-  the batch it is computed in;
+  ``_CHUNK_ENTRIES`` step-lambda entries at a time.  A chunk's matrices are
+  built in bit-reversed step order, so each halving level multiplies the
+  upper half of the arrays by the lower half, both contiguous, and yields
+  the next level again in bit-reversed order.  Every chunk width gives the
+  same full tree, so each lambda's result is bitwise independent of the
+  batch it is computed in;
 * a trajectory is the inclusive prefix product (Hillis-Steele scan) of the
   step matrices at one lambda, giving the state at every mesh node.
 
-Both agree with a step-by-step loop to roundoff.
+Both agree with a step-by-step loop to roundoff.  A step matrix needs
+cosh(sqrt(u)) and sinh(sqrt(u))/sqrt(u) with u about -(h (lambda - V))^2.
+For |u| <= 1/16, which on the default 4096-step mesh holds for every
+|lambda - V| below about 320, they come from seven terms of their Taylor
+series by Horner's rule, as the eta functions of the CP methods do for
+small arguments (Ledoux, Van Daele and Vanden Berghe, ACM TOMS 31, 2005);
+only larger |u| take cos and sin or cosh and sinh, chosen entry by entry.
 
 Eigenvalues are labelled by the Prufer angle theta of the solution,
 y1 = r sin(theta) and y2 = -r cos(theta) (Levitan and Sargsjan, 1991; the
@@ -53,6 +62,7 @@ bracketing mesh node.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -80,9 +90,18 @@ _ENDPOINT_GUARD = 1e-8
 _NODE_TOLERANCE = 1e-14
 
 # Step-lambda entries per chunk of step tables in _terminal: the chunk's
-# temporaries (128 KiB per array) then stay in a 2 MiB L2 cache, which made
-# a batch of 38 lambdas at 4096 steps 26 % faster than chunks of 1 << 16.
+# temporaries (128 KiB per array) then stay in a 2 MiB L2 cache.  Median time
+# of find_eigenvalues(3..40) over the four spectrum_batch problems of the
+# benchmark (seed 901, 30 interleaved repeats on one CPU of a 2-vCPU Xeon
+# with numpy 2.4): 336 ms at 1 << 13, 234 ms at 1 << 14, 339 ms at 1 << 15.
 _CHUNK_ENTRIES = 1 << 14
+
+# On a mesh of several chunks, a chunk stops halving before its products
+# hold fewer than this many entries, and _reduce finishes the tree over all
+# chunks at once, with one _mul per level instead of one per chunk.  Measured
+# as above (seed 902, chunks of 1 << 14): 244 ms when every chunk halves to
+# one product, 238 ms at 256, 233 ms at 512, 277 ms at 1024, 308 ms at 2048.
+_TAIL_ENTRIES = 512
 
 # Angle mismatch, in rad, that the eigenvalue bracket's ends aim for.
 _AIM = math.pi / 16
@@ -128,23 +147,55 @@ class EigenSearchConfig:
             raise InputError("max_iterations must be at least 16")
 
 
+# Taylor coefficients of cosh(sqrt(u)) = sum u**k / (2k)! and of
+# sinh(sqrt(u)) / sqrt(u) = sum u**k / (2k + 1)!, highest power first.  For
+# |u| <= _SERIES_LIMIT seven terms leave a remainder below 1e-19.
+_COSH_SERIES = tuple(1.0 / math.factorial(2 * k) for k in reversed(range(7)))
+_SINHC_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in reversed(range(7)))
+_SERIES_LIMIT = 1.0 / 16
+
+
+def _horner(coeffs, u):
+    """The polynomial with coefficients coeffs, highest power first, at u,
+    accumulated in place in one array."""
+    out = coeffs[0] * u
+    for a in coeffs[1:-1]:
+        out += a
+        out *= u
+    out += coeffs[-1]
+    return out
+
+
 def _coshc_sinhc(u):
-    """cosh(sqrt(u)) and sinh(sqrt(u))/sqrt(u) for signed u (cos/sinc branch
-    for negative arguments), series-safe near zero.  Each entry evaluates
-    only the branch its sign selects."""
+    """cosh(sqrt(u)) and sinh(sqrt(u))/sqrt(u) for signed u (cos and sinc of
+    sqrt(-u) for negative u).
+
+    Entries with |u| <= _SERIES_LIMIT, which are all of them while
+    |lambda - V| stays below about 320 on the default 4096-step mesh, take
+    the Taylor series by Horner's rule: no square root, division or branch.
+    Only the others go to ``_trig_coshc_sinhc``.  The choice is made per
+    entry, so each value does not depend on the rest of the batch.
+    """
+    c = _horner(_COSH_SERIES, u)
+    s = _horner(_SINHC_SERIES, u)
+    big = np.abs(u) > _SERIES_LIMIT
+    if big.any():
+        c[big], s[big] = _trig_coshc_sinhc(u[big])
+    return c, s
+
+
+def _trig_coshc_sinhc(u):
+    """cosh(sqrt(u)) and sinh(sqrt(u))/sqrt(u) for nonzero u from cosh and
+    sinh (u > 0) or cos and sin (u < 0); each entry evaluates only the
+    branch its sign selects."""
     t = np.sqrt(np.abs(u))
     pos = u > 0
     neg = ~pos
-    small = t < 1e-8
-    any_small = small.any()
-    t_safe = np.where(small, 1.0, t) if any_small else t
     c = np.cosh(t, out=np.empty_like(t), where=pos)
     np.cos(t, out=c, where=neg)
-    s = np.sinh(t_safe, out=np.empty_like(t), where=pos)
-    np.sin(t_safe, out=s, where=neg)
-    s /= t_safe
-    if any_small:
-        s[small] = 1.0 + u[small] / 6.0
+    s = np.sinh(t, out=np.empty_like(t), where=pos)
+    np.sin(t, out=s, where=neg)
+    s /= t
     return c, s
 
 
@@ -248,6 +299,47 @@ def _scan(p):
     return p
 
 
+@functools.cache
+def _bitrev(span):
+    """The bit-reversal permutation of range(span), span a power of two."""
+    order = np.zeros(1, dtype=np.intp)
+    while order.size < span:
+        order = np.concatenate((2 * order, 2 * order + 1))
+    order.flags.writeable = False
+    return order
+
+
+def _halve(p, levels):
+    """Pairwise products, ``levels`` times, of matrices stored in bit-reversed
+    step order: the upper half times the lower half.  After each halving,
+    row r holds the product over block bitrev(r) of the new level, so the
+    result is still in bit-reversed order, and the products are those of
+    _reduce on the natural order, computed on contiguous operands."""
+    for _ in range(levels):
+        half = p[0].shape[0] // 2
+        p = _mul([x[half:] for x in p], [x[:half] for x in p])
+    return p
+
+
+def _chunk(problem, lams, mesh, start, steps, levels):
+    """Products, in natural order, of the aligned blocks of 2**levels steps
+    (or of all of them, if fewer) among mesh steps [start, start + steps).
+
+    The step matrices are built in bit-reversed order of the chunk, padded
+    with identity steps to a power of two, and halved by ``_halve``."""
+    span = 1 << (steps - 1).bit_length()
+    levels = min(levels, span.bit_length() - 1)
+    order = _bitrev(span)
+    at = np.minimum(order, steps - 1) + start
+    p = _entries(problem.mass, mesh.h, mesh.vbar[at, None], mesh.g[at, None], lams)
+    if span > steps:
+        pad = order >= steps
+        for x, value in zip(p, (1.0, 0.0, 0.0, 1.0)):
+            x[pad] = value
+    keep = _bitrev(span >> levels)[:-(-steps >> levels)]
+    return [x[keep] for x in _halve(p, levels)]
+
+
 def _lambdas(values):
     lams = np.atleast_1d(np.asarray(values, dtype=float))
     if not np.all(np.isfinite(lams)):
@@ -286,9 +378,8 @@ def _end_angle(problem, lams):
     b = problem.boundary
     if isinstance(b, Classical):
         return np.full_like(lams, b.beta)
-    return b.beta + np.mod(np.arctan2(lams * math.sin(b.beta) + b.b1,
-                                      lams * math.cos(b.beta) + b.a1) - b.beta,
-                           math.pi)
+    a, c = _form_coefficients(problem, lams)
+    return b.beta + np.mod(np.arctan2(c, a) - b.beta, math.pi)
 
 
 def _block_level(problem, lams, mesh):
@@ -326,27 +417,35 @@ def _terminal(problem, lams, mesh, angle=False):
     """(y1, y2) at x = pi for every lambda, and with ``angle`` the unwrapped
     Prufer angle theta(pi) as a third array.
 
-    The step matrices are multiplied in aligned power-of-two chunks of
-    steps, each reduced by pairwise halving, and the chunk products are
-    reduced by the same halving.  That is the full pairwise tree over the
-    mesh whatever the chunk width, so each lambda's result does not depend
-    on the batch it is computed in, while the width bounds the tables held
-    at once to about _CHUNK_ENTRIES step-lambda entries.  For the angle the
-    halving pauses at the tree level whose blocks turn the angle by at most
-    _BLOCK_TURN (``_block_level``) and keeps those block products; the tree
-    and so the terminal state are unchanged, and theta(pi) is bitwise the
-    same for every such level and batch.
+    The step matrices are multiplied by the full pairwise tree over the mesh
+    padded with identity steps to a power of two, so each lambda's result
+    does not depend on the batch it is computed in.  The steps are taken in
+    aligned power-of-two chunks of about _CHUNK_ENTRIES step-lambda entries
+    (``_chunk``): each chunk builds its matrices in bit-reversed step order,
+    padded with identity steps to a power of two where the mesh ends, and
+    halves them on contiguous operands.  On a mesh of several chunks, a
+    chunk stops halving before its products hold fewer than _TAIL_ENTRIES
+    entries, and ``_reduce`` finishes the tree over all chunks at once.
+    Neither the chunk width nor where a chunk stops changes the tree.  For
+    the angle the halving pauses at the tree level whose blocks turn the
+    angle by at most _BLOCK_TURN (``_block_level``) and keeps those block
+    products in natural order; the tree and so the terminal state are
+    unchanged, and theta(pi) is bitwise the same for every such level,
+    chunk width and batch.
     """
     lams = _lambdas(lams)
-    # the largest power of two of steps whose tables fit _CHUNK_ENTRIES
-    width = 1 << max(0, (_CHUNK_ENTRIES // lams.size).bit_length() - 1)
-    level = _block_level(problem, lams, mesh) if angle else None
-    inner = None if level is None else min(level, width.bit_length() - 1)
+    n = mesh.vbar.size
+    # the largest power of two of steps, up to n, whose tables fit _CHUNK_ENTRIES
+    width = 1 << (min(n, max(1, _CHUNK_ENTRIES // lams.size)).bit_length() - 1)
+    inner = width.bit_length() - 1
+    if n > width:
+        inner = max(0, inner - ((_TAIL_ENTRIES - 1) // lams.size).bit_length())
+    if angle:
+        level = _block_level(problem, lams, mesh)
+        inner = min(level, inner)
     with np.errstate(over="ignore", invalid="ignore"):
-        chunks = [_reduce(_entries(problem.mass, mesh.h,
-                                   mesh.vbar[s:s + width, None],
-                                   mesh.g[s:s + width, None], lams), inner)
-                  for s in range(0, mesh.vbar.size, width)]
+        chunks = [_chunk(problem, lams, mesh, s, min(width, n - s), inner)
+                  for s in range(0, n, width)]
         blocks = [np.concatenate(c) for c in zip(*chunks)]
         if angle:
             blocks = _reduce(blocks, level - inner)
@@ -400,12 +499,17 @@ def integrate(problem: DiracProblem, lam: float,
     return traj
 
 
-def _terminal_form(problem, lams, y1_pi, y2_pi):
+def _form_coefficients(problem, lams):
+    """Coefficients (a, b) of the boundary form a y1(pi) + b y2(pi)."""
     b = problem.boundary
     if isinstance(b, Classical):
-        return y1_pi * math.cos(b.beta) + y2_pi * math.sin(b.beta)
-    return ((lams * math.cos(b.beta) + b.a1) * y1_pi
-            + (lams * math.sin(b.beta) + b.b1) * y2_pi)
+        return math.cos(b.beta), math.sin(b.beta)
+    return lams * math.cos(b.beta) + b.a1, lams * math.sin(b.beta) + b.b1
+
+
+def _terminal_form(problem, lams, y1_pi, y2_pi):
+    a, b = _form_coefficients(problem, lams)
+    return a * y1_pi + b * y2_pi
 
 
 def _characteristic_batch(problem, lams, mesh):
@@ -594,7 +698,11 @@ def find_eigenvalues(problem: DiracProblem, indices,
     roots = _illinois(lambda x, _: _characteristic_batch(problem, x, mesh),
                       lo, hi, chi_lo, chi_hi, search.lambda_tolerance,
                       search.max_iterations, describe)
-    residuals = _characteristic_batch(problem, roots, mesh)
+    # chi over |y(pi)| and the norm of the form's coefficients: the sine of
+    # the angle between y(pi) and the state the boundary condition admits
+    y1, y2 = _terminal(problem, roots, mesh)
+    residuals = _terminal_form(problem, roots, y1, y2) / (
+        np.hypot(y1, y2) * np.hypot(*_form_coefficients(problem, roots)))
     records = [EigenRecord(n, float(roots[k]), float(residuals[k]),
                            (float(lo[k]), float(hi[k])))
                for k, n in enumerate(indices)]

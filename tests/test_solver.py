@@ -6,6 +6,7 @@ constant-coefficient system is solvable by hand.  Those closed forms are the
 oracles here; none of them go through the integrator.
 """
 
+import itertools
 import json
 import math
 
@@ -270,6 +271,14 @@ class TestFindEigenvalue:
         p = DiracProblem(0.0, named_potential("zero"), boundary)
         with pytest.raises(DomainError, match="nonzero"):
             find_eigenvalues(p, [3, 0], FAST)
+
+    def test_residual_is_scale_free(self):
+        # case I, m = 8: the state at pi is about 1e10, so chi at the root is
+        # about 3e-6 although lambda is converged to 1e-14
+        p = DiracProblem(8.0, named_potential("sin2x"), canonical_pd(-0.4, 0.5))
+        assert abs(find_eigenvalue(p, 2).residual) < 1e-12
+        records = find_eigenvalues(DiracProblem(*SIN_CLASSICAL), range(3, 41))
+        assert max(abs(r.residual) for r in records) < 1e-13
 
     def test_grid_independence(self, cache):
         p = cache.problem("sin_half")
@@ -586,6 +595,95 @@ class TestPropagationKernel:
         assert np.array_equal(theta, alone)
         monkeypatch.setattr(solver_mod, "_BLOCK_TURN", PI / 16)
         assert np.array_equal(theta, solver_mod._terminal(p, lams, mesh, angle=True)[2])
+
+
+def tree_reference(problem, lams, mesh):
+    """(y1, y2) at pi from _reduce over the step matrices in natural order."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    q = solver_mod._reduce(solver_mod._entries(problem.mass, mesh.h, mesh.vbar[:, None],
+                                               mesh.g[:, None], lams))
+    y1, y2 = solver_mod._initial_state(problem, lams)
+    return q[0][0] * y1 + q[1][0] * y2, q[2][0] * y1 + q[3][0] * y2
+
+
+def count_trig(monkeypatch):
+    """Record the size of every argument the trigonometric branch of the step
+    exponential is called with."""
+    sizes = []
+    trig = solver_mod._trig_coshc_sinhc
+
+    def counted(u):
+        sizes.append(u.size)
+        return trig(u)
+
+    monkeypatch.setattr(solver_mod, "_trig_coshc_sinhc", counted)
+    return sizes
+
+
+class TestStepKernel:
+    """The series step exponential and the bit-reversed chunk tree."""
+
+    def test_series_matches_trig(self):
+        limit = solver_mod._SERIES_LIMIT
+        u = np.linspace(-limit, limit, 40001)
+        u = np.concatenate([u[u != 0.0], [-1e-300, 1e-300, -1e-12, 1e-12]])
+        series = solver_mod._coshc_sinhc(u)
+        trig = solver_mod._trig_coshc_sinhc(u)
+        for a, b in zip(series, trig):
+            assert np.all(np.abs(a - b) <= 2 * np.spacing(b))
+
+    def test_continuous_across_limit(self, monkeypatch):
+        limit = solver_mod._SERIES_LIMIT
+        inside = np.array([-limit, limit])
+        outside = np.nextafter(inside, 2 * inside)
+        sizes = count_trig(monkeypatch)
+        c_in, s_in = solver_mod._coshc_sinhc(inside)
+        assert sizes == []
+        c_out, s_out = solver_mod._coshc_sinhc(outside)
+        assert sizes == [2]
+        assert np.all(np.abs(c_out - c_in) <= 2 * np.spacing(c_in))
+        assert np.all(np.abs(s_out - s_in) <= 2 * np.spacing(s_in))
+
+    @pytest.mark.parametrize("angle", [False, True])
+    def test_mixed_branches_batch_invariance(self, angle, monkeypatch):
+        # on 256 steps |u| passes 1/16 near |lambda - V| = 20
+        p = DiracProblem(*SIN_CLASSICAL)
+        mesh = solver_mod._mesh(p, 256)
+        lams = np.linspace(-60.0, 60.0, 97)
+        sizes = count_trig(monkeypatch)
+        batch = solver_mod._terminal(p, lams, mesh, angle)
+        assert 0 < sum(sizes) < lams.size * 256
+        for k, lam in enumerate(lams):
+            alone = solver_mod._terminal(p, [lam], mesh, angle)
+            assert all(x[k] == y[0] for x, y in zip(batch, alone))
+
+    @pytest.mark.parametrize("n_steps", [64, 1000, 4096, 4097])
+    def test_chunk_tree_matches_reduce(self, n_steps, monkeypatch):
+        p = DiracProblem(*KERNEL_PROBLEMS["pd_example"])
+        mesh = solver_mod._mesh(p, n_steps)
+        for lams in ([7.3], np.linspace(-4.0, 24.0, 7)):
+            ref = tree_reference(p, lams, mesh)
+            theta = solver_mod._terminal(p, lams, mesh, angle=True)[2]
+            # a tail of 1 entry: every chunk is halved to one product, so
+            # identity steps padding a partial last chunk enter the tree
+            for tail, bits in itertools.product((1, solver_mod._TAIL_ENTRIES), range(13)):
+                monkeypatch.setattr(solver_mod, "_TAIL_ENTRIES", tail)
+                monkeypatch.setattr(solver_mod, "_CHUNK_ENTRIES", len(lams) << bits)
+                y1, y2 = solver_mod._terminal(p, lams, mesh)
+                assert np.array_equal(y1, ref[0]) and np.array_equal(y2, ref[1])
+                y1, y2, th = solver_mod._terminal(p, lams, mesh, angle=True)
+                assert np.array_equal(y1, ref[0]) and np.array_equal(y2, ref[1])
+                assert np.array_equal(th, theta)
+
+    @pytest.mark.parametrize("args", [SIN_CLASSICAL, KERNEL_PROBLEMS["pd_example"]],
+                             ids=["sin2x", "pd_example"])
+    def test_default_mesh_takes_only_the_series(self, args, monkeypatch):
+        p = DiracProblem(*args)
+        sizes = count_trig(monkeypatch)
+        find_eigenvalues(p, range(3, 41))
+        assert sizes == []
+        characteristic(p, 400.0)
+        assert sum(sizes) > 0
 
 
 class TestNodeCountPrediction:
