@@ -13,7 +13,7 @@ from .errors import (BoundaryConditionError, CaseMismatch, ComputationError,
                      ConfigError, DegenerateComponent, DiracNodalError,
                      DomainError, InputError, IntegrationFailure,
                      IterationFailure, RotationLimitExceeded, RowMismatch,
-                     UnsupportedPrediction)
+                     ToleranceNotMet, UnsupportedPrediction)
 from .model import (Classical, DiracProblem, EigenRecord, GridSequence,
                     NodalSet, ParamDependent, Potential, cumulative_integral,
                     make_potential_sampled)

@@ -3,8 +3,8 @@
 Subcommands: ``spectrum``, ``nodes``, ``reconstruct``, ``stability``,
 ``validate-asymptotics``, ``quasinodal-check``.  Outputs are CSV for tables
 and JSON for summaries; every CSV carries a provenance comment with the tool
-version and the configuration hash.  Runs are deterministic: fixed-step
-integration, no randomness, stable float formatting.
+version and the configuration hash.  Runs are deterministic: meshes chosen
+by fixed rules, no randomness, stable float formatting.
 
 Failures print a machine-readable JSON object on stderr; invalid input exits
 with status 2, numerical failures with status 3.
@@ -123,15 +123,18 @@ def main():
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_guard
 def spectrum(problem_path, n_min, n_max, out_path):
-    """Eigenvalues over an index range; CSV columns n, lambda, residual."""
+    """Eigenvalues over an index range; CSV columns n, lambda, residual,
+    steps, error_estimate."""
     cfg = load_config(problem_path)
     if n_max < n_min:
         raise InputError("--n-max must be at least --n-min")
     indices = list(range(n_min, n_max + 1))
     indices = [n for n in indices if n != 0]
     records = _spectrum_records(cfg, indices)
-    rows = [[str(r.index), _fmt(r.lam), _fmt(r.residual)] for r in records]
-    _write_csv(out_path, f"config={cfg.hash[:12]}", ["n", "lambda", "residual"], rows)
+    rows = [[str(r.index), _fmt(r.lam), _fmt(r.residual), str(r.steps),
+             _fmt(r.error_estimate)] for r in records]
+    _write_csv(out_path, f"config={cfg.hash[:12]}",
+               ["n", "lambda", "residual", "steps", "error_estimate"], rows)
 
 
 @main.command()

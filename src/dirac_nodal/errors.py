@@ -53,6 +53,11 @@ class IterationFailure(ComputationError):
     """A fixed-point iteration failed to converge."""
 
 
+class ToleranceNotMet(ComputationError):
+    """The error estimate of an eigenvalue exceeds the tolerance on the finest
+    mesh the search may use."""
+
+
 class RowMismatch(ComputationError):
     """Grid-sequence rows being compared have different lengths."""
 

@@ -45,13 +45,18 @@ class Potential:
     linear interpolation.  ``integral_0_to`` is exact for sampled potentials
     and for callables that supply an antiderivative; otherwise it falls back
     to adaptive Simpson quadrature with absolute tolerance ``quad_tol``.
+
+    ``breakpoints`` are the points inside (0, pi), in increasing order,
+    where V or its derivative jumps: the interior grid nodes of a sampled
+    potential, and those given to the constructor for a callable.  The
+    solver puts a mesh node on each, which keeps its fourth order.
     """
 
     __slots__ = ("values", "_func", "_anti", "name", "params", "quad_tol",
-                 "_grid_h", "_prefix")
+                 "_grid", "_grid_h", "_prefix", "breakpoints")
 
     def __init__(self, func=None, antiderivative=None, values=None,
-                 name=None, params=None, quad_tol=1e-10):
+                 name=None, params=None, quad_tol=1e-10, breakpoints=()):
         if (func is None) == (values is None):
             raise InputError("exactly one of func/values must be given")
         self._func = func
@@ -60,12 +65,16 @@ class Potential:
         self.params = dict(params) if params else {}
         self.quad_tol = float(quad_tol)
         if values is not None:
+            if len(breakpoints):
+                raise InputError("a sampled potential's breakpoints are its grid nodes")
             arr = _as_float_array(values, "potential samples")
             if arr.size < 3:
                 raise InputError("sampled potential needs at least 3 values (M >= 2)")
             arr.flags.writeable = False
             self.values = arr
             m_cells = arr.size - 1
+            self._grid = np.linspace(0.0, DOMAIN_LENGTH, arr.size)
+            self._grid.flags.writeable = False
             self._grid_h = DOMAIN_LENGTH / m_cells
             # Trapezoid prefix sums at the grid nodes; exact for the
             # piecewise-linear interpolant.
@@ -73,10 +82,17 @@ class Potential:
             prefix = np.concatenate([[0.0], np.cumsum(seg)])
             prefix.flags.writeable = False
             self._prefix = prefix
+            self.breakpoints = self._grid[1:-1]
         else:
             self.values = None
+            self._grid = None
             self._grid_h = None
             self._prefix = None
+            breaks = np.sort(_as_float_array(breakpoints, "breakpoints"))
+            breaks = breaks[(breaks > 0.0) & (breaks < DOMAIN_LENGTH)
+                            & (np.diff(breaks, prepend=0.0) > 0.0)]
+            breaks.flags.writeable = False
+            self.breakpoints = breaks
 
     @property
     def is_sampled(self):
@@ -84,8 +100,7 @@ class Potential:
 
     def __call__(self, x):
         if self.is_sampled:
-            grid = np.linspace(0.0, DOMAIN_LENGTH, self.values.size)
-            return np.interp(x, grid, self.values)
+            return np.interp(x, self._grid, self.values)
         out = self._func(np.asarray(x, dtype=float))
         return np.asarray(out, dtype=float) + np.zeros_like(np.asarray(x, dtype=float))
 
@@ -258,13 +273,19 @@ class EigenRecord:
     ``residual`` is the characteristic function at ``lam`` divided by
     |y(pi)| and by the norm of the boundary form's coefficients at pi, so it
     does not depend on the size of the unnormalized solution.  ``bracket``
-    is the bracket the root finder started from.
+    is the bracket the root finder started from.  ``steps`` is the number of
+    uniform steps of the mesh ``lam`` was solved on (before the potential's
+    breakpoints are added), and ``error_estimate`` is |lam - lam'|, lam' the
+    eigenvalue on the mesh of half as many uniform steps.  Both are None on
+    a record that no search produced.
     """
 
     index: int
     lam: float
     residual: float
     bracket: tuple[float, float]
+    steps: int | None = None
+    error_estimate: float | None = None
 
 
 def _validated_points(points, lo=0.0, hi=DOMAIN_LENGTH):

@@ -1,8 +1,8 @@
 """Built-in potential library and JSON (de)serialization.
 
-Every named entry provides a vectorized evaluator and an exact
-antiderivative vanishing at 0, so phase integrals of library potentials
-carry no quadrature error.
+Every named entry provides a vectorized evaluator, an exact antiderivative
+vanishing at 0, so phase integrals of library potentials carry no
+quadrature error, and its breakpoints (the jump of ``step``).
 """
 
 from __future__ import annotations
@@ -15,18 +15,18 @@ from .model import Potential, make_potential_sampled
 
 def _zero(params):
     return (lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+            lambda x: np.zeros_like(np.asarray(x, dtype=float)), ())
 
 
 def _constant(params):
     c = float(params["c"])
     return (lambda x: np.full_like(np.asarray(x, dtype=float), c),
-            lambda x: c * np.asarray(x, dtype=float))
+            lambda x: c * np.asarray(x, dtype=float), ())
 
 
 def _sin2x(params):
     return (lambda x: np.sin(2.0 * np.asarray(x, dtype=float)),
-            lambda x: 0.5 * (1.0 - np.cos(2.0 * np.asarray(x, dtype=float))))
+            lambda x: 0.5 * (1.0 - np.cos(2.0 * np.asarray(x, dtype=float))), ())
 
 
 def _poly(params):
@@ -37,7 +37,7 @@ def _poly(params):
     poly = np.polynomial.Polynomial(coeffs)
     anti = poly.integ()
     return (lambda x: poly(np.asarray(x, dtype=float)),
-            lambda x: anti(np.asarray(x, dtype=float)))
+            lambda x: anti(np.asarray(x, dtype=float)), ())
 
 
 def _step(params):
@@ -47,7 +47,8 @@ def _step(params):
         raise ConfigError("step location must lie in [0, pi]",
                           field="potential.params.a")
     return (lambda x: np.where(np.asarray(x, dtype=float) >= a, height, 0.0),
-            lambda x: height * np.clip(np.asarray(x, dtype=float) - a, 0.0, None))
+            lambda x: height * np.clip(np.asarray(x, dtype=float) - a, 0.0, None),
+            (a,))
 
 
 _LIBRARY = {
@@ -78,8 +79,9 @@ def named_potential(name: str, **params) -> Potential:
     if extra:
         raise ConfigError(f"unknown parameters {extra} for potential {name!r}",
                           field="potential.params")
-    func, anti = builder(params)
-    return Potential(func=func, antiderivative=anti, name=name, params=params)
+    func, anti, breakpoints = builder(params)
+    return Potential(func=func, antiderivative=anti, name=name, params=params,
+                     breakpoints=breakpoints)
 
 
 def potential_from_json(obj) -> Potential:

@@ -196,13 +196,26 @@ def _oscillatory_integral(potential: Potential, a: float, b: float,
     return float(np.sum(fs * ws))
 
 
-def _piecewise_linear(potential: Potential, n_cells: int = 4096):
-    """Grid and values of a piecewise-linear representation of V."""
+def _linear_nodes(potential: Potential, n_cells: int = 4096):
+    """Nodes of a piecewise-linear representation of V: a sampled potential's
+    own grid, or n_cells uniform cells with a node at each breakpoint."""
     if potential.is_sampled:
-        grid = np.linspace(0.0, DOMAIN_LENGTH, potential.values.size)
-        return grid, potential.values.copy()
-    grid = np.linspace(0.0, DOMAIN_LENGTH, n_cells + 1)
-    return grid, np.asarray(potential(grid), dtype=float)
+        return np.linspace(0.0, DOMAIN_LENGTH, potential.values.size)
+    return np.union1d(np.linspace(0.0, DOMAIN_LENGTH, n_cells + 1),
+                      potential.breakpoints)
+
+
+def _cell_ends(potential: Potential, edges):
+    """V at both ends of the cells between consecutive edges, which include
+    every breakpoint of V; at a breakpoint each cell takes V one ulp inside
+    itself, so that a jump of V counts on its own side."""
+    v = np.asarray(potential(edges), dtype=float)
+    v_lo, v_hi = v[:-1].copy(), v[1:].copy()
+    breaks = potential.breakpoints
+    at = np.searchsorted(edges, breaks)
+    v_hi[at - 1] = potential(np.nextafter(breaks, -np.inf))
+    v_lo[at] = potential(np.nextafter(breaks, np.inf))
+    return v_lo, v_hi
 
 
 def _abs_linear_cells(widths, d_lo, d_hi):
@@ -222,29 +235,21 @@ def l1_error(F: StepFunction, potential: Potential, adjust_mean: bool = False,
     shift = 0.0
     if adjust_mean:
         shift = (potential.total_integral + boundary_shift) / math.pi
-    grid, vals = _piecewise_linear(potential)
-    vals = vals - shift
-
-    edges = np.union1d(F.breakpoints, grid)
+    edges = np.union1d(F.breakpoints, _linear_nodes(potential))
     edges = edges[(edges >= 0.0) & (edges <= DOMAIN_LENGTH)]
     lo, hi = edges[:-1], edges[1:]
-    widths = hi - lo
-    keep = widths > 0
-    lo, hi, widths = lo[keep], hi[keep], widths[keep]
-    consts = F(0.5 * (lo + hi))
-    d_lo = consts - np.interp(lo, grid, vals)
-    d_hi = consts - np.interp(hi, grid, vals)
-    return float(np.sum(_abs_linear_cells(widths, d_lo, d_hi)))
+    consts = F(0.5 * (lo + hi)) + shift
+    v_lo, v_hi = _cell_ends(potential, edges)
+    return float(np.sum(_abs_linear_cells(hi - lo, consts - v_lo, consts - v_hi)))
 
 
 def l1_distance(v_a: Potential, v_b: Potential, shift_a: float = 0.0,
                 shift_b: float = 0.0) -> float:
     """Exact L1 distance between piecewise-linear representations of two
     potentials, each lowered by a constant shift."""
-    grid_a, vals_a = _piecewise_linear(v_a)
-    grid_b, vals_b = _piecewise_linear(v_b)
-    grid = np.union1d(grid_a, grid_b)
-    diff = (np.interp(grid, grid_a, vals_a) - shift_a) \
-        - (np.interp(grid, grid_b, vals_b) - shift_b)
-    widths = np.diff(grid)
-    return float(np.sum(_abs_linear_cells(widths, diff[:-1], diff[1:])))
+    grid = np.union1d(_linear_nodes(v_a), _linear_nodes(v_b))
+    a_lo, a_hi = _cell_ends(v_a, grid)
+    b_lo, b_hi = _cell_ends(v_b, grid)
+    shift = shift_a - shift_b
+    return float(np.sum(_abs_linear_cells(np.diff(grid), a_lo - b_lo - shift,
+                                          a_hi - b_hi - shift)))

@@ -1,13 +1,13 @@
 """Forward solver: initial-value integration, eigenvalue search, node extraction.
 
-The integrator is a fixed-step fourth-order Magnus scheme built on the
-two-point Gauss-Legendre rule.  Each step propagates with the exact
-exponential of the averaged coefficient matrix plus its commutator
-correction, so constant potentials are integrated exactly and the global
-error for smooth potentials scales like lambda * h^4.  That uniformity in
-lambda is what keeps high-index eigenvalues at 1e-10 accuracy without
-step-count escalation; a classical RK4 at the same step count loses four
-orders of magnitude by n = 40.
+The integrator is a fourth-order Magnus scheme built on the two-point
+Gauss-Legendre rule.  Each step propagates with the exact exponential of
+the averaged coefficient matrix plus its commutator correction, so constant
+potentials are integrated exactly and the global error for smooth
+potentials scales like lambda * h^4; a classical RK4 at the same step
+count loses four orders of magnitude by n = 40.  The mesh is uniform with
+a node added at each breakpoint of the potential, so that V is smooth
+inside every step; without breakpoints it is exactly the uniform mesh.
 
 Each public call samples the potential at the mesh's Gauss points once.
 The 2x2 step matrices are unimodular and their product may be grouped in
@@ -52,7 +52,12 @@ both ends of its bracket lie within pi of the target angle, one on each
 side; chi changes sign exactly once in such a bracket, and a safeguarded
 Illinois regula falsi refines it until it is ``lambda_tolerance`` wide.
 Every round of the search evaluates one lambda per open index in one
-batched propagation, and each index stops on its own.  A state at pi that
+batched propagation, and each index stops on its own.  The search controls
+its error by mesh refinement (Pryce, 1993; SLEDGE, Pruess and Fulton, ACM
+TOMS 19, 1993): it starts on a quarter of ``n_steps``, estimates the error
+of each eigenvalue as its change from the mesh of half as many steps, and
+doubles the mesh of an index while that estimate exceeds
+``lambda_tolerance``.  A state at pi that
 cancels to a tiny fraction of its terms, as for an eigenfunction decaying
 from x = 0 across a mass gap, raises IntegrationFailure instead of
 yielding a wrong root.  Nodes are bracketed by sign changes on the full
@@ -74,7 +79,8 @@ import numpy as np
 from . import asymptotics
 from .errors import (ComputationError, DegenerateComponent, DomainError,
                      InputError, IntegrationFailure, IterationFailure,
-                     RotationLimitExceeded, UnsupportedPrediction)
+                     RotationLimitExceeded, ToleranceNotMet,
+                     UnsupportedPrediction)
 from .model import Classical, DiracProblem, EigenRecord, NodalSet
 
 logger = logging.getLogger(__name__)
@@ -96,12 +102,22 @@ _NODE_TOLERANCE = 1e-14
 # with numpy 2.4): 336 ms at 1 << 13, 234 ms at 1 << 14, 339 ms at 1 << 15.
 _CHUNK_ENTRIES = 1 << 14
 
-# On a mesh of several chunks, a chunk stops halving before its products
-# hold fewer than this many entries, and _reduce finishes the tree over all
-# chunks at once, with one _mul per level instead of one per chunk.  Measured
-# as above (seed 902, chunks of 1 << 14): 244 ms when every chunk halves to
-# one product, 238 ms at 256, 233 ms at 512, 277 ms at 1024, 308 ms at 2048.
+# On a mesh of more than two chunks, a chunk stops halving before its
+# products hold fewer than this many entries, and _reduce finishes the tree
+# over all chunks at once, with one _mul per level instead of one per chunk.
+# Measured as above (seed 902, chunks of 1 << 14): 244 ms when every chunk
+# halves to one product, 238 ms at 256, 233 ms at 512, 277 ms at 1024, 308 ms
+# at 2048.  With two chunks, such as a full chunk and the few steps that
+# breakpoints add, halving both to one product is faster: one chi evaluation
+# of 1025 steps at one lambda takes 225 instead of 310 us.
 _TAIL_ENTRIES = 512
+
+# A mesh whose tables, padded with identity steps to a power of two, hold at
+# most this many step-lambda entries is taken as one chunk: at one lambda a
+# second chunk costs more than the padding.  One chi evaluation at one lambda
+# (sin2x, same host): 907 steps 286 -> 184 us, 1419 steps 306 -> 225 us;
+# padding 2049 steps to 4096 would cost more (251 -> 325 us).
+_ONE_CHUNK_ENTRIES = 1 << 11
 
 # Angle mismatch, in rad, that the eigenvalue bracket's ends aim for.
 _AIM = math.pi / 16
@@ -115,10 +131,22 @@ _CANCELLATION = 1e-12
 # difference between the sampled and the true potential.
 _BLOCK_TURN = math.pi / 2
 
+# Largest bound on the turn of the Prufer angle over one step at its seed for
+# a mesh to start an index's search on: half of _BLOCK_TURN, so that the
+# bracket search may move lambda away from the seed.
+_START_TURN = _BLOCK_TURN / 2
+
+# Largest distance the eigenvalue refined on a mesh is looked for from the
+# eigenvalue on the coarser mesh: well inside the spacing of eigenvalues.
+_SHIFT_LIMIT = 1.0 / 16
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step integration grid over [0, pi]."""
+    """Integration grid over [0, pi]: ``n_steps`` uniform steps, plus a node
+    at each breakpoint of the potential.  The eigenvalue search takes
+    ``n_steps`` as its finest mesh and stops on a coarser one where that
+    meets its tolerance; trajectories and nodes use ``n_steps``."""
 
     n_steps: int = 4096
 
@@ -131,10 +159,12 @@ class IntegratorConfig:
 class EigenSearchConfig:
     """Bracketing and root-finding parameters for the eigenvalue search.
 
-    ``lambda_tolerance`` is the bracket width at which a root is final.
-    ``max_iterations`` caps, per index, both the angle evaluations that
-    bracket it and the characteristic-function evaluations that refine the
-    bracket; an index still open at either cap raises IterationFailure.
+    ``lambda_tolerance`` is both the bracket width at which a root is final
+    and the largest error estimate an eigenvalue may have.
+    ``max_iterations`` caps, per index and mesh, the angle evaluations that
+    bracket it, the characteristic-function evaluations that refine the
+    bracket and the widenings of a bracket on a finer mesh; an index still
+    open at a cap raises IterationFailure.
     """
 
     lambda_tolerance: float = 1e-10
@@ -149,10 +179,12 @@ class EigenSearchConfig:
 
 # Taylor coefficients of cosh(sqrt(u)) = sum u**k / (2k)! and of
 # sinh(sqrt(u)) / sqrt(u) = sum u**k / (2k + 1)!, highest power first.  For
-# |u| <= _SERIES_LIMIT seven terms leave a remainder below 1e-19.
+# |u| <= _SERIES_LIMIT seven terms leave a remainder below 1e-18.  The limit
+# covers |lambda - V| up to about 47 on 512 steps, the mesh of the default
+# search's error estimate, and up to about 370 on 4096 steps.
 _COSH_SERIES = tuple(1.0 / math.factorial(2 * k) for k in reversed(range(7)))
 _SINHC_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in reversed(range(7)))
-_SERIES_LIMIT = 1.0 / 16
+_SERIES_LIMIT = 1.0 / 12
 
 
 def _horner(coeffs, u):
@@ -211,19 +243,24 @@ def _initial_state(problem, lams):
 
 
 class Trajectory(NamedTuple):
-    """Mesh nodes xs, shape (n_steps + 1,), and the states at them, y of shape
-    (n_steps + 1, 2) with columns y1 and y2."""
+    """Mesh nodes xs, shape (N + 1,), and the states at them, y of shape
+    (N + 1, 2) with columns y1 and y2; N is the number of mesh steps, the
+    uniform ones and those the potential's breakpoints split off."""
 
     xs: np.ndarray
     y: np.ndarray
 
 
 class _Mesh(NamedTuple):
-    """Uniform mesh of [0, pi] with the potential sampled at its Gauss points."""
+    """Mesh of [0, pi] with the potential sampled at its Gauss points.
 
-    h: float
+    ``h`` is the step width, a float on a uniform mesh and an array with
+    one entry per step on a mesh with breakpoints; ``x`` holds the nodes."""
+
+    h: float | np.ndarray
     vbar: np.ndarray
     g: np.ndarray
+    x: np.ndarray
 
 
 def _sample(problem, x0, h):
@@ -236,8 +273,15 @@ def _sample(problem, x0, h):
 
 
 def _mesh(problem, n_steps):
+    """The uniform mesh of n_steps steps, with a node added at each breakpoint
+    of the potential; without breakpoints the step width stays one float."""
     h = math.pi / n_steps
-    return _Mesh(h, *_sample(problem, np.arange(n_steps) * h, h))
+    x = np.arange(n_steps + 1) * h
+    if problem.potential.breakpoints.size:
+        x = np.sort(np.concatenate((x, problem.potential.breakpoints)))
+        x = x[np.diff(x, prepend=-1.0) > 0.0]
+        h = np.diff(x)
+    return _Mesh(h, *_sample(problem, x[:-1], h), x)
 
 
 def _entries(m, h, vbar, g, lams):
@@ -331,7 +375,8 @@ def _chunk(problem, lams, mesh, start, steps, levels):
     levels = min(levels, span.bit_length() - 1)
     order = _bitrev(span)
     at = np.minimum(order, steps - 1) + start
-    p = _entries(problem.mass, mesh.h, mesh.vbar[at, None], mesh.g[at, None], lams)
+    h = mesh.h if np.ndim(mesh.h) == 0 else mesh.h[at, None]
+    p = _entries(problem.mass, h, mesh.vbar[at, None], mesh.g[at, None], lams)
     if span > steps:
         pad = order >= steps
         for x, value in zip(p, (1.0, 0.0, 0.0, 1.0)):
@@ -385,15 +430,17 @@ def _end_angle(problem, lams):
 def _block_level(problem, lams, mesh):
     """log2 of the steps per block over which the angle is unwrapped: the
     largest power of two whose blocks turn the angle by at most
-    _BLOCK_TURN, from |theta'| <= |lambda| + max|V| + |m|."""
+    _BLOCK_TURN, from |theta'| <= |lambda| + max|V| + |m| and the widest
+    step of the mesh."""
     rate = float(np.max(np.abs(lams))) + float(np.max(np.abs(mesh.vbar))) \
         + abs(problem.mass)
-    steps = _BLOCK_TURN / (mesh.h * rate) if rate > 0 else mesh.vbar.size
+    h = float(np.max(mesh.h))
+    steps = _BLOCK_TURN / (h * rate) if rate > 0 else mesh.vbar.size
     if steps < 1:
         raise RotationLimitExceeded(
             f"lambda = {float(np.max(np.abs(lams))):.6g}: one step of the "
             f"{mesh.vbar.size}-step mesh may turn the Prufer angle by "
-            f"{mesh.h * rate:.3g} rad, more than the {_BLOCK_TURN:.3g} rad the "
+            f"{h * rate:.3g} rad, more than the {_BLOCK_TURN:.3g} rad the "
             f"rotation count allows; increase the number of steps")
     return min(int(steps), mesh.vbar.size).bit_length() - 1
 
@@ -421,10 +468,11 @@ def _terminal(problem, lams, mesh, angle=False):
     padded with identity steps to a power of two, so each lambda's result
     does not depend on the batch it is computed in.  The steps are taken in
     aligned power-of-two chunks of about _CHUNK_ENTRIES step-lambda entries
-    (``_chunk``): each chunk builds its matrices in bit-reversed step order,
-    padded with identity steps to a power of two where the mesh ends, and
-    halves them on contiguous operands.  On a mesh of several chunks, a
-    chunk stops halving before its products hold fewer than _TAIL_ENTRIES
+    (``_chunk``), or in one chunk if its padded tables hold at most
+    _ONE_CHUNK_ENTRIES entries: each chunk builds its matrices in
+    bit-reversed step order, padded with identity steps to a power of two
+    where the mesh ends, and halves them on contiguous operands.  On a mesh of more than two chunks,
+    a chunk stops halving before its products hold fewer than _TAIL_ENTRIES
     entries, and ``_reduce`` finishes the tree over all chunks at once.
     Neither the chunk width nor where a chunk stops changes the tree.  For
     the angle the halving pauses at the tree level whose blocks turn the
@@ -437,8 +485,10 @@ def _terminal(problem, lams, mesh, angle=False):
     n = mesh.vbar.size
     # the largest power of two of steps, up to n, whose tables fit _CHUNK_ENTRIES
     width = 1 << (min(n, max(1, _CHUNK_ENTRIES // lams.size)).bit_length() - 1)
+    if (1 << (n - 1).bit_length()) * lams.size <= _ONE_CHUNK_ENTRIES:
+        width = 1 << (n - 1).bit_length()
     inner = width.bit_length() - 1
-    if n > width:
+    if n > 2 * width:
         inner = max(0, inner - ((_TAIL_ENTRIES - 1) // lams.size).bit_length())
     if angle:
         level = _block_level(problem, lams, mesh)
@@ -484,7 +534,7 @@ def _trajectory(problem, lam, mesh):
         out[1:, 0] = q11 * y1 + q12 * y2
         out[1:, 1] = q21 * y1 + q22 * y2
     _check_finite(problem, lams, out)
-    return Trajectory(np.arange(n + 1) * mesh.h, out)
+    return Trajectory(mesh.x, out)
 
 
 def integrate(problem: DiracProblem, lam: float,
@@ -517,6 +567,11 @@ def _characteristic_batch(problem, lams, mesh):
     return _terminal_form(problem, lams, *_terminal(problem, lams, mesh))
 
 
+def _chi(problem, mesh):
+    """chi on ``mesh`` as the function ``_illinois`` refines."""
+    return lambda x, _: _characteristic_batch(problem, x, mesh)
+
+
 def characteristic(problem: DiracProblem, lam: float,
                    cfg: IntegratorConfig | None = None) -> float:
     """Boundary form evaluated on the terminal state; zero exactly at the
@@ -526,7 +581,8 @@ def characteristic(problem: DiracProblem, lam: float,
     return float(_characteristic_batch(problem, [float(lam)], mesh)[0])
 
 
-def _illinois(f, lo, hi, f_lo, f_hi, tolerance, max_evals, describe):
+def _illinois(f, lo, hi, f_lo, f_hi, tolerance, max_evals, describe,
+              with_slopes=False):
     """Roots of f in brackets [lo, hi] with f_lo * f_hi < 0, by a
     safeguarded Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971)
     vectorized over the brackets.
@@ -539,11 +595,13 @@ def _illinois(f, lo, hi, f_lo, f_hi, tolerance, max_evals, describe):
     which leaves the Illinois halving of a kept end's weight a step to act.
     A bracket is frozen, and never evaluated or updated again, once it is at
     most ``tolerance`` wide (or holds no float strictly inside) or f is
-    exactly 0 at an iterate, so each root is bitwise independent of the
-    batch it is found in.  The root of a frozen bracket is the linear
-    interpolant of its true end values.  A bracket still open after
-    ``max_evals`` evaluations raises IterationFailure, naming the open
-    brackets by ``describe(position)``.
+    exactly 0 at an iterate, which becomes its hi end, so each root is
+    bitwise independent of the batch it is found in.  The root of a frozen
+    bracket is that exact zero, or else the linear interpolant of its true
+    end values.  A bracket still open after ``max_evals`` evaluations raises
+    IterationFailure, naming the open brackets by ``describe(position)``.
+    With ``with_slopes`` it returns, beside the roots, the slope of the
+    secant of f across each final bracket.
     """
     lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
     g_lo, g_hi = f_lo.copy(), f_hi.copy()   # Illinois-weighted end values
@@ -553,17 +611,20 @@ def _illinois(f, lo, hi, f_lo, f_hi, tolerance, max_evals, describe):
     width_3 = width_1.copy()
     open_ = np.arange(lo.size)
     roots = np.empty(lo.size)
+    slopes = np.empty(lo.size)
     for evals in itertools.count():
         mid = 0.5 * (lo + hi)
-        done = (hi - lo <= tolerance) | ~((lo < mid) & (mid < hi))
+        done = (hi - lo <= tolerance) | ~((lo < mid) & (mid < hi)) | (f_hi == 0.0)
         if done.any():
-            roots[open_[done]] = (lo + (hi - lo) * (f_lo / (f_lo - f_hi)))[done]
+            roots[open_[done]] = np.where(
+                f_hi == 0.0, hi, lo + (hi - lo) * (f_lo / (f_lo - f_hi)))[done]
+            slopes[open_[done]] = ((f_hi - f_lo) / (hi - lo))[done]
             (open_, lo, hi, f_lo, f_hi, g_lo, g_hi, kept, width_1, width_2,
              width_3, mid) = (v[~done] for v in (
                  open_, lo, hi, f_lo, f_hi, g_lo, g_hi, kept, width_1, width_2,
                  width_3, mid))
             if not open_.size:
-                return roots
+                return (roots, slopes) if with_slopes else roots
         if evals == max_evals:
             raise IterationFailure(
                 f"root not within {tolerance:g} after {max_evals} evaluations: "
@@ -583,8 +644,7 @@ def _illinois(f, lo, hi, f_lo, f_hi, tolerance, max_evals, describe):
         kept = np.where(move_lo, 1.0, -1.0)
         f_lo = np.where(move_lo, fx, f_lo)
         f_hi = np.where(move_lo, f_hi, fx)
-        # an exact zero moves hi to x; closing lo onto it too freezes x as the root
-        lo = np.where(move_lo | (fx == 0.0), x, lo)
+        lo = np.where(move_lo, x, lo)
         hi = np.where(move_lo, hi, x)
 
 
@@ -666,15 +726,94 @@ def _bracket(problem, turns, seeds, mesh, max_evals, describe):
         x = np.where(one_sided | ((a < x) & (x < b)), x, 0.5 * (a + b))
 
 
+def _refine(problem, seeds, slopes, mesh, tolerance, max_evals, describe):
+    """Roots of chi on ``mesh`` next to the seeds, the roots on a coarser
+    mesh, where chi had the given slopes.
+
+    A Newton step from each seed predicts its root.  A bracket 0.8
+    ``tolerance`` wide around the prediction is widened 16-fold about it
+    until chi changes sign, and ``_illinois`` refines it.  Every
+    propagation evaluates one lambda per open index, and each index follows
+    only its own values.  A bracket that would reach farther than
+    _SHIFT_LIMIT from its prediction, or is still open after ``max_evals``
+    widenings, raises IterationFailure.  Returns the roots, the slopes of
+    chi across their final brackets, and the brackets [lo, hi] that
+    ``_illinois`` started from.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = seeds - _characteristic_batch(problem, seeds, mesh) / slopes
+    x = np.where(np.isfinite(x), x, seeds)
+    half = np.full(seeds.size, 0.4 * tolerance)
+    lo, hi, f_lo, f_hi = (np.empty(seeds.size) for _ in range(4))
+    open_ = np.arange(seeds.size)
+    for evals in itertools.count(1):
+        a, b = x[open_] - half[open_], x[open_] + half[open_]
+        fa = _characteristic_batch(problem, a, mesh)
+        fb = _characteristic_batch(problem, b, mesh)
+        found = np.sign(fa) != np.sign(fb)
+        for end, value in ((lo, a), (hi, b), (f_lo, fa), (f_hi, fb)):
+            end[open_[found]] = value[found]
+        open_ = open_[~found]
+        if not open_.size:
+            break
+        half[open_] *= 16.0
+        if evals == max_evals or np.any(half[open_] > _SHIFT_LIMIT):
+            raise IterationFailure(
+                "chi keeps its sign within "
+                f"{min(float(half[open_].max()) / 16, _SHIFT_LIMIT):.3g} of the "
+                "eigenvalue of the coarser mesh: "
+                + ", ".join(describe(k) for k in open_))
+    roots, slopes = _illinois(_chi(problem, mesh), lo, hi, f_lo, f_hi,
+                              tolerance, max_evals, describe, with_slopes=True)
+    return roots, slopes, lo, hi
+
+
+def _levels(n_steps):
+    """Uniform step counts of the meshes the eigenvalue search may use,
+    coarsest first: n_steps / 4, n_steps / 2 and n_steps."""
+    return n_steps >> 2, n_steps >> 1, n_steps
+
+
+def _start_levels(problem, seeds, levels, mesh):
+    """For each seed, the position in ``levels`` of the coarsest mesh on which
+    one step turns the angle at the seed by at most _START_TURN, from
+    |theta'| <= |lambda| + max|V| + |m| with max|V| sampled on ``mesh``;
+    the finest mesh where none does.  Breakpoints only narrow the steps."""
+    rate = np.abs(seeds) + float(np.max(np.abs(mesh.vbar))) + abs(problem.mass)
+    fits = np.array([math.pi / n for n in levels])[:, None] * rate <= _START_TURN
+    fits[-1] = True
+    return np.argmax(fits, axis=0)
+
+
+def _residuals(problem, lams, mesh):
+    """chi over |y(pi)| and the norm of the form's coefficients: the sine of
+    the angle between y(pi) and the state the boundary condition admits."""
+    y1, y2 = _terminal(problem, lams, mesh)
+    return _terminal_form(problem, lams, y1, y2) / (
+        np.hypot(y1, y2) * np.hypot(*_form_coefficients(problem, lams)))
+
+
 def find_eigenvalues(problem: DiracProblem, indices,
                      integrator: IntegratorConfig | None = None,
                      search: EigenSearchConfig | None = None) -> list[EigenRecord]:
     """Locate the eigenvalues with the given indices, batched.
 
     Index n labels the eigenvalue whose eigenfunction has rotation index
-    ``_rotation_index(boundary, n)``.  Seeds come from the second-order
-    eigenvalue expansion; ``_bracket`` turns them into brackets by the Prufer
-    angle, and ``_illinois`` refines chi in each.
+    ``_rotation_index(boundary, n)``.  The search runs on the meshes of
+    ``_levels(integrator.n_steps)``.  Each index starts on the coarsest one
+    whose steps can count the angle's turns near its seed, N = n_steps / 4
+    unless the seed is large: seeds come from the second-order eigenvalue
+    expansion, ``_bracket`` turns them into brackets by the Prufer angle,
+    and ``_illinois`` refines chi in each.  A Newton step for the root one
+    mesh coarser (N / 2 uniform steps), from lambda_N with the slope of chi
+    across its final bracket, gives the error estimate
+    |lambda_N - lambda_N/2|: it bounds the error of lambda_N for any order
+    of convergence of at least 1, and at fourth order is about 15 times the
+    error.  While the estimate exceeds ``lambda_tolerance``, N
+    doubles and ``_refine`` solves on it from the previous root, which makes
+    the estimate |lambda_2N - lambda_N|.  Each index decides alone, so each
+    record is bitwise the same in any batch.  An index whose estimate still
+    exceeds the tolerance on the finest mesh raises ToleranceNotMet.
     """
     integrator = integrator or IntegratorConfig()
     search = search or EigenSearchConfig()
@@ -687,24 +826,58 @@ def find_eigenvalues(problem: DiracProblem, indices,
 
     seeds = np.array([asymptotics.lambda_asym(problem, n, order=2)
                       for n in indices])
+    tolerance, max_evals = search.lambda_tolerance, search.max_iterations
 
-    mesh = _mesh(problem, integrator.n_steps)
+    mesh_of = functools.cache(lambda n: _mesh(problem, n))
 
-    def describe(k):
-        return f"eigenvalue index {indices[k]}"
+    def describe_in(positions):
+        return lambda k: f"eigenvalue index {indices[positions[k]]}"
 
-    lo, hi, chi_lo, chi_hi = _bracket(problem, turns, seeds, mesh,
-                                      search.max_iterations, describe)
-    roots = _illinois(lambda x, _: _characteristic_batch(problem, x, mesh),
-                      lo, hi, chi_lo, chi_hi, search.lambda_tolerance,
-                      search.max_iterations, describe)
-    # chi over |y(pi)| and the norm of the form's coefficients: the sine of
-    # the angle between y(pi) and the state the boundary condition admits
-    y1, y2 = _terminal(problem, roots, mesh)
-    residuals = _terminal_form(problem, roots, y1, y2) / (
-        np.hypot(y1, y2) * np.hypot(*_form_coefficients(problem, roots)))
-    records = [EigenRecord(n, float(roots[k]), float(residuals[k]),
-                           (float(lo[k]), float(hi[k])))
+    levels = _levels(integrator.n_steps)
+    start = _start_levels(problem, seeds, levels, mesh_of(levels[0]))
+    size = len(indices)
+    lam, slope, lo, hi, residual = (np.zeros(size) for _ in range(5))
+    estimate = np.full(size, np.inf)
+    steps = np.zeros(size, dtype=int)
+    for level, n in enumerate(levels):
+        new = np.flatnonzero(start == level)
+        old = np.flatnonzero((start < level) & (estimate > tolerance))
+        if not (new.size or old.size):
+            continue
+        mesh = mesh_of(n)
+        if new.size:
+            describe = describe_in(new)
+            b_lo, b_hi, chi_lo, chi_hi = _bracket(problem, turns[new], seeds[new],
+                                                  mesh, max_evals, describe)
+            lam[new], slope[new] = _illinois(_chi(problem, mesh), b_lo, b_hi,
+                                             chi_lo, chi_hi, tolerance, max_evals,
+                                             describe, with_slopes=True)
+            shift = _characteristic_batch(problem, lam[new], mesh_of(n >> 1)) \
+                / slope[new]
+            estimate[new] = np.where(np.isfinite(shift), np.abs(shift), np.inf)
+            lo[new], hi[new] = b_lo, b_hi
+        if old.size:
+            roots, slope[old], lo[old], hi[old] = _refine(
+                problem, lam[old], slope[old], mesh, tolerance, max_evals,
+                describe_in(old))
+            estimate[old] = np.abs(roots - lam[old])
+            lam[old] = roots
+        here = np.concatenate((new, old))
+        steps[here] = n
+        done = here[estimate[here] <= tolerance]
+        if done.size:
+            residual[done] = _residuals(problem, lam[done], mesh)
+    short = np.flatnonzero(estimate > tolerance)
+    if short.size:
+        raise ToleranceNotMet(
+            f"error estimate above lambda_tol = {tolerance:g} on the finest "
+            f"mesh ({integrator.n_steps} steps): "
+            + ", ".join(f"eigenvalue index {indices[k]} ({estimate[k]:.2g})"
+                        for k in short)
+            + "; increase the number of steps")
+    records = [EigenRecord(n, float(lam[k]), float(residual[k]),
+                           (float(lo[k]), float(hi[k])), int(steps[k]),
+                           float(estimate[k]))
                for k, n in enumerate(indices)]
     records.sort(key=lambda r: r.index)
     for a, b in zip(records, records[1:]):

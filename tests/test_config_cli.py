@@ -134,11 +134,13 @@ class TestSpectrumCommand:
             assert res.returncode == 0, res.stderr
         assert out1.read_bytes() == out2.read_bytes()
         comments, header, rows = read_csv_table(out1)
-        assert header == ["n", "lambda", "residual"]
+        assert header == ["n", "lambda", "residual", "steps", "error_estimate"]
         assert comments and "config=" in comments[0]
         for row in rows:
             n = int(row[0])
             assert float(row[1]) == pytest.approx(n + 0.25, abs=1e-9)
+            # V = 0 propagates exactly, so the coarsest mesh (512 / 4) suffices
+            assert int(row[3]) == 128 and float(row[4]) <= 1e-10
 
     def test_invalid_boundary_exits_2_with_json(self, tmp_path):
         doc = dict(ZERO_QUARTER)

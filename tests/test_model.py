@@ -98,6 +98,30 @@ class TestAnalyticPotential:
         assert v.integral_0_to(2.0) == pytest.approx(2.0 + 4.0, abs=1e-12)
 
 
+class TestBreakpoints:
+    def test_library_breakpoints(self):
+        assert named_potential("step", a=1.0, height=2.0).breakpoints.tolist() == [1.0]
+        for a in (0.0, PI):   # a jump at an end of [0, pi] is no interior breakpoint
+            assert named_potential("step", a=a, height=2.0).breakpoints.size == 0
+        for name, params in [("zero", {}), ("constant", {"c": 3.0}), ("sin2x", {}),
+                             ("poly", {"coeffs": [1.0, 2.0]})]:
+            assert named_potential(name, **params).breakpoints.size == 0
+
+    def test_callable_breakpoints_sorted_inside(self):
+        v = Potential(func=np.sin, breakpoints=[2.0, 1.0, 1.0, 0.0, 3.5])
+        assert v.breakpoints.tolist() == [1.0, 2.0]
+        assert not v.breakpoints.flags.writeable
+
+    def test_sampled_breakpoints_are_interior_grid_nodes(self):
+        values = np.cos(np.linspace(0.0, PI, 9))
+        v = make_potential_sampled(values)
+        assert np.array_equal(v.breakpoints, np.linspace(0.0, PI, 9)[1:-1])
+        x = np.linspace(0.0, PI, 101)
+        assert np.array_equal(v(x), np.interp(x, np.linspace(0.0, PI, 9), values))
+        with pytest.raises(InputError, match="grid nodes"):
+            Potential(values=values, breakpoints=[1.0])
+
+
 class TestPotentialSerialization:
     def test_sampled_round_trip(self):
         v = make_potential_sampled([0.0, 1.0, 0.5, 2.0])

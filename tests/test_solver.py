@@ -15,12 +15,13 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import canonical_pd, unreachable_angle
-from dirac_nodal import (Classical, DiracProblem,
+from dirac_nodal import (Classical, DiracProblem, EigenRecord,
                          EigenSearchConfig, IntegratorConfig, DegenerateComponent,
                          IntegrationFailure, IterationFailure, Potential,
-                         RotationLimitExceeded, UnsupportedPrediction,
-                         characteristic, extract_nodes, find_eigenvalue,
-                         find_eigenvalues, integrate, named_potential,
+                         RotationLimitExceeded, ToleranceNotMet,
+                         UnsupportedPrediction, characteristic, extract_nodes,
+                         find_eigenvalue, find_eigenvalues, integrate,
+                         make_potential_sampled, named_potential,
                          node_count_prediction, DomainError)
 from dirac_nodal import cli
 from dirac_nodal import solver as solver_mod
@@ -52,19 +53,19 @@ def bisect_root(f, a, b, iters=100):
     return 0.5 * (a + b)
 
 
-def bisect_eigenvalues(problem, records, n_steps, iters=100):
-    """Eigenvalues by plain bisection of the characteristic function on each
-    record's scan bracket."""
-    mesh = solver_mod._mesh(problem, n_steps)
-    lo, hi = np.array([rec.bracket for rec in records]).T
-    f_lo = solver_mod._characteristic_batch(problem, lo, mesh)
+def bisect_eigenvalue(problem, rec, iters=100):
+    """The eigenvalue by plain bisection of the characteristic function on the
+    record's bracket, on the mesh of the record's own steps."""
+    mesh = solver_mod._mesh(problem, rec.steps)
+    lo, hi = rec.bracket
+    f_lo = solver_mod._characteristic_batch(problem, [lo], mesh)[0]
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        f_mid = solver_mod._characteristic_batch(problem, mid, mesh)
-        left = f_lo * f_mid <= 0.0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        f_lo = np.where(left, f_lo, f_mid)
+        f_mid = solver_mod._characteristic_batch(problem, [mid], mesh)[0]
+        if f_lo * f_mid <= 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
 
 
@@ -294,9 +295,8 @@ class TestRootFinder:
     @pytest.mark.parametrize("label", ["sin_half", "zero_half_mass", "pd_example"])
     def test_matches_bisection_reference(self, cache, label):
         recs = list(cache.records(label, [3, 10, 25, 40, -7]).values())
-        ref = bisect_eigenvalues(cache.problem(label), recs,
-                                 cache.integrator(label).n_steps)
-        assert np.max(np.abs([r.lam for r in recs] - ref)) <= 1e-13
+        ref = [bisect_eigenvalue(cache.problem(label), rec) for rec in recs]
+        assert np.max(np.abs([r.lam for r in recs] - np.array(ref))) <= 1e-13
 
     @pytest.mark.parametrize("label", ["sin_half", "pd_example"])
     def test_record_independent_of_batch(self, cache, label):
@@ -304,8 +304,7 @@ class TestRootFinder:
         batch = find_eigenvalues(p, range(3, 41), integ)
         for rec in batch:
             alone = find_eigenvalue(p, rec.index, integ)
-            assert (alone.lam, alone.residual, alone.bracket) \
-                == (rec.lam, rec.residual, rec.bracket)
+            assert alone == rec
 
     def test_loose_tolerance_evaluates_less(self, cache, monkeypatch):
         p, integ = cache.problem("sin_half"), cache.integrator("sin_half")
@@ -369,8 +368,172 @@ HEAVY = (10.0, named_potential("zero"), Classical(0.3, 1.0))
 POLY_M2 = (2.0, named_potential("poly", coeffs=[1.0, -2.0, 0.5]), Classical(0.3, 0.7))
 SIN_CLASSICAL = (0.5, named_potential("sin2x"), Classical(0.3, 0.7))
 # wells deeper than the mass gap: nearly degenerate pairs, and plateaus of
-# theta(pi) that the bracket search has to jump across
+# theta(pi) that the bracket search has to jump across; the error estimates
+# meet 1e-10 on 8192 steps, not on 4096
 STRONG = (10.0, Potential(func=lambda x: 8.0 * np.sin(6.0 * x)), Classical(0.2, 0.9))
+
+
+def step_characteristic(lam, m, a, height, alpha, beta):
+    """Closed-form characteristic function of the classical problem with the
+    potential step(a, height): the exact exponential of each constant piece,
+    cos(w L) I + sin(w L) / w A with w^2 = (lam - V)^2 - m^2."""
+    y = np.array([math.sin(alpha), -math.cos(alpha)], dtype=complex)
+    for v, length in ((0.0, a), (height, PI - a)):
+        b, c = v - m - lam, lam - v - m
+        w = np.sqrt(complex((lam - v) ** 2 - m * m))
+        s = np.sin(w * length) / w if w != 0 else length
+        y = np.array([np.cos(w * length) * y[0] + s * b * y[1],
+                      s * c * y[0] + np.cos(w * length) * y[1]])
+    return float((math.cos(beta) * y[0] + math.sin(beta) * y[1]).real)
+
+
+class TestErrorControl:
+    """The search on the coarsest mesh of n_steps / 4, n_steps / 2 and n_steps
+    whose error estimate meets lambda_tol."""
+
+    def test_levels(self):
+        assert solver_mod._levels(4096) == (1024, 2048, 4096)
+        assert solver_mod._levels(1000) == (250, 500, 1000)
+        assert solver_mod._levels(4097) == (1024, 2048, 4097)
+        assert solver_mod._levels(64) == (16, 32, 64)
+
+    @pytest.mark.parametrize("args", [SIN_CLASSICAL, (2.0, named_potential(
+        "poly", coeffs=[1.0, -2.0, 0.5]), Classical(0.3, 0.7))], ids=["sin2x", "poly"])
+    def test_mesh_unchanged_without_breakpoints(self, args):
+        p = DiracProblem(*args)
+        assert p.potential.breakpoints.size == 0
+        for n_steps in (64, 1000, 4096, 4097):
+            h = PI / n_steps
+            vbar, g = solver_mod._sample(p, np.arange(n_steps) * h, h)
+            mesh = solver_mod._mesh(p, n_steps)
+            assert isinstance(mesh.h, float) and mesh.h == h
+            assert np.array_equal(mesh.vbar, vbar) and np.array_equal(mesh.g, g)
+            assert np.array_equal(mesh.x, np.arange(n_steps + 1) * h)
+
+    def test_breakpoints_are_mesh_nodes(self):
+        values = np.sin(np.linspace(0.0, PI, 401))
+        for potential, breaks in ((named_potential("step", a=1.0, height=2.0), [1.0]),
+                                  (make_potential_sampled(values),
+                                   np.linspace(0.0, PI, 401)[1:-1])):
+            p = DiracProblem(0.5, potential, Classical(0.3, 0.7))
+            mesh = solver_mod._mesh(p, 1024)
+            assert np.all(np.isin(breaks, mesh.x))
+            assert np.all(np.isin(np.arange(1025) * (PI / 1024), mesh.x))
+            assert np.array_equal(np.diff(mesh.x), mesh.h) and mesh.x[-1] == PI
+            xs, y = integrate(p, 7.3, IntegratorConfig(1024))
+            assert np.array_equal(xs, mesh.x) and y.shape == (xs.size, 2)
+
+    @pytest.mark.parametrize("a", [PI / 4, 1.0], ids=["on_mesh", "off_mesh"])
+    def test_step_against_closed_form(self, a):
+        # piecewise-constant V propagates exactly once the jump is a mesh node
+        m, height, alpha, beta = 0.5, 2.0, 0.3, 0.7
+        p = DiracProblem(m, named_potential("step", a=a, height=height),
+                         Classical(alpha, beta))
+        for rec in find_eigenvalues(p, range(3, 31)):
+            exact = bisect_root(
+                lambda lam: step_characteristic(lam, m, a, height, alpha, beta),
+                rec.lam - 0.01, rec.lam + 0.01)
+            err = abs(rec.lam - exact)
+            assert rec.steps == 1024 and rec.error_estimate <= 1e-10
+            assert err <= 1e-12 and (err <= 1e-13 or err <= rec.error_estimate)
+
+    @pytest.mark.parametrize("label", ["sin_half", "pd_example"])
+    def test_estimate_bounds_error(self, cache, label):
+        p = cache.problem(label)
+        indices = list(range(-20, 0)) + list(range(1, 61))
+        records = cache.records(label, indices)
+        ref = find_eigenvalues(p, indices, IntegratorConfig(16384),
+                               EigenSearchConfig(lambda_tolerance=1e-13))
+        for r in ref:
+            rec = records[r.index]
+            err = abs(rec.lam - r.lam)
+            assert err <= 1e-10 and rec.error_estimate <= 1e-10
+            assert err <= 1e-13 or err <= rec.error_estimate
+
+    @pytest.mark.parametrize("n_steps", [64, 1000, 4097])
+    def test_uneven_step_counts(self, n_steps):
+        # V = 0: lambda_n = sqrt(n^2 + m^2), exact on every mesh; on 64 steps
+        # the larger seeds start one mesh finer, where one step turns less
+        p = DiracProblem(0.5, named_potential("zero"), Classical(0.0, 0.0))
+        levels = solver_mod._levels(n_steps)
+        records = find_eigenvalues(p, range(3, 9), IntegratorConfig(n_steps))
+        for rec in records:
+            assert rec.lam == pytest.approx(math.sqrt(rec.index ** 2 + 0.25), abs=1e-10)
+            assert rec.steps in levels and rec.error_estimate <= 1e-10
+        if n_steps == 64:
+            assert [r.steps for r in records] == [16, 32, 32, 32, 32, 64]
+        else:
+            assert {r.steps for r in records} == {levels[0]}
+        if n_steps > 64:
+            p = DiracProblem(*SIN_CLASSICAL)
+            ref = find_eigenvalues(p, range(3, 21), IntegratorConfig(16384),
+                                   EigenSearchConfig(lambda_tolerance=1e-13))
+            for rec, r in zip(find_eigenvalues(p, range(3, 21),
+                                               IntegratorConfig(n_steps)), ref):
+                assert abs(rec.lam - r.lam) <= 1e-10 and rec.steps in levels
+
+    def test_mixed_levels_batch_invariance(self):
+        p = DiracProblem(*SIN_CLASSICAL)
+        search = EigenSearchConfig(lambda_tolerance=1e-12)
+        batch = find_eigenvalues(p, range(3, 41), IntegratorConfig(4096), search)
+        assert {r.steps for r in batch} == {2048, 4096}
+        for rec in batch[::5] + batch[-1:]:
+            assert find_eigenvalue(p, rec.index, IntegratorConfig(4096), search) == rec
+
+    def test_refined_estimate_is_difference_of_meshes(self):
+        p = DiracProblem(*SIN_CLASSICAL)
+        search = EigenSearchConfig(lambda_tolerance=1e-12)
+        rec = find_eigenvalue(p, 40, IntegratorConfig(4096), search)
+        coarser = bisect_root(lambda lam: characteristic(p, lam, IntegratorConfig(2048)),
+                              rec.lam - 1e-6, rec.lam + 1e-6)
+        assert rec.steps == 4096
+        assert rec.error_estimate == pytest.approx(abs(rec.lam - coarser), abs=1e-12)
+        assert rec.bracket[0] < rec.lam < rec.bracket[1]
+        assert rec.bracket[1] - rec.bracket[0] <= 1e-12
+
+    def test_refine_widens_then_gives_up(self):
+        # V = 0, m = 0: chi = -sin(pi lambda), roots at the integers; without a
+        # slope the prediction is the seed, 3e-9 from the root
+        p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
+        mesh = solver_mod._mesh(p, 256)
+        roots, slopes, lo, hi = solver_mod._refine(
+            p, np.array([7.0 + 3e-9]), np.array([np.nan]), mesh, 1e-10, 48, str)
+        assert abs(roots[0] - 7.0) <= 1e-10 and lo[0] < 7.0 < hi[0]
+        assert slopes[0] == pytest.approx(-PI, rel=1e-3)
+        with pytest.raises(IterationFailure, match="keeps its sign"):
+            solver_mod._refine(p, np.array([7.5]), np.array([1.0]), mesh, 1e-10,
+                               48, str)
+
+    def test_cap_raises(self):
+        p = DiracProblem(*SIN_CLASSICAL)
+        with pytest.raises(ToleranceNotMet, match=r"finest mesh \(256 steps\).*"
+                                                  r"eigenvalue index 40 \("):
+            find_eigenvalues(p, range(30, 41), IntegratorConfig(256))
+
+    def test_cap_exits_3_from_cli(self, tmp_path):
+        doc = {"mass": 0.5,
+               "potential": {"kind": "named", "name": "sin2x", "params": {}},
+               "boundary": {"kind": "classical", "alpha": 0.3, "beta": 0.7},
+               "solver": {"steps": 256}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        res = CliRunner().invoke(cli.main, [
+            "spectrum", "--problem", str(cfg), "--n-min", "30", "--n-max", "40",
+            "--out", str(tmp_path / "x.csv")])
+        assert res.exit_code == 3, res.output
+        payload = json.loads(res.stderr.strip().splitlines()[-1])
+        assert payload["type"] == "ToleranceNotMet"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_four_argument_record(self, cache):
+        # a record built by hand, as a caller with its own eigenvalue does
+        p, searched = cache.problem("sin_half"), cache.record("sin_half", 16)
+        rec = EigenRecord(16, searched.lam, 0.0, (searched.lam, searched.lam))
+        assert rec.steps is None and rec.error_estimate is None
+        integ = cache.integrator("sin_half")
+        for component in (1, 2):
+            assert np.array_equal(extract_nodes(p, rec, component, integ).points,
+                                  extract_nodes(p, searched, component, integ).points)
 
 
 class TestRotationLabels:
@@ -378,25 +541,24 @@ class TestRotationLabels:
     k pi, k = n (classical) or n - 1 (case I), counted here independently
     along the trajectory."""
 
-    @pytest.mark.parametrize("args,indices", [
-        (HEAVY, range(1, 61)),
-        (POLY_M2, range(3, 61)),
-        (SIN_CLASSICAL, [-2, -1, 1, 2] + list(range(-20, -2))),
-        (STRONG, list(range(-12, -1)) + list(range(1, 13))),
+    @pytest.mark.parametrize("args,indices,steps", [
+        (HEAVY, range(1, 61), 4096),
+        (POLY_M2, range(3, 61), 4096),
+        (SIN_CLASSICAL, [-2, -1, 1, 2] + list(range(-20, -2)), 4096),
+        (STRONG, list(range(-12, -1)) + list(range(1, 13)), 16384),
     ], ids=["heavy_mass", "poly_m2", "sin2x_small_and_negative", "strong_potential"])
-    def test_label_is_rotation_index(self, args, indices):
+    def test_label_is_rotation_index(self, args, indices, steps):
         p = DiracProblem(*args)
-        records = find_eigenvalues(p, indices)
+        records = find_eigenvalues(p, indices, IntegratorConfig(steps))
         assert [r.index for r in records] == sorted(indices)
         for rec in records:
-            assert trajectory_rotation(p, rec.lam, 4096) == rec.index
+            assert trajectory_rotation(p, rec.lam, rec.steps) == rec.index
 
     def test_case_one_label_offset(self, cache):
         p = cache.problem("pd_example")
         indices = [-6, -2, -1, 1, 2, 3, 20]
         for n, rec in cache.records("pd_example", indices).items():
-            assert trajectory_rotation(p, rec.lam, cache.integrator("pd_example").n_steps) \
-                == n - 1
+            assert trajectory_rotation(p, rec.lam, rec.steps) == n - 1
 
     def test_small_labels_in_order(self, cache):
         lams = [r.lam for r in cache.records("sin_half", [-3, -2, -1, 1, 2, 3]).values()]
@@ -465,9 +627,9 @@ class TestExtractNodes:
         ("sin_half", 16, 1), ("sin_half", 40, 2), ("pd_example", 20, 1),
         ("zero_half_mass", 25, 2)])
     def test_nodes_match_bisection_reference(self, cache, label, n, component):
-        ns = cache.nodal(label, n, component)
-        ref = bisect_nodes(cache.problem(label), cache.record(label, n).lam,
-                           component, cache.integrator(label).n_steps)
+        p, rec = cache.problem(label), cache.record(label, n)
+        ns = extract_nodes(p, rec, component, IntegratorConfig(rec.steps))
+        ref = bisect_nodes(p, rec.lam, component, rec.steps)
         assert ns.count == ref.size
         assert np.max(np.abs(ns.points - ref)) <= 1e-13
 
@@ -666,6 +828,9 @@ class TestStepKernel:
             theta = solver_mod._terminal(p, lams, mesh, angle=True)[2]
             # a tail of 1 entry: every chunk is halved to one product, so
             # identity steps padding a partial last chunk enter the tree
+            # no mesh is taken as one chunk for being small, so that every
+            # chunk width is tried
+            monkeypatch.setattr(solver_mod, "_ONE_CHUNK_ENTRIES", 0)
             for tail, bits in itertools.product((1, solver_mod._TAIL_ENTRIES), range(13)):
                 monkeypatch.setattr(solver_mod, "_TAIL_ENTRIES", tail)
                 monkeypatch.setattr(solver_mod, "_CHUNK_ENTRIES", len(lams) << bits)
