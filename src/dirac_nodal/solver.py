@@ -28,8 +28,8 @@ no loop over steps:
 
 Both agree with a step-by-step loop to roundoff.  A step matrix needs
 cosh(sqrt(u)) and sinh(sqrt(u))/sqrt(u) with u about -(h (lambda - V))^2.
-For |u| <= 1/16, which on the default 4096-step mesh holds for every
-|lambda - V| below about 320, they come from seven terms of their Taylor
+For |u| <= 1/12, which on a 4096-step mesh holds for every
+|lambda - V| below about 370, they come from seven terms of their Taylor
 series by Horner's rule, as the eta functions of the CP methods do for
 small arguments (Ledoux, Van Daele and Vanden Berghe, ACM TOMS 31, 2005);
 only larger |u| take cos and sin or cosh and sinh, chosen entry by entry.
@@ -102,22 +102,28 @@ _NODE_TOLERANCE = 1e-14
 # with numpy 2.4): 336 ms at 1 << 13, 234 ms at 1 << 14, 339 ms at 1 << 15.
 _CHUNK_ENTRIES = 1 << 14
 
-# On a mesh of more than two chunks, a chunk stops halving before its
-# products hold fewer than this many entries, and _reduce finishes the tree
-# over all chunks at once, with one _mul per level instead of one per chunk.
+# On a mesh of several chunks, a chunk stops halving before its products
+# hold fewer than this many entries, and _reduce finishes the tree over all
+# chunks at once, with one _mul per level instead of one per chunk.
 # Measured as above (seed 902, chunks of 1 << 14): 244 ms when every chunk
 # halves to one product, 238 ms at 256, 233 ms at 512, 277 ms at 1024, 308 ms
-# at 2048.  With two chunks, such as a full chunk and the few steps that
-# breakpoints add, halving both to one product is faster: one chi evaluation
-# of 1025 steps at one lambda takes 225 instead of 310 us.
+# at 2048.
 _TAIL_ENTRIES = 512
 
 # A mesh whose tables, padded with identity steps to a power of two, hold at
 # most this many step-lambda entries is taken as one chunk: at one lambda a
-# second chunk costs more than the padding.  One chi evaluation at one lambda
-# (sin2x, same host): 907 steps 286 -> 184 us, 1419 steps 306 -> 225 us;
-# padding 2049 steps to 4096 would cost more (251 -> 325 us).
+# second chunk costs more than the padding.  One evaluation of chi and of
+# the angle at one lambda, two chunks -> one (400-cell sampled potential,
+# median of 60 interleaved repeats on one CPU of the same host): 896 steps
+# 626 -> 426 and 948 -> 855 us, 1408 steps 698 -> 526 and 1019 -> 944 us.
+# Padding the 2049 steps of an off-mesh step potential to 4096 as well would
+# take chi from 800 to 714 us but the angle from 1138 to 1201 us.
 _ONE_CHUNK_ENTRIES = 1 << 11
+
+# A breakpoint closer than this fraction of a step to a uniform mesh node
+# replaces that node: the two differ by roundoff, such as the grid node
+# j pi / 400 of a sampled potential and the node k pi / 1024 it equals.
+_NODE_MERGE = 1e-9
 
 # Angle mismatch, in rad, that the eigenvalue bracket's ends aim for.
 _AIM = math.pi / 16
@@ -203,7 +209,7 @@ def _coshc_sinhc(u):
     sqrt(-u) for negative u).
 
     Entries with |u| <= _SERIES_LIMIT, which are all of them while
-    |lambda - V| stays below about 320 on the default 4096-step mesh, take
+    |lambda - V| stays below about 370 on a 4096-step mesh, take
     the Taylor series by Horner's rule: no square root, division or branch.
     Only the others go to ``_trig_coshc_sinhc``.  The choice is made per
     entry, so each value does not depend on the rest of the batch.
@@ -254,10 +260,9 @@ class Trajectory(NamedTuple):
 class _Mesh(NamedTuple):
     """Mesh of [0, pi] with the potential sampled at its Gauss points.
 
-    ``h`` is the step width, a float on a uniform mesh and an array with
-    one entry per step on a mesh with breakpoints; ``x`` holds the nodes."""
+    ``h`` holds the width of each step and ``x`` the nodes."""
 
-    h: float | np.ndarray
+    h: np.ndarray
     vbar: np.ndarray
     g: np.ndarray
     x: np.ndarray
@@ -274,12 +279,22 @@ def _sample(problem, x0, h):
 
 def _mesh(problem, n_steps):
     """The uniform mesh of n_steps steps, with a node added at each breakpoint
-    of the potential; without breakpoints the step width stays one float."""
+    of the potential; without breakpoints every step is exactly pi / n_steps
+    wide."""
     h = math.pi / n_steps
     x = np.arange(n_steps + 1) * h
-    if problem.potential.breakpoints.size:
-        x = np.sort(np.concatenate((x, problem.potential.breakpoints)))
-        x = x[np.diff(x, prepend=-1.0) > 0.0]
+    breaks = problem.potential.breakpoints
+    if not breaks.size:
+        h = np.full(n_steps, h)
+    else:
+        # a breakpoint within roundoff of a uniform node takes that node's
+        # place (one at an end is dropped) instead of splitting off a step
+        # a few ulps wide
+        near = np.rint(breaks / h).astype(np.intp)
+        close = np.abs(breaks - x[near]) <= _NODE_MERGE * h
+        inner = close & (near > 0) & (near < n_steps)
+        x[near[inner]] = breaks[inner]
+        x = np.sort(np.concatenate((x, breaks[~close])))
         h = np.diff(x)
     return _Mesh(h, *_sample(problem, x[:-1], h), x)
 
@@ -375,8 +390,8 @@ def _chunk(problem, lams, mesh, start, steps, levels):
     levels = min(levels, span.bit_length() - 1)
     order = _bitrev(span)
     at = np.minimum(order, steps - 1) + start
-    h = mesh.h if np.ndim(mesh.h) == 0 else mesh.h[at, None]
-    p = _entries(problem.mass, h, mesh.vbar[at, None], mesh.g[at, None], lams)
+    p = _entries(problem.mass, mesh.h[at, None], mesh.vbar[at, None],
+                 mesh.g[at, None], lams)
     if span > steps:
         pad = order >= steps
         for x, value in zip(p, (1.0, 0.0, 0.0, 1.0)):
@@ -434,7 +449,7 @@ def _block_level(problem, lams, mesh):
     step of the mesh."""
     rate = float(np.max(np.abs(lams))) + float(np.max(np.abs(mesh.vbar))) \
         + abs(problem.mass)
-    h = float(np.max(mesh.h))
+    h = float(mesh.h.max())
     steps = _BLOCK_TURN / (h * rate) if rate > 0 else mesh.vbar.size
     if steps < 1:
         raise RotationLimitExceeded(
@@ -471,9 +486,10 @@ def _terminal(problem, lams, mesh, angle=False):
     (``_chunk``), or in one chunk if its padded tables hold at most
     _ONE_CHUNK_ENTRIES entries: each chunk builds its matrices in
     bit-reversed step order, padded with identity steps to a power of two
-    where the mesh ends, and halves them on contiguous operands.  On a mesh of more than two chunks,
-    a chunk stops halving before its products hold fewer than _TAIL_ENTRIES
-    entries, and ``_reduce`` finishes the tree over all chunks at once.
+    where the mesh ends, and halves them on contiguous operands.  On a
+    mesh of several chunks, a chunk stops halving before its products hold
+    fewer than _TAIL_ENTRIES entries, and ``_reduce`` finishes the tree over
+    all chunks at once.
     Neither the chunk width nor where a chunk stops changes the tree.  For
     the angle the halving pauses at the tree level whose blocks turn the
     angle by at most _BLOCK_TURN (``_block_level``) and keeps those block
@@ -488,7 +504,7 @@ def _terminal(problem, lams, mesh, angle=False):
     if (1 << (n - 1).bit_length()) * lams.size <= _ONE_CHUNK_ENTRIES:
         width = 1 << (n - 1).bit_length()
     inner = width.bit_length() - 1
-    if n > 2 * width:
+    if n > width:
         inner = max(0, inner - ((_TAIL_ENTRIES - 1) // lams.size).bit_length())
     if angle:
         level = _block_level(problem, lams, mesh)

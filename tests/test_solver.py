@@ -406,7 +406,7 @@ class TestErrorControl:
             h = PI / n_steps
             vbar, g = solver_mod._sample(p, np.arange(n_steps) * h, h)
             mesh = solver_mod._mesh(p, n_steps)
-            assert isinstance(mesh.h, float) and mesh.h == h
+            assert mesh.h.shape == (n_steps,) and np.all(mesh.h == h)
             assert np.array_equal(mesh.vbar, vbar) and np.array_equal(mesh.g, g)
             assert np.array_equal(mesh.x, np.arange(n_steps + 1) * h)
 
@@ -418,10 +418,30 @@ class TestErrorControl:
             p = DiracProblem(0.5, potential, Classical(0.3, 0.7))
             mesh = solver_mod._mesh(p, 1024)
             assert np.all(np.isin(breaks, mesh.x))
-            assert np.all(np.isin(np.arange(1025) * (PI / 1024), mesh.x))
+            # a uniform node is on the mesh, or replaced by a breakpoint
+            # within roundoff of it
+            off = np.abs(np.arange(1025)[:, None] * (PI / 1024) - mesh.x).min(axis=1)
+            assert np.all(off <= solver_mod._NODE_MERGE * PI / 1024)
             assert np.array_equal(np.diff(mesh.x), mesh.h) and mesh.x[-1] == PI
             xs, y = integrate(p, 7.3, IntegratorConfig(1024))
             assert np.array_equal(xs, mesh.x) and y.shape == (xs.size, 2)
+
+    def test_breakpoint_at_a_uniform_node_adds_no_step(self):
+        # grid node j pi / 400 equals uniform node k pi / 1024 for j a
+        # multiple of 25, up to roundoff: 1024 + 399 - 15 steps
+        p = DiracProblem(0.5, make_potential_sampled(np.sin(np.linspace(0.0, PI, 401))),
+                         Classical(0.3, 0.7))
+        mesh = solver_mod._mesh(p, 1024)
+        assert mesh.h.size == 1408 and mesh.h.min() > 0.03 * PI / 1024
+        assert np.all(np.isin(p.potential.breakpoints, mesh.x))
+        # a breakpoint within roundoff of an interior node moves the node
+        # onto itself; one within roundoff of an end is dropped
+        for a, nodes in ((np.nextafter(PI / 1024, 0.0), [0.0, np.nextafter(PI / 1024, 0.0)]),
+                         (np.nextafter(PI, 0.0), [0.0, PI])):
+            p = DiracProblem(0.5, named_potential("step", a=a, height=2.0),
+                             Classical(0.3, 0.7))
+            mesh = solver_mod._mesh(p, 1024)
+            assert mesh.h.size == 1024 and np.all(np.isin(nodes, mesh.x))
 
     @pytest.mark.parametrize("a", [PI / 4, 1.0], ids=["on_mesh", "off_mesh"])
     def test_step_against_closed_form(self, a):
@@ -762,8 +782,8 @@ class TestPropagationKernel:
 def tree_reference(problem, lams, mesh):
     """(y1, y2) at pi from _reduce over the step matrices in natural order."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    q = solver_mod._reduce(solver_mod._entries(problem.mass, mesh.h, mesh.vbar[:, None],
-                                               mesh.g[:, None], lams))
+    q = solver_mod._reduce(solver_mod._entries(problem.mass, mesh.h[:, None],
+                                               mesh.vbar[:, None], mesh.g[:, None], lams))
     y1, y2 = solver_mod._initial_state(problem, lams)
     return q[0][0] * y1 + q[1][0] * y2, q[2][0] * y1 + q[3][0] * y2
 
@@ -808,7 +828,7 @@ class TestStepKernel:
 
     @pytest.mark.parametrize("angle", [False, True])
     def test_mixed_branches_batch_invariance(self, angle, monkeypatch):
-        # on 256 steps |u| passes 1/16 near |lambda - V| = 20
+        # on 256 steps |u| passes 1/12 near |lambda - V| = 23.5
         p = DiracProblem(*SIN_CLASSICAL)
         mesh = solver_mod._mesh(p, 256)
         lams = np.linspace(-60.0, 60.0, 97)
@@ -821,11 +841,21 @@ class TestStepKernel:
 
     @pytest.mark.parametrize("n_steps", [64, 1000, 4096, 4097])
     def test_chunk_tree_matches_reduce(self, n_steps, monkeypatch):
-        p = DiracProblem(*KERNEL_PROBLEMS["pd_example"])
-        mesh = solver_mod._mesh(p, n_steps)
-        for lams in ([7.3], np.linspace(-4.0, 24.0, 7)):
+        # the off-mesh step adds one node, so its steps differ in width and
+        # its mesh of 4096 uniform steps is one step past a power of two
+        problems = (DiracProblem(*KERNEL_PROBLEMS["pd_example"]),
+                    DiracProblem(0.5, named_potential("step", a=1.0, height=2.0),
+                                 Classical(0.3, 0.7)))
+        for p, lams in itertools.product(problems, ([7.3], np.linspace(-4.0, 24.0, 7))):
+            mesh = solver_mod._mesh(p, n_steps)
+            monkeypatch.undo()
             ref = tree_reference(p, lams, mesh)
-            theta = solver_mod._terminal(p, lams, mesh, angle=True)[2]
+            # the default constants, which take a mesh of at most 2048 padded
+            # entries as one chunk
+            y1, y2, theta = solver_mod._terminal(p, lams, mesh, angle=True)
+            assert np.array_equal(y1, ref[0]) and np.array_equal(y2, ref[1])
+            y1, y2 = solver_mod._terminal(p, lams, mesh)
+            assert np.array_equal(y1, ref[0]) and np.array_equal(y2, ref[1])
             # a tail of 1 entry: every chunk is halved to one product, so
             # identity steps padding a partial last chunk enter the tree
             # no mesh is taken as one chunk for being small, so that every
