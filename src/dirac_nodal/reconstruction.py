@@ -196,13 +196,20 @@ def _oscillatory_integral(potential: Potential, a: float, b: float,
     return float(np.sum(fs * ws))
 
 
+def _union(a, b):
+    """The values of a and b, sorted, without exact duplicates: np.union1d's
+    result, without the numpy.ma import that np.unique makes on first use."""
+    edges = np.sort(np.concatenate((a, b), axis=None))
+    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+
+
 def _linear_nodes(potential: Potential, n_cells: int = 4096):
     """Nodes of a piecewise-linear representation of V: a sampled potential's
     own grid, or n_cells uniform cells with a node at each breakpoint."""
     if potential.is_sampled:
         return np.linspace(0.0, DOMAIN_LENGTH, potential.values.size)
-    return np.union1d(np.linspace(0.0, DOMAIN_LENGTH, n_cells + 1),
-                      potential.breakpoints)
+    return _union(np.linspace(0.0, DOMAIN_LENGTH, n_cells + 1),
+                  potential.breakpoints)
 
 
 def _cell_ends(potential: Potential, edges):
@@ -235,7 +242,7 @@ def l1_error(F: StepFunction, potential: Potential, adjust_mean: bool = False,
     shift = 0.0
     if adjust_mean:
         shift = (potential.total_integral + boundary_shift) / math.pi
-    edges = np.union1d(F.breakpoints, _linear_nodes(potential))
+    edges = _union(F.breakpoints, _linear_nodes(potential))
     edges = edges[(edges >= 0.0) & (edges <= DOMAIN_LENGTH)]
     lo, hi = edges[:-1], edges[1:]
     consts = F(0.5 * (lo + hi)) + shift
@@ -247,7 +254,7 @@ def l1_distance(v_a: Potential, v_b: Potential, shift_a: float = 0.0,
                 shift_b: float = 0.0) -> float:
     """Exact L1 distance between piecewise-linear representations of two
     potentials, each lowered by a constant shift."""
-    grid = np.union1d(_linear_nodes(v_a), _linear_nodes(v_b))
+    grid = _union(_linear_nodes(v_a), _linear_nodes(v_b))
     a_lo, a_hi = _cell_ends(v_a, grid)
     b_lo, b_hi = _cell_ends(v_b, grid)
     shift = shift_a - shift_b

@@ -12,19 +12,24 @@ inside every step; without breakpoints it is exactly the uniform mesh.
 Each public call samples the potential at the mesh's Gauss points once.
 The 2x2 step matrices are unimodular and their product may be grouped in
 any order, so propagation is a log-depth computation on whole arrays, with
-no loop over steps:
+no loop over steps.  One pairwise tree serves every use: each level
+multiplies matrices 2j and 2j + 1 and carries an unpaired last one up, so
+nothing is padded.  The matrices are stored in ``_order``, the bit-reversal
+permutation generalized to any count, where each level multiplies the upper
+half of the rows by the lower half, both contiguous, and leaves the next
+level in ``_order`` again.  The step tables are one stacked array of shape
+(2, 2, steps, lambdas).
 
-* the terminal state at x = pi multiplies the step matrices by pairwise
-  halving, as if the mesh were padded with identity steps to a power of
-  two.  Steps are taken in aligned power-of-two chunks that hold about
-  ``_CHUNK_ENTRIES`` step-lambda entries at a time.  A chunk's matrices are
-  built in bit-reversed step order, so each halving level multiplies the
-  upper half of the arrays by the lower half, both contiguous, and yields
-  the next level again in bit-reversed order.  Every chunk width gives the
-  same full tree, so each lambda's result is bitwise independent of the
-  batch it is computed in;
-* a trajectory is the inclusive prefix product (Hillis-Steele scan) of the
-  step matrices at one lambda, giving the state at every mesh node.
+* the terminal state at x = pi is the product of the whole tree.  A mesh
+  whose tables exceed ``_CHUNK_ENTRIES`` step-lambda entries is taken in
+  aligned power-of-two chunks.  Every chunk width gives the same tree, so
+  each lambda's result is bitwise independent of the batch it is computed
+  in;
+* a trajectory is the down-sweep of the tree at one lambda (Blelloch,
+  "Prefix Sums and Their Applications", CMU-CS-90-190, 1990): the state at
+  the start of a right child is its left sibling times the state at the
+  start of their parent.  This gives the state at every mesh node from
+  O(N) products, and the last state is bitwise the terminal state.
 
 Both agree with a step-by-step loop to roundoff.  A step matrix needs
 cosh(sqrt(u)) and sinh(sqrt(u))/sqrt(u) with u about -(h (lambda - V))^2.
@@ -41,11 +46,13 @@ unwrapped theta(pi) increases strictly in lambda, and the eigenvalue with
 index n is where theta(pi) = psi + k pi: psi is beta in the classical case
 and the lambda-dependent angle of the boundary form in case I, and the
 rotation index k is n classically and n - 1 in case I.  With ``angle``,
-``_terminal`` returns theta(pi) beside the terminal state: the pairwise
-tree keeps the level whose blocks of steps turn theta by at most pi/2, the
-states at the block ends unwrap theta, and that fixes the 2 pi branch of
-the terminal state's own angle.  theta(pi) is therefore bitwise the same
-for every such level and every batch.
+``_terminal`` returns theta(pi) beside the terminal state.  On a step theta
+turns by the integral of lambda - V, give or take |m| times the step's
+width, so the tree's down-sweep stops at the level whose blocks keep that
+deviation within pi/2.  The angles at the block ends, less the integral of
+lambda - V over each block, unwrap theta and fix the 2 pi branch of the
+terminal state's own angle.  theta(pi) is therefore bitwise the same for
+every such level and every batch.
 
 From the asymptotic seeds, each index jumps by its angle mismatch until
 both ends of its bracket lie within pi of the target angle, one on each
@@ -95,30 +102,21 @@ _ENDPOINT_GUARD = 1e-8
 # Bracket width at which a refined node is final.
 _NODE_TOLERANCE = 1e-14
 
-# Step-lambda entries per chunk of step tables in _terminal: the chunk's
-# temporaries (128 KiB per array) then stay in a 2 MiB L2 cache.  Median time
+# Step-lambda entries per chunk of step tables in _terminal (a mesh whose
+# tables fit is one chunk): the chunk's temporaries (128 KiB per entry of
+# the 2x2 tables) then stay in a 2 MiB L2 cache.  Median time
 # of find_eigenvalues(3..40) over the four spectrum_batch problems of the
 # benchmark (seed 901, 30 interleaved repeats on one CPU of a 2-vCPU Xeon
 # with numpy 2.4): 336 ms at 1 << 13, 234 ms at 1 << 14, 339 ms at 1 << 15.
 _CHUNK_ENTRIES = 1 << 14
 
 # On a mesh of several chunks, a chunk stops halving before its products
-# hold fewer than this many entries, and _reduce finishes the tree over all
+# hold fewer than this many entries, and _halve finishes the tree over all
 # chunks at once, with one _mul per level instead of one per chunk.
 # Measured as above (seed 902, chunks of 1 << 14): 244 ms when every chunk
 # halves to one product, 238 ms at 256, 233 ms at 512, 277 ms at 1024, 308 ms
 # at 2048.
 _TAIL_ENTRIES = 512
-
-# A mesh whose tables, padded with identity steps to a power of two, hold at
-# most this many step-lambda entries is taken as one chunk: at one lambda a
-# second chunk costs more than the padding.  One evaluation of chi and of
-# the angle at one lambda, two chunks -> one (400-cell sampled potential,
-# median of 60 interleaved repeats on one CPU of the same host): 896 steps
-# 626 -> 426 and 948 -> 855 us, 1408 steps 698 -> 526 and 1019 -> 944 us.
-# Padding the 2049 steps of an off-mesh step potential to 4096 as well would
-# take chi from 800 to 714 us but the angle from 1138 to 1201 us.
-_ONE_CHUNK_ENTRIES = 1 << 11
 
 # A breakpoint closer than this fraction of a step to a uniform mesh node
 # replaces that node: the two differ by roundoff, such as the grid node
@@ -132,9 +130,10 @@ _AIM = math.pi / 16
 # has kept no more than about four significant digits.
 _CANCELLATION = 1e-12
 
-# Largest bound on the turn of the Prufer angle over one block of steps when
-# the angle is unwrapped between block ends; below pi, with a margin for the
-# difference between the sampled and the true potential.
+# Largest bound on how far the turn of the Prufer angle over one block of
+# steps may stray from the integral of lambda - V when the angle is unwrapped
+# between block ends, and on the turn over one step; below pi, with a margin
+# for the commutator term and roundoff.
 _BLOCK_TURN = math.pi / 2
 
 # Largest bound on the turn of the Prufer angle over one step at its seed for
@@ -238,14 +237,12 @@ def _trig_coshc_sinhc(u):
 
 
 def _initial_state(problem, lams):
+    """The states (y1, y2) at x = 0, shape (2, lambdas)."""
     b = problem.boundary
     if isinstance(b, Classical):
-        y1 = np.full_like(lams, math.sin(b.alpha))
-        y2 = np.full_like(lams, -math.cos(b.alpha))
-    else:
-        y1 = -(lams * math.sin(b.alpha) + b.b0)
-        y2 = lams * math.cos(b.alpha) + b.a0
-    return y1, y2
+        return np.outer((math.sin(b.alpha), -math.cos(b.alpha)), np.ones_like(lams))
+    return np.array([-(lams * math.sin(b.alpha) + b.b0),
+                     lams * math.cos(b.alpha) + b.a0])
 
 
 class Trajectory(NamedTuple):
@@ -260,12 +257,15 @@ class Trajectory(NamedTuple):
 class _Mesh(NamedTuple):
     """Mesh of [0, pi] with the potential sampled at its Gauss points.
 
-    ``h`` holds the width of each step and ``x`` the nodes."""
+    ``h`` holds the width of each step and ``x`` the nodes; ``h_max`` is the
+    widest step and ``v_max`` the largest |vbar|."""
 
     h: np.ndarray
     vbar: np.ndarray
     g: np.ndarray
     x: np.ndarray
+    h_max: float
+    v_max: float
 
 
 def _sample(problem, x0, h):
@@ -296,108 +296,102 @@ def _mesh(problem, n_steps):
         x[near[inner]] = breaks[inner]
         x = np.sort(np.concatenate((x, breaks[~close])))
         h = np.diff(x)
-    return _Mesh(h, *_sample(problem, x[:-1], h), x)
+    vbar, g = _sample(problem, x[:-1], h)
+    return _Mesh(h, vbar, g, x, float(h.max()), float(np.abs(vbar).max()))
 
 
 def _entries(m, h, vbar, g, lams):
-    """Step propagator entries P11, P12, P21, P22 for any broadcast of steps
-    (h, vbar, g) against spectral parameters lams.  Products are formed in
-    place where the operands allow it: fewer large temporaries, and the
-    same values bit for bit."""
+    """Step propagators for any broadcast of steps (h, vbar, g) against
+    spectral parameters lams, stacked in one array of shape (2, 2, ...):
+    entry [i, j] holds P_(i+1)(j+1).  Products are formed in place where the
+    operands allow it: fewer large temporaries, and the same values bit for
+    bit."""
     w = lams - vbar
     bb = -h * (w + m)
     cc = h * (w - m)
     ec, es = _coshc_sinhc(g * g + bb * cc)
-    esg = es * g
-    p11 = ec - esg
-    ec += esg
-    bb *= es
-    cc *= es
-    return p11, bb, cc, ec
+    p = np.empty((2, 2) + ec.shape)
+    esg = np.multiply(es, g, out=p[0, 0])
+    np.add(ec, esg, out=p[1, 1])
+    np.subtract(ec, esg, out=p[0, 0])
+    np.multiply(bb, es, out=p[0, 1])
+    np.multiply(cc, es, out=p[1, 0])
+    return p
 
 
 def _mul(b, a):
-    """Entries of the 2x2 product b @ a: step a is taken first.  The sums are
-    accumulated in place through one scratch array."""
-    b11, b12, b21, b22 = b
-    a11, a12, a21, a22 = a
-    out = (b11 * a11, b11 * a12, b21 * a11, b21 * a12)
-    tmp = np.empty_like(out[0])
-    for o, x, y in zip(out, (b12, b12, b22, b22), (a21, a22, a21, a22)):
-        o += np.multiply(x, y, out=tmp)
+    """The products b @ a of stacked 2x2 matrices (axes 0 and 1): step a is
+    taken first.  Column 0 of b times row 0 of a, plus column 1 times row 1,
+    accumulated in place."""
+    out = b[:, :1] * a[:1]
+    out += b[:, 1:] * a[1:]
     return out
 
 
-def _reduce(p, levels=None):
-    """Ordered products of aligned blocks of 2**levels matrices along axis 0,
-    by pairwise halving (the product of all of them when levels is None).
-
-    An unpaired last matrix is carried up one level unchanged, which gives
-    the same result as padding with identity steps to the next power of
-    two.  Halving in stages gives the same tree as halving at once.
-    """
-    for _ in itertools.count() if levels is None else range(levels):
-        if p[0].shape[0] == 1:
-            break
-        even = p[0].shape[0] // 2 * 2
-        pairs = _mul([x[1:even:2] for x in p], [x[0:even:2] for x in p])
-        if even < p[0].shape[0]:
-            pairs = [np.concatenate((q, x[even:])) for q, x in zip(pairs, p)]
-        p = pairs
-    return p
-
-
-def _scan(p):
-    """Inclusive prefix products along axis 0 (Hillis-Steele): entry i
-    becomes P_i ... P_0."""
-    d = 1
-    while d < p[0].shape[0]:
-        tail = _mul([x[d:] for x in p], [x[:-d] for x in p])
-        p = [np.concatenate((x[:d], t)) for x, t in zip(p, tail)]
-        d *= 2
-    return p
-
-
 @functools.cache
-def _bitrev(span):
-    """The bit-reversal permutation of range(span), span a power of two."""
+def _order(n):
+    """The order in which n matrices are stored for ``_halve``, and its
+    inverse: row r holds matrix order[r], and matrix i is in row inverse[i].
+
+    The even matrices come first and the odd ones after them, each in the
+    order of their pairs one level up, then an unpaired last matrix; for a
+    power of two this is the bit-reversal permutation."""
     order = np.zeros(1, dtype=np.intp)
-    while order.size < span:
-        order = np.concatenate((2 * order, 2 * order + 1))
-    order.flags.writeable = False
-    return order
+    if n > 1:
+        pairs = _order(n - n // 2)[0][:n // 2]
+        order = np.concatenate((2 * pairs, 2 * pairs + 1, np.full(n % 2, n - 1)))
+    inverse = np.argsort(order)
+    order.flags.writeable = inverse.flags.writeable = False
+    return order, inverse
 
 
-def _halve(p, levels):
-    """Pairwise products, ``levels`` times, of matrices stored in bit-reversed
-    step order: the upper half times the lower half.  After each halving,
-    row r holds the product over block bitrev(r) of the new level, so the
-    result is still in bit-reversed order, and the products are those of
-    _reduce on the natural order, computed on contiguous operands."""
-    for _ in range(levels):
-        half = p[0].shape[0] // 2
-        p = _mul([x[half:] for x in p], [x[:half] for x in p])
+def _halve(p, levels=None):
+    """The pairwise tree over matrices stored along axis 2 in ``_order``,
+    ``levels`` levels up (to the product of all when levels is None).
+
+    Each level multiplies the upper half of the rows by the lower half, both
+    contiguous, and carries an unpaired last row up unchanged; the result is
+    again in ``_order``.  In natural order this pairs matrices 2j and 2j + 1,
+    which gives the same products as padding with identity matrices to a
+    power of two, and halving in stages gives the same tree as at once."""
+    for _ in itertools.count() if levels is None else range(levels):
+        n = p.shape[2]
+        if n == 1:
+            break
+        pairs = _mul(p[:, :, n // 2:n // 2 * 2], p[:, :, :n // 2])
+        p = np.concatenate((pairs, p[:, :, -1:]), axis=2) if n % 2 else pairs
     return p
+
+
+def _tree(p):
+    """Every level of ``_halve`` over p: p first, the product of all last."""
+    levels = [p]
+    while levels[-1].shape[2] > 1:
+        levels.append(_halve(levels[-1], 1))
+    return levels
+
+
+def _descend(levels, y):
+    """Down-sweep over a ``_tree``: the states, shape (2, n, ...) in ``_order``,
+    at the start of each of the n matrices of its first level, from the
+    states y at the start of the product of all.  A left child and an
+    unpaired matrix start where their parent does, a right child at its
+    left sibling times that."""
+    y = y[:, None]
+    for p in reversed(levels[:-1]):
+        half = p.shape[2] // 2
+        right = p[:, 0, :half] * y[0, :half] + p[:, 1, :half] * y[1, :half]
+        y = np.concatenate((y[:, :half], right, y[:, half:]), axis=1)
+    return y
 
 
 def _chunk(problem, lams, mesh, start, steps, levels):
     """Products, in natural order, of the aligned blocks of 2**levels steps
-    (or of all of them, if fewer) among mesh steps [start, start + steps).
-
-    The step matrices are built in bit-reversed order of the chunk, padded
-    with identity steps to a power of two, and halved by ``_halve``."""
-    span = 1 << (steps - 1).bit_length()
-    levels = min(levels, span.bit_length() - 1)
-    order = _bitrev(span)
-    at = np.minimum(order, steps - 1) + start
-    p = _entries(problem.mass, mesh.h[at, None], mesh.vbar[at, None],
-                 mesh.g[at, None], lams)
-    if span > steps:
-        pad = order >= steps
-        for x, value in zip(p, (1.0, 0.0, 0.0, 1.0)):
-            x[pad] = value
-    keep = _bitrev(span >> levels)[:-(-steps >> levels)]
-    return [x[keep] for x in _halve(p, levels)]
+    (or of all of them, if fewer) among mesh steps [start, start + steps):
+    the step matrices are built in ``_order`` and halved by ``_halve``."""
+    at = _order(steps)[0] + start
+    p = _entries(problem.mass, *(a[at][:, None] for a in mesh[:3]), lams)
+    return _halve(p, levels)[:, :, _order(-(-steps >> levels))[1]]
 
 
 def _lambdas(values):
@@ -408,7 +402,7 @@ def _lambdas(values):
 
 
 def _check_finite(problem, lams, *arrays):
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise IntegrationFailure(
             f"components overflowed during integration (mass={problem.mass}, "
             f"lambda range [{lams.min():.6g}, {lams.max():.6g}])")
@@ -444,113 +438,117 @@ def _end_angle(problem, lams):
 
 def _block_level(problem, lams, mesh):
     """log2 of the steps per block over which the angle is unwrapped: the
-    largest power of two whose blocks turn the angle by at most
-    _BLOCK_TURN, from |theta'| <= |lambda| + max|V| + |m| and the widest
-    step of the mesh."""
-    rate = float(np.max(np.abs(lams))) + float(np.max(np.abs(mesh.vbar))) \
-        + abs(problem.mass)
-    h = float(mesh.h.max())
-    steps = _BLOCK_TURN / (h * rate) if rate > 0 else mesh.vbar.size
-    if steps < 1:
+    largest power of two whose blocks, at the widest step of the mesh, hold
+    |m| times their width to at most _BLOCK_TURN.  Raises
+    RotationLimitExceeded where one step may turn the angle by more than
+    _BLOCK_TURN, from |theta'| <= |lambda| + max|V| + |m|."""
+    n = mesh.vbar.size
+    h = mesh.h_max
+    rate = float(np.abs(lams).max()) + mesh.v_max + abs(problem.mass)
+    if h * rate > _BLOCK_TURN:
         raise RotationLimitExceeded(
-            f"lambda = {float(np.max(np.abs(lams))):.6g}: one step of the "
-            f"{mesh.vbar.size}-step mesh may turn the Prufer angle by "
-            f"{h * rate:.3g} rad, more than the {_BLOCK_TURN:.3g} rad the "
-            f"rotation count allows; increase the number of steps")
-    return min(int(steps), mesh.vbar.size).bit_length() - 1
+            f"lambda = {float(np.abs(lams).max()):.6g}: one step of the "
+            f"{n}-step mesh may turn the Prufer angle by {h * rate:.3g} rad, "
+            f"more than the {_BLOCK_TURN:.3g} rad a step may turn; increase "
+            "the number of steps")
+    steps = _BLOCK_TURN / (h * abs(problem.mass)) if problem.mass else n
+    return min(int(steps), n).bit_length() - 1
 
 
-def _rotation(problem, lams, blocks, y1, y2, y1_pi, y2_pi):
-    """Unwrapped theta(pi) from the products of consecutive blocks of steps,
-    each turning the angle by less than pi: the turns between block ends
-    sum to theta(pi) up to roundoff, which fixes its 2 pi branch; the value
-    within the branch is the angle of the terminal state (y1_pi, y2_pi)."""
-    s11, s12, s21, s22 = _scan(blocks)
-    ends = _angle(s11 * y1 + s12 * y2, s21 * y1 + s22 * y2)
-    start = _start_angle(problem, lams, y1, y2)
-    turns = np.diff(ends, axis=0, prepend=start[None, :])
-    turns -= 2 * math.pi * np.round(turns / (2 * math.pi))
-    end = _angle(y1_pi, y2_pi)
-    return end + 2 * math.pi * np.round((start + turns.sum(axis=0) - end)
-                                        / (2 * math.pi))
+def _rotation(problem, lams, mesh, level, starts, y_pi):
+    """Unwrapped theta(pi) from the states at the starts of the consecutive
+    blocks of 2**level steps, shape (2, blocks, lambdas).
+
+    On a step the Prufer angle obeys theta' = lambda - vbar + m cos(2 theta)
+    - (g / h) sin(2 theta), so over a block it turns by the sum of
+    h (lambda - vbar) up to |m| times the block's width, which
+    ``_block_level`` keeps below _BLOCK_TURN, plus the commutator term.
+    The difference of the angles at a block's ends, less that sum, thus
+    wraps across the branch cut of atan2 as often as it is nearest a
+    multiple of 2 pi, and those wraps fix the 2 pi branch of the angle of
+    the terminal state y_pi."""
+    first = np.arange(0, mesh.h.size, 1 << level)
+    drift = np.add.reduceat(mesh.h, first)[:, None] * lams \
+        - np.add.reduceat(mesh.h * mesh.vbar, first)[:, None]
+    marks = _angle(*np.concatenate((starts, y_pi[:, None]), axis=1))
+    marks[0] = _start_angle(problem, lams, *starts[:, 0])
+    turns = marks[1:] - marks[:-1] - drift
+    return marks[-1] - 2 * math.pi * np.round(turns / (2 * math.pi)).sum(axis=0)
 
 
 def _terminal(problem, lams, mesh, angle=False):
     """(y1, y2) at x = pi for every lambda, and with ``angle`` the unwrapped
     Prufer angle theta(pi) as a third array.
 
-    The step matrices are multiplied by the full pairwise tree over the mesh
-    padded with identity steps to a power of two, so each lambda's result
-    does not depend on the batch it is computed in.  The steps are taken in
-    aligned power-of-two chunks of about _CHUNK_ENTRIES step-lambda entries
-    (``_chunk``), or in one chunk if its padded tables hold at most
-    _ONE_CHUNK_ENTRIES entries: each chunk builds its matrices in
-    bit-reversed step order, padded with identity steps to a power of two
-    where the mesh ends, and halves them on contiguous operands.  On a
-    mesh of several chunks, a chunk stops halving before its products hold
-    fewer than _TAIL_ENTRIES entries, and ``_reduce`` finishes the tree over
-    all chunks at once.
-    Neither the chunk width nor where a chunk stops changes the tree.  For
-    the angle the halving pauses at the tree level whose blocks turn the
-    angle by at most _BLOCK_TURN (``_block_level``) and keeps those block
-    products in natural order; the tree and so the terminal state are
-    unchanged, and theta(pi) is bitwise the same for every such level,
-    chunk width and batch.
+    The step matrices are multiplied by the full pairwise tree over the
+    mesh: in one chunk if their tables hold at most _CHUNK_ENTRIES
+    step-lambda entries, else in aligned power-of-two chunks of at most that
+    many (``_chunk``), each of which stops halving before its products hold
+    fewer than _TAIL_ENTRIES entries; ``_halve`` finishes the tree over all
+    chunks at once.  For the angle the halving pauses at the level of
+    ``_block_level``, ``_tree`` finishes the tree, and its down-sweep
+    (``_descend``) gives the block starts to ``_rotation``.  Neither the
+    chunk width, nor where a chunk stops, nor the level changes the tree,
+    so y(pi) and theta(pi) are bitwise the same for a lambda in any batch.
     """
     lams = _lambdas(lams)
     n = mesh.vbar.size
-    # the largest power of two of steps, up to n, whose tables fit _CHUNK_ENTRIES
-    width = 1 << (min(n, max(1, _CHUNK_ENTRIES // lams.size)).bit_length() - 1)
-    if (1 << (n - 1).bit_length()) * lams.size <= _ONE_CHUNK_ENTRIES:
-        width = 1 << (n - 1).bit_length()
-    inner = width.bit_length() - 1
+    # one chunk if the tables fit _CHUNK_ENTRIES, else chunks of the largest
+    # power of two of steps that fits
+    width = n if n * lams.size <= _CHUNK_ENTRIES else \
+        1 << (max(1, _CHUNK_ENTRIES // lams.size).bit_length() - 1)
+    inner = (width - 1).bit_length()
     if n > width:
         inner = max(0, inner - ((_TAIL_ENTRIES - 1) // lams.size).bit_length())
     if angle:
         level = _block_level(problem, lams, mesh)
         inner = min(level, inner)
     with np.errstate(over="ignore", invalid="ignore"):
-        chunks = [_chunk(problem, lams, mesh, s, min(width, n - s), inner)
-                  for s in range(0, n, width)]
-        blocks = [np.concatenate(c) for c in zip(*chunks)]
+        blocks = np.concatenate([_chunk(problem, lams, mesh, s, min(width, n - s),
+                                        inner) for s in range(0, n, width)], axis=2)
+        blocks = blocks[:, :, _order(blocks.shape[2])[0]]
+        y0 = _initial_state(problem, lams)
         if angle:
-            blocks = _reduce(blocks, level - inner)
-        q11, q12, q21, q22 = (x[0] for x in _reduce(blocks))
-        y1, y2 = _initial_state(problem, lams)
-        y1_pi = q11 * y1 + q12 * y2
-        y2_pi = q21 * y1 + q22 * y2
-        terms = np.maximum(np.abs(q11 * y1) + np.abs(q12 * y2),
-                           np.abs(q21 * y1) + np.abs(q22 * y2))
+            tree = _tree(_halve(blocks, level - inner))
+            q = tree[-1][:, :, 0]
+        else:
+            q = _halve(blocks)[:, :, 0]
+        a, b = q[:, 0] * y0[0], q[:, 1] * y0[1]
+        y_pi = a + b
+        terms = (np.abs(a) + np.abs(b)).max(axis=0)
         if angle:
-            theta = _rotation(problem, lams, blocks, y1, y2, y1_pi, y2_pi)
-    _check_finite(problem, lams, y1_pi, y2_pi)
-    lost = np.hypot(y1_pi, y2_pi) < _CANCELLATION * terms
+            starts = _descend(tree, y0)[:, _order(tree[0].shape[2])[1]]
+            theta = _rotation(problem, lams, mesh, level, starts, y_pi)
+    _check_finite(problem, lams, y_pi)
+    lost = np.hypot(*y_pi) < _CANCELLATION * terms
     if lost.any():
         raise IntegrationFailure(
             f"the state at pi cancelled to below {_CANCELLATION:g} of its terms "
             f"at lambda = {lams[lost][0]:.6g}: shooting from x = 0 cannot "
             "resolve a solution that decays from x = 0 across a mass gap")
     if not angle:
-        return y1_pi, y2_pi
+        return y_pi[0], y_pi[1]
     _check_finite(problem, lams, theta)
-    return y1_pi, y2_pi, theta
+    return y_pi[0], y_pi[1], theta
 
 
 def _trajectory(problem, lam, mesh):
-    """The Trajectory at one spectral parameter, from the prefix products of
-    the step matrices."""
+    """The Trajectory at one spectral parameter: the states at the mesh nodes
+    from the down-sweep over the pairwise tree of the step matrices, and the
+    last one from the product of all, bitwise ``_terminal``'s y(pi)."""
     lams = _lambdas(float(lam))
-    n = mesh.vbar.size
-    out = np.empty((n + 1, 2))
+    order, inverse = _order(mesh.vbar.size)
+    out = np.empty((2, mesh.x.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        q11, q12, q21, q22 = _scan(_entries(problem.mass, mesh.h, mesh.vbar,
-                                            mesh.g, lams))
-        y1, y2 = _initial_state(problem, lams)
-        out[0] = y1[0], y2[0]
-        out[1:, 0] = q11 * y1 + q12 * y2
-        out[1:, 1] = q21 * y1 + q22 * y2
+        tree = _tree(_entries(problem.mass, *(a[order][:, None] for a in mesh[:3]),
+                              lams))
+        y0 = _initial_state(problem, lams)
+        q = tree[-1][:, :, 0]
+        for row, states in zip(out, _descend(tree, y0)[:, :, 0]):
+            np.take(states, inverse, out=row[:-1])
+        out[:, -1] = (q[:, 0] * y0[0] + q[:, 1] * y0[1])[:, 0]
     _check_finite(problem, lams, out)
-    return Trajectory(mesh.x, out)
+    return Trajectory(mesh.x, out.T)
 
 
 def integrate(problem: DiracProblem, lam: float,
@@ -630,34 +628,35 @@ def _illinois(f, lo, hi, f_lo, f_hi, tolerance, max_evals, describe,
     slopes = np.empty(lo.size)
     for evals in itertools.count():
         mid = 0.5 * (lo + hi)
-        done = (hi - lo <= tolerance) | ~((lo < mid) & (mid < hi)) | (f_hi == 0.0)
+        width = hi - lo
+        done = (width <= tolerance) | ~((lo < mid) & (mid < hi)) | (f_hi == 0.0)
         if done.any():
             roots[open_[done]] = np.where(
-                f_hi == 0.0, hi, lo + (hi - lo) * (f_lo / (f_lo - f_hi)))[done]
-            slopes[open_[done]] = ((f_hi - f_lo) / (hi - lo))[done]
-            (open_, lo, hi, f_lo, f_hi, g_lo, g_hi, kept, width_1, width_2,
-             width_3, mid) = (v[~done] for v in (
-                 open_, lo, hi, f_lo, f_hi, g_lo, g_hi, kept, width_1, width_2,
-                 width_3, mid))
-            if not open_.size:
+                f_hi == 0.0, hi, lo + width * (f_lo / (f_lo - f_hi)))[done]
+            slopes[open_[done]] = ((f_hi - f_lo) / width)[done]
+            if done.all():
                 return (roots, slopes) if with_slopes else roots
+            (open_, lo, hi, f_lo, f_hi, g_lo, g_hi, kept, width_1, width_2,
+             width_3, mid, width) = (v[~done] for v in (
+                 open_, lo, hi, f_lo, f_hi, g_lo, g_hi, kept, width_1, width_2,
+                 width_3, mid, width))
         if evals == max_evals:
             raise IterationFailure(
                 f"root not within {tolerance:g} after {max_evals} evaluations: "
                 + ", ".join(describe(k) for k in open_))
-        width = hi - lo
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.clip(lo + width * (g_lo / (g_lo - g_hi)),
-                        lo + 0.5 * tolerance, hi - 0.5 * tolerance)
+            x = lo + width * (g_lo / (g_lo - g_hi))
+        x = np.minimum(np.maximum(x, lo + 0.5 * tolerance), hi - 0.5 * tolerance)
         x = np.where((width <= 0.5 * width_3) & (lo < x) & (x < hi), x, mid)
         fx = f(x, open_)
 
         width_1, width_2, width_3 = width, width_1, width_2
         move_lo = np.sign(fx) == np.sign(f_lo)
         # Illinois: an end kept for a second step in a row has its weight halved
-        g_hi = np.where(move_lo, np.where(kept > 0, 0.5 * g_hi, g_hi), fx)
-        g_lo = np.where(move_lo, fx, np.where(kept < 0, 0.5 * g_lo, g_lo))
-        kept = np.where(move_lo, 1.0, -1.0)
+        last, kept = kept, np.where(move_lo, 1.0, -1.0)
+        scale = np.where(last == kept, 0.5, 1.0)
+        g_hi = np.where(move_lo, g_hi * scale, fx)
+        g_lo = np.where(move_lo, fx, g_lo * scale)
         f_lo = np.where(move_lo, fx, f_lo)
         f_hi = np.where(move_lo, f_hi, fx)
         lo = np.where(move_lo, x, lo)
@@ -795,7 +794,7 @@ def _start_levels(problem, seeds, levels, mesh):
     one step turns the angle at the seed by at most _START_TURN, from
     |theta'| <= |lambda| + max|V| + |m| with max|V| sampled on ``mesh``;
     the finest mesh where none does.  Breakpoints only narrow the steps."""
-    rate = np.abs(seeds) + float(np.max(np.abs(mesh.vbar))) + abs(problem.mass)
+    rate = np.abs(seeds) + mesh.v_max + abs(problem.mass)
     fits = np.array([math.pi / n for n in levels])[:, None] * rate <= _START_TURN
     fits[-1] = True
     return np.argmax(fits, axis=0)
@@ -967,11 +966,8 @@ def extract_nodes(problem: DiracProblem, rec: EigenRecord, component: int,
             x0 = xs[cells[open_]]
             y1, y2 = traj[cells[open_]].T
             h = x - x0
-            p11, p12, p21, p22 = _entries(problem.mass, h,
-                                          *_sample(problem, x0, h), rec.lam)
-            if component == 1:
-                return p11 * y1 + p12 * y2
-            return p21 * y1 + p22 * y2
+            p = _entries(problem.mass, h, *_sample(problem, x0, h), rec.lam)
+            return p[component - 1, 0] * y1 + p[component - 1, 1] * y2
 
         nodes.extend(_illinois(
             comp_at, xs[cells], xs[cells + 1], comp[cells], comp[cells + 1],

@@ -1,18 +1,20 @@
 """Reconstruction: index map, step functions, limit formulas, L1 machinery."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import canonical_pd
+from conftest import canonical_pd, cli_env
 from dirac_nodal import (Classical, DiracProblem, DomainError, InputError,
                          NodalSet, ReconstructionMode, StepFunction, jn_index,
                          l1_distance, l1_error, local_average_limit,
                          make_potential_sampled, named_potential,
-                         reconstruct_step)
+                         reconstruct_step, reconstruction)
 
 PI = math.pi
 
@@ -284,3 +286,35 @@ class TestL1Distance:
         a = named_potential("constant", c=1.0)
         b = named_potential("zero")
         assert l1_distance(a, b, shift_a=1.0) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestEdgeUnion:
+    def test_matches_union1d(self):
+        # bitwise the edges np.union1d gives: uniform nodes with breakpoints
+        # on and off them, a sampled grid, duplicates and the ends
+        uniform = np.linspace(0.0, PI, 4097)
+        grid = np.linspace(0.0, PI, 401)
+        steps = np.array([0.0, 0.3, 1.0, PI / 4, 1.0, PI])
+        cases = [(uniform, np.array([1.0])), (uniform, np.array([PI / 4, PI / 4])),
+                 (uniform, grid[1:-1]), (steps, uniform), (grid, uniform),
+                 (np.array([]), np.array([2.0, -0.0, 0.0]))]
+        for a, b in cases:
+            got, ref = reconstruction._union(a, b), np.union1d(a, b)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    def test_l1_paths_do_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on first use, which a CLI process pays
+        # for at every start
+        code = (
+            "import math, sys\n"
+            "from dirac_nodal import (StepFunction, l1_distance, l1_error,\n"
+            "                         make_potential_sampled, named_potential)\n"
+            "step = named_potential('step', a=1.0, height=2.0)\n"
+            "l1_error(StepFunction([0.0, 1.0, math.pi], [0.5, 1.5]), step)\n"
+            "l1_error(StepFunction([0.0, math.pi], [0.5]),\n"
+            "         make_potential_sampled([0.0, 1.0, 0.0]))\n"
+            "l1_distance(named_potential('sin2x'), step)\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+        res = subprocess.run([sys.executable, "-c", code], env=cli_env(),
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr

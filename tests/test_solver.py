@@ -83,8 +83,8 @@ def bisect_nodes(problem, lam, component, n_steps, iters=44):
         mid = 0.5 * (lo + hi)
         h = mid - x0
         p = solver_mod._entries(problem.mass, h, *solver_mod._sample(problem, x0, h), lam)
-        row = 2 * (component - 1)   # P11, P12 or P21, P22
-        f_mid = p[row] * y1 + p[row + 1] * y2
+        row = p[component - 1]   # P11, P12 or P21, P22
+        f_mid = row[0] * y1 + row[1] * y2
         left = f_lo * f_mid <= 0.0
         hi = np.where(left, mid, hi)
         lo = np.where(left, lo, mid)
@@ -594,6 +594,19 @@ class TestRotationLabels:
         assert np.max(np.abs(theta - along)) <= 1e-9
         assert np.all(np.diff(theta) > 0)
 
+    @pytest.mark.parametrize("args", [HEAVY, STRONG],
+                             ids=["heavy_mass", "strong_potential"])
+    def test_angle_matches_trajectory_over_many_blocks(self, args):
+        # with m = 10 the angle is unwrapped over 32 blocks of 128 steps
+        p = DiracProblem(*args)
+        mesh = solver_mod._mesh(p, 4096)
+        assert solver_mod._block_level(p, [0.0], mesh) == 7
+        lams = np.linspace(-45.0, 45.0, 31)
+        _, _, theta = solver_mod._terminal(p, lams, mesh, angle=True)
+        along = [trajectory_angles(p, lam, 4096)[0][-1] for lam in lams]
+        assert np.max(np.abs(theta - along)) <= 1e-9
+        assert np.all(np.diff(theta) > 0)
+
     @pytest.mark.parametrize("args", [HEAVY, SIN_CLASSICAL])
     def test_no_scan(self, args, monkeypatch):
         sizes = count_terminal(monkeypatch)
@@ -688,21 +701,21 @@ class TestExtractNodes:
             extract_nodes(p, rec, 1, FAST)
 
 
-def loop_reference(problem, lams, n_steps):
-    """States at every mesh node, shape (n_steps + 1, 2, K), by a plain
-    per-step loop: step tables with both branches of cosh/cos and sinh/sin
-    evaluated everywhere, then one matrix-vector product per step."""
+def loop_reference(problem, lams, mesh):
+    """States at every node of the mesh, shape (N + 1, 2, K) for N steps of
+    any widths, by a plain per-step loop: step tables with both branches of
+    cosh/cos and sinh/sin evaluated everywhere, then one matrix-vector
+    product per step."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     m = problem.mass
-    h = PI / n_steps
-    x0 = np.arange(n_steps) * h
+    h, x0 = mesh.h, mesh.x[:-1]
     v_lo = problem.potential(x0 + (0.5 - math.sqrt(3.0) / 6.0) * h)
     v_hi = problem.potential(x0 + (0.5 + math.sqrt(3.0) / 6.0) * h)
     vbar = 0.5 * (v_lo + v_hi)
     g = ((math.sqrt(3.0) / 6.0) * m * h * h * (v_hi - v_lo))[:, None]
     w = lams[None, :] - vbar[:, None]
-    bb = -h * (w + m)
-    cc = h * (w - m)
+    bb = -h[:, None] * (w + m)
+    cc = h[:, None] * (w - m)
     s2 = g * g + bb * cc
     t = np.sqrt(np.abs(s2))
     ec = np.where(s2 > 0, np.cosh(t), np.cos(t))
@@ -712,9 +725,9 @@ def loop_reference(problem, lams, n_steps):
     es = np.where(small, 1.0 + s2 / 6.0, es)
     p11, p12, p21, p22 = ec - es * g, es * bb, es * cc, ec + es * g
 
-    out = np.empty((n_steps + 1, 2, lams.size))
+    out = np.empty((h.size + 1, 2, lams.size))
     out[0] = solver_mod._initial_state(problem, lams)
-    for i in range(n_steps):
+    for i in range(h.size):
         y1, y2 = out[i]
         out[i + 1, 0] = p11[i] * y1 + p12[i] * y2
         out[i + 1, 1] = p21[i] * y1 + p22[i] * y2
@@ -726,11 +739,18 @@ KERNEL_PROBLEMS = {
     "pd_example": (0.5, named_potential("sin2x"), canonical_pd(0.4, 0.5)),
     "poly_m6": (6.0, named_potential("poly", coeffs=[1.0, -2.0, 0.5]),
                 Classical(0.2, 0.9)),
+    # the jump at x = 1 is a mesh node off the uniform ones: steps of two widths
+    "step_off_mesh": (0.5, named_potential("step", a=1.0, height=2.0),
+                      Classical(0.3, 0.7)),
 }
+
+# 400 cells: on 1024 and 4096 uniform steps the mesh has 1408 and 4480 steps
+SAMPLED = (0.5, make_potential_sampled(np.sin(np.linspace(0.0, PI, 401))),
+           Classical(0.3, 0.7))
 
 
 class TestPropagationKernel:
-    """The pairwise product and prefix scan against the sequential loop."""
+    """The pairwise tree and its down-sweep against the sequential loop."""
 
     @pytest.mark.parametrize("n_steps", [1000, 4096, 4097])
     @pytest.mark.parametrize("label", sorted(KERNEL_PROBLEMS))
@@ -740,9 +760,9 @@ class TestPropagationKernel:
         lams = np.linspace(-p.mass - 6.0, p.mass + 40.0, 494)
         inside, outside = 0.3 * p.mass, p.mass + 12.5
         assert abs(inside) < p.mass < abs(outside)
-        ref = loop_reference(p, np.concatenate([lams, [inside, outside]]), n_steps)
-        scale = np.max(np.abs(ref), axis=(0, 1))   # max |y| per lambda
         mesh = solver_mod._mesh(p, n_steps)
+        ref = loop_reference(p, np.concatenate([lams, [inside, outside]]), mesh)
+        scale = np.max(np.abs(ref), axis=(0, 1))   # max |y| per lambda
 
         y1, y2 = solver_mod._terminal(p, lams, mesh)
         err = np.maximum(np.abs(y1 - ref[-1, 0, :-2]), np.abs(y2 - ref[-1, 1, :-2]))
@@ -753,8 +773,25 @@ class TestPropagationKernel:
             assert abs(y1[0] - ref[-1, 0, k]) <= 1e-11 * scale[k]
             assert abs(y2[0] - ref[-1, 1, k]) <= 1e-11 * scale[k]
             xs, traj = solver_mod._trajectory(p, lam, mesh)
-            assert xs.size == n_steps + 1 and xs[-1] == pytest.approx(PI)
+            assert np.array_equal(xs, mesh.x) and xs[-1] == pytest.approx(PI)
             assert np.max(np.abs(traj - ref[:, :, k])) <= 1e-11 * scale[k]
+
+    @pytest.mark.parametrize("args,n_steps,size", [
+        (KERNEL_PROBLEMS["pd_example"], 64, 64),
+        (KERNEL_PROBLEMS["pd_example"], 1000, 1000),
+        (KERNEL_PROBLEMS["pd_example"], 4096, 4096),
+        (KERNEL_PROBLEMS["pd_example"], 4097, 4097),
+        (SAMPLED, 1024, 1408), (SAMPLED, 4096, 4480)],
+        ids=["64", "1000", "4096", "4097", "sampled_1408", "sampled_4480"])
+    def test_trajectory_ends_at_terminal_state(self, args, n_steps, size):
+        # one tree: the down-sweep's last state is the product of all steps
+        p = DiracProblem(*args)
+        mesh = solver_mod._mesh(p, n_steps)
+        assert mesh.h.size == size
+        for lam in (-3.7, 0.2, 7.3, 38.9):
+            _, traj = solver_mod._trajectory(p, lam, mesh)
+            y1, y2 = solver_mod._terminal(p, [lam], mesh)
+            assert traj[-1, 0] == y1[0] and traj[-1, 1] == y2[0]
 
     @pytest.mark.parametrize("label", sorted(KERNEL_PROBLEMS))
     def test_batch_invariance(self, label):
@@ -780,12 +817,19 @@ class TestPropagationKernel:
 
 
 def tree_reference(problem, lams, mesh):
-    """(y1, y2) at pi from _reduce over the step matrices in natural order."""
+    """(y1, y2) at pi from the pairwise tree over the step matrices in natural
+    order: matrices 2j and 2j + 1 paired at each level, an unpaired last one
+    carried up."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    q = solver_mod._reduce(solver_mod._entries(problem.mass, mesh.h[:, None],
-                                               mesh.vbar[:, None], mesh.g[:, None], lams))
+    p = solver_mod._entries(problem.mass, mesh.h[:, None], mesh.vbar[:, None],
+                            mesh.g[:, None], lams)
+    while p.shape[2] > 1:
+        even = p.shape[2] // 2 * 2
+        p = np.concatenate((solver_mod._mul(p[:, :, 1:even:2], p[:, :, 0:even:2]),
+                            p[:, :, even:]), axis=2)
+    q = p[:, :, 0]
     y1, y2 = solver_mod._initial_state(problem, lams)
-    return q[0][0] * y1 + q[1][0] * y2, q[2][0] * y1 + q[3][0] * y2
+    return q[0, 0] * y1 + q[0, 1] * y2, q[1, 0] * y1 + q[1, 1] * y2
 
 
 def count_trig(monkeypatch):
@@ -803,7 +847,7 @@ def count_trig(monkeypatch):
 
 
 class TestStepKernel:
-    """The series step exponential and the bit-reversed chunk tree."""
+    """The series step exponential and the chunk tree in ``_order``."""
 
     def test_series_matches_trig(self):
         limit = solver_mod._SERIES_LIMIT
@@ -850,17 +894,15 @@ class TestStepKernel:
             mesh = solver_mod._mesh(p, n_steps)
             monkeypatch.undo()
             ref = tree_reference(p, lams, mesh)
-            # the default constants, which take a mesh of at most 2048 padded
-            # entries as one chunk
+            # the default constants, which take each of these meshes as one
+            # chunk
             y1, y2, theta = solver_mod._terminal(p, lams, mesh, angle=True)
             assert np.array_equal(y1, ref[0]) and np.array_equal(y2, ref[1])
             y1, y2 = solver_mod._terminal(p, lams, mesh)
             assert np.array_equal(y1, ref[0]) and np.array_equal(y2, ref[1])
-            # a tail of 1 entry: every chunk is halved to one product, so
-            # identity steps padding a partial last chunk enter the tree
-            # no mesh is taken as one chunk for being small, so that every
-            # chunk width is tried
-            monkeypatch.setattr(solver_mod, "_ONE_CHUNK_ENTRIES", 0)
+            # every chunk width; with a tail of 1 entry every chunk is halved
+            # to one product, so a partial last chunk carries its unpaired
+            # steps up inside the chunk
             for tail, bits in itertools.product((1, solver_mod._TAIL_ENTRIES), range(13)):
                 monkeypatch.setattr(solver_mod, "_TAIL_ENTRIES", tail)
                 monkeypatch.setattr(solver_mod, "_CHUNK_ENTRIES", len(lams) << bits)
