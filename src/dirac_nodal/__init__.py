@@ -19,8 +19,9 @@ from .model import (Classical, DiracProblem, EigenRecord, GridSequence,
                     make_potential_sampled)
 from .potentials import named_potential, potential_from_json, potential_to_json
 from .solver import (EigenSearchConfig, IntegratorConfig, Trajectory,
-                     characteristic, extract_nodes, find_eigenvalue,
-                     find_eigenvalues, integrate, node_count_prediction)
+                     characteristic, extract_nodal_sets, extract_nodes,
+                     find_eigenvalue, find_eigenvalues, integrate,
+                     node_count_prediction)
 from .asymptotics import (AsymptoticConstants, eigenfunction_asym, lambda_asym,
                           lambda_inverse_asym, mean_shift, nodal_length_asym,
                           nodal_point_asym, nodal_point_series)

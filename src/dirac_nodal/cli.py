@@ -105,9 +105,15 @@ def _spectrum_records(cfg: LoadedConfig, indices):
 
 
 def _nodal_sets(cfg: LoadedConfig, records, component):
-    integrator = cfg.solver.integrator()
-    return [solver.extract_nodes(cfg.problem, rec, component, integrator)
-            for rec in records]
+    return solver.extract_nodal_sets(cfg.problem, records, (component,),
+                                     cfg.solver.integrator())
+
+
+def _window(n_min, n_max):
+    """The indices n_min..n_max; an empty window is an input error."""
+    if n_max < n_min:
+        raise InputError("--n-max must be at least --n-min")
+    return range(n_min, n_max + 1)
 
 
 @click.group()
@@ -125,12 +131,9 @@ def main():
 def spectrum(problem_path, n_min, n_max, out_path):
     """Eigenvalues over an index range; CSV columns n, lambda, residual,
     steps, error_estimate."""
+    window = _window(n_min, n_max)
     cfg = load_config(problem_path)
-    if n_max < n_min:
-        raise InputError("--n-max must be at least --n-min")
-    indices = list(range(n_min, n_max + 1))
-    indices = [n for n in indices if n != 0]
-    records = _spectrum_records(cfg, indices)
+    records = _spectrum_records(cfg, [n for n in window if n != 0])
     rows = [[str(r.index), _fmt(r.lam), _fmt(r.residual), str(r.steps),
              _fmt(r.error_estimate)] for r in records]
     _write_csv(out_path, f"config={cfg.hash[:12]}",
@@ -148,7 +151,7 @@ def nodes(problem_path, index, component, out_path):
     cfg = load_config(problem_path)
     rec = solver.find_eigenvalue(cfg.problem, index, cfg.solver.integrator(),
                                  cfg.solver.search())
-    nodal = solver.extract_nodes(cfg.problem, rec, component, cfg.solver.integrator())
+    (nodal,) = _nodal_sets(cfg, [rec], component)
     lengths = nodal.lengths
     rows = []
     for j, x in enumerate(nodal.points, start=1):
@@ -176,7 +179,7 @@ def reconstruct(problem_path, index, mode_tag, lambda_source, out_path):
         lambda_source=lambda_source or cfg.mode.lambda_source)
     rec = solver.find_eigenvalue(cfg.problem, index, cfg.solver.integrator(),
                                  cfg.solver.search())
-    nodal = solver.extract_nodes(cfg.problem, rec, 1, cfg.solver.integrator())
+    (nodal,) = _nodal_sets(cfg, [rec], 1)
     step = reconstruct_step(nodal, cfg.problem, mode, lam=rec.lam)
     adjust = mode.lambda_source == "integer_seed"
     boundary = cfg.problem.boundary
@@ -205,6 +208,7 @@ def reconstruct(problem_path, index, mode_tag, lambda_source, out_path):
 @_guard
 def stability_cmd(path_a, path_b, n_min, n_max, out_path):
     """Stability-identity table for two problems sharing mass and boundary."""
+    window = _window(n_min, n_max)
     cfg_a = load_config(path_a)
     cfg_b = load_config(path_b)
     if cfg_a.problem.boundary != cfg_b.problem.boundary:
@@ -214,7 +218,7 @@ def stability_cmd(path_a, path_b, n_min, n_max, out_path):
     report = stability.stability_identity_report(
         cfg_a.problem.potential, cfg_b.problem.potential,
         cfg_a.problem.boundary, cfg_a.problem.mass,
-        range(n_min, n_max + 1),
+        window,
         integrator=cfg_a.solver.integrator(),
         search=cfg_a.solver.search())
     rows = []
@@ -254,9 +258,9 @@ def stability_cmd(path_a, path_b, n_min, n_max, out_path):
 @_guard
 def validate_asymptotics(problem_path, n_min, n_max, out_path):
     """Compare solver output with the closed-form expansions over a window."""
+    window = _window(n_min, n_max)
     cfg = load_config(problem_path)
-    indices = [n for n in range(n_min, n_max + 1) if n != 0]
-    records = _spectrum_records(cfg, indices)
+    records = _spectrum_records(cfg, [n for n in window if n != 0])
     nodal_sets = _nodal_sets(cfg, records, 1)
     problem = cfg.problem
     alpha = problem.boundary.alpha
@@ -310,6 +314,7 @@ def validate_asymptotics(problem_path, n_min, n_max, out_path):
 def quasinodal_check_cmd(problem_path, n_min, n_max, grid_file,
                          admissibility_constant, out_path):
     """Quasinodal admissibility report for a grid sequence."""
+    window = _window(n_min, n_max)
     cfg = load_config(problem_path)
     if grid_file is not None:
         with open(grid_file, "r", encoding="utf-8") as fh:
@@ -318,10 +323,10 @@ def quasinodal_check_cmd(problem_path, n_min, n_max, grid_file,
             raise CaseMismatch(
                 f"grid sequence is case {seq.case} but the problem is case "
                 f"{cfg.problem.case}")
-        indices = [n for n in seq.indices() if n_min <= n <= n_max]
+        indices = [n for n in seq.indices() if n in window]
         seq = GridSequence(seq.case, {n: seq.row(n) for n in indices})
     else:
-        records = _spectrum_records(cfg, list(range(n_min, n_max + 1)))
+        records = _spectrum_records(cfg, list(window))
         nodal_sets = _nodal_sets(cfg, records, 1)
         seq = GridSequence.from_nodal_sets(nodal_sets, cfg.problem.case)
     report = stability.quasinodal_check(

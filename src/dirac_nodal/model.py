@@ -290,9 +290,7 @@ class EigenRecord:
 
 def _validated_points(points, lo=0.0, hi=DOMAIN_LENGTH):
     pts = _as_float_array(points, "points")
-    if pts.size == 0:
-        raise InputError("empty point list")
-    if not (pts[0] > lo and pts[-1] < hi):
+    if pts.size and not (pts[0] > lo and pts[-1] < hi):
         raise InputError("points must lie strictly inside (0, pi)")
     if pts.size > 1 and not np.all(np.diff(pts) > 0):
         raise InputError("points must be strictly increasing")
@@ -302,7 +300,8 @@ def _validated_points(points, lo=0.0, hi=DOMAIN_LENGTH):
 
 @dataclass(frozen=True)
 class NodalSet:
-    """Ordered interior zeros of one eigenfunction component.
+    """Ordered interior zeros of one eigenfunction component; empty for a
+    component without interior zeros.
 
     ``predicted_count`` carries the closed-form node-count prediction when
     one exists; it is recorded for comparison, never enforced.
@@ -348,7 +347,10 @@ class GridSequence:
         self.case = case
         store = {}
         for n, pts in rows.items():
-            store[int(n)] = _validated_points(pts)
+            row = _validated_points(pts)
+            if not row.size:
+                raise InputError(f"empty row for index {int(n)}")
+            store[int(n)] = row
         self._rows = store
 
     @classmethod

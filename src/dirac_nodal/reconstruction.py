@@ -110,7 +110,8 @@ def reconstruct_step(nodes: NodalSet, problem: DiracProblem,
     mode = mode or ReconstructionMode()
     pts = nodes.points
     if pts.size < 2:
-        raise InputError("reconstruction needs at least two nodal points")
+        raise InputError(f"reconstruction at index {nodes.index} needs at least "
+                         f"two nodal points, got {pts.size}")
     scale = _resolve_scale(nodes, problem, mode, lam)
     lengths = np.diff(pts)
     m = problem.mass

@@ -67,9 +67,17 @@ doubles the mesh of an index while that estimate exceeds
 ``lambda_tolerance``.  A state at pi that
 cancels to a tiny fraction of its terms, as for an eigenfunction decaying
 from x = 0 across a mass gap, raises IntegrationFailure instead of
-yielding a wrong root.  Nodes are bracketed by sign changes on the full
-mesh and refined by the same root finder on a partial Magnus step from the
-bracketing mesh node.
+yielding a wrong root.
+
+Nodes are extracted for many records and either or both components in one
+call, ``extract_nodal_sets``, on the full mesh, which it builds once; each
+record's trajectory is taken at its own lambda.  Every sign change between
+mesh nodes brackets a zero, and all brackets are refined together by a
+safeguarded Newton iteration on the partial Magnus step from the bracket's
+left mesh node.  Its derivative is exact from the ODE, y1' = (V - m -
+lambda) y2 and y2' = (lambda - V - m) y1, at the partial step's state, and
+a step that would leave the bracket is replaced by bisection.
+``extract_nodes`` is that call for one record and one component.
 """
 
 from __future__ import annotations
@@ -99,8 +107,14 @@ _GAUSS_HI = 0.5 + math.sqrt(3.0) / 6.0
 # zeros of a component that vanishes at the boundary; drop them.
 _ENDPOINT_GUARD = 1e-8
 
-# Bracket width at which a refined node is final.
+# A refined node is final once its Newton step delta has (|lambda| + max|V|
+# + |m|) delta**2 at most this, or its bracket is at most this wide.
 _NODE_TOLERANCE = 1e-14
+
+# Evaluations per node after which node refinement raises IterationFailure;
+# bisection alone narrows a step of pi / 64, the widest, to _NODE_TOLERANCE
+# in 43.
+_NODE_ITERATIONS = 44
 
 # Step-lambda entries per chunk of step tables in _terminal (a mesh whose
 # tables fit is one chunk): the chunk's temporaries (128 KiB per entry of
@@ -595,8 +609,7 @@ def characteristic(problem: DiracProblem, lam: float,
     return float(_characteristic_batch(problem, [float(lam)], mesh)[0])
 
 
-def _illinois(f, lo, hi, f_lo, f_hi, tolerance, max_evals, describe,
-              with_slopes=False):
+def _illinois(f, lo, hi, f_lo, f_hi, tolerance, max_evals, describe):
     """Roots of f in brackets [lo, hi] with f_lo * f_hi < 0, by a
     safeguarded Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971)
     vectorized over the brackets.
@@ -614,8 +627,8 @@ def _illinois(f, lo, hi, f_lo, f_hi, tolerance, max_evals, describe,
     bracket is that exact zero, or else the linear interpolant of its true
     end values.  A bracket still open after ``max_evals`` evaluations raises
     IterationFailure, naming the open brackets by ``describe(position)``.
-    With ``with_slopes`` it returns, beside the roots, the slope of the
-    secant of f across each final bracket.
+    Returns the roots and the slope of the secant of f across each final
+    bracket.
     """
     lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
     g_lo, g_hi = f_lo.copy(), f_hi.copy()   # Illinois-weighted end values
@@ -635,7 +648,7 @@ def _illinois(f, lo, hi, f_lo, f_hi, tolerance, max_evals, describe,
                 f_hi == 0.0, hi, lo + width * (f_lo / (f_lo - f_hi)))[done]
             slopes[open_[done]] = ((f_hi - f_lo) / width)[done]
             if done.all():
-                return (roots, slopes) if with_slopes else roots
+                return roots, slopes
             (open_, lo, hi, f_lo, f_hi, g_lo, g_hi, kept, width_1, width_2,
              width_3, mid, width) = (v[~done] for v in (
                  open_, lo, hi, f_lo, f_hi, g_lo, g_hi, kept, width_1, width_2,
@@ -779,7 +792,7 @@ def _refine(problem, seeds, slopes, mesh, tolerance, max_evals, describe):
                 "eigenvalue of the coarser mesh: "
                 + ", ".join(describe(k) for k in open_))
     roots, slopes = _illinois(_chi(problem, mesh), lo, hi, f_lo, f_hi,
-                              tolerance, max_evals, describe, with_slopes=True)
+                              tolerance, max_evals, describe)
     return roots, slopes, lo, hi
 
 
@@ -866,7 +879,7 @@ def find_eigenvalues(problem: DiracProblem, indices,
                                                   mesh, max_evals, describe)
             lam[new], slope[new] = _illinois(_chi(problem, mesh), b_lo, b_hi,
                                              chi_lo, chi_hi, tolerance, max_evals,
-                                             describe, with_slopes=True)
+                                             describe)
             shift = _characteristic_batch(problem, lam[new], mesh_of(n >> 1)) \
                 / slope[new]
             estimate[new] = np.where(np.isfinite(shift), np.abs(shift), np.inf)
@@ -931,65 +944,162 @@ def node_count_prediction(boundary, n: int, component: int) -> int:
     return n - 1
 
 
-def extract_nodes(problem: DiracProblem, rec: EigenRecord, component: int,
-                  cfg: IntegratorConfig | None = None,
-                  refine_iterations: int = 44) -> NodalSet:
-    """All interior zeros of one eigenfunction component.
+def _node_newton(problem, lams, rows, y0, lo, hi, f_lo, f_hi, rate, describe):
+    """Zeros of a solution component in the brackets [lo, hi], with f_lo *
+    f_hi < 0, by safeguarded Newton iteration vectorized over the brackets.
 
-    Nodes are bracketed on every node of the ``cfg.n_steps`` mesh.  Each is
-    refined by the eigenvalue search's root finder on a partial Magnus step
-    from the bracketing mesh node, to a bracket ``_NODE_TOLERANCE`` wide;
-    ``refine_iterations`` caps the evaluations per node, and a node still
-    open at the cap raises IterationFailure.
+    Bracket k belongs to a solution at ``lams[k]`` whose state at its left
+    end, a mesh node x0, is y0[:, k]; the component is y1 where ``rows[k]``
+    is 0 and y2 where it is 1.  The component at x is that of the partial
+    Magnus step from x0 (``_entries`` on the step [x0, x]), and its
+    derivative is exact from the ODE at that state: y1' = (V - m - lambda)
+    y2 and y2' = (lambda - V - m) y1.  The first iterate is the linear
+    interpolant of the end values.  Each evaluation replaces the end of the
+    bracket whose sign it shares, and a Newton step that would not land
+    strictly inside the new bracket, such as one from a zero derivative, is
+    replaced by bisection.  A bracket stops at an exact zero; at its next
+    Newton iterate x - delta, delta = f / f', once rate * delta**2 <=
+    _NODE_TOLERANCE (rate bounds |theta'|, so that is about the error left
+    after the step); or once it is at most _NODE_TOLERANCE wide or holds no
+    float strictly inside, at the linear interpolant of its end values.  Each bracket follows only its own
+    values, so its zero is bitwise independent of the batch.  A bracket
+    still open after _NODE_ITERATIONS evaluations raises IterationFailure,
+    naming it by ``describe(position)``.
     """
-    if component not in (1, 2):
+    m = problem.mass
+    first = rows == 0
+    sign = np.where(first, -1.0, 1.0)
+    x0 = lo
+    open_ = np.arange(lo.size)
+    roots = np.empty(lo.size)
+    x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+    x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+    for evals in itertools.count(1):
+        h = x - x0
+        p = _entries(m, h, *_sample(problem, x0, h), lams)
+        y1, y2 = p[:, 0] * y0[0] + p[:, 1] * y0[1]
+        f, other = np.where(first, y1, y2), np.where(first, y2, y1)
+        df = (sign * (lams - np.asarray(problem.potential(x), dtype=float)) - m) * other
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = f / df
+        step = x - delta
+        left = np.sign(f) == np.sign(f_lo)
+        lo, f_lo = np.where(left, x, lo), np.where(left, f, f_lo)
+        hi, f_hi = np.where(left, hi, x), np.where(left, f_hi, f)
+        mid = 0.5 * (lo + hi)
+        zero = f == 0.0
+        newton = rate * delta * delta <= _NODE_TOLERANCE
+        done = zero | newton | (hi - lo <= _NODE_TOLERANCE) | \
+            ~((lo < mid) & (mid < hi))
+        if done.any():
+            end = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+            end = np.where(newton, np.minimum(np.maximum(step, lo), hi), end)
+            roots[open_[done]] = np.where(zero, x, end)[done]
+            if done.all():
+                return roots
+            keep = ~done
+            open_, lams, first, sign, x0, rate, lo, hi, f_lo, f_hi, step, mid = (
+                v[keep] for v in (open_, lams, first, sign, x0, rate, lo, hi,
+                                  f_lo, f_hi, step, mid))
+            y0 = y0[:, keep]
+        if evals == _NODE_ITERATIONS:
+            raise IterationFailure(
+                f"node not within {_NODE_TOLERANCE:g} after {_NODE_ITERATIONS} "
+                "evaluations: " + ", ".join(describe(k) for k in open_))
+        x = np.where((lo < step) & (step < hi), step, mid)
+
+
+def extract_nodal_sets(problem: DiracProblem, records, components,
+                       cfg: IntegratorConfig | None = None) -> list[NodalSet]:
+    """All interior zeros of the given components of the eigenfunctions of
+    many records: one NodalSet per record and component, record by record,
+    in the order of ``components`` within a record.
+
+    The ``cfg.n_steps`` mesh is built once, and each record's trajectory is
+    taken on it at its own lambda.  Zeros are bracketed by the sign changes
+    between mesh nodes of every (record, component), and the brackets of all
+    of them are refined together by ``_node_newton``, so each record's nodes
+    are bitwise the same whether it is extracted alone or in any batch.
+    Zeros within _ENDPOINT_GUARD of an end are dropped, as are zeros within
+    1e-9 of the previous one.  A component that is identically zero,
+    or vanishes on three consecutive mesh nodes, raises DegenerateComponent.
+    """
+    components = tuple(components)
+    if not components or any(c not in (1, 2) for c in components):
         raise InputError("component must be 1 or 2")
     cfg = cfg or IntegratorConfig()
-    xs, traj = _trajectory(problem, rec.lam, _mesh(problem, cfg.n_steps))
-    comp = traj[:, component - 1]
+    records = list(records)
+    if not records:
+        return []
+    mesh = _mesh(problem, cfg.n_steps)
+    # per (record, component): its zeros on the mesh and its number of
+    # brackets; per bracket: its ends, end values, left state, lambda, row
+    zeros, counts = [], []
+    lo, hi, f_lo, f_hi, y0, lams, rows = ([] for _ in range(7))
+    for rec in records:
+        xs, traj = _trajectory(problem, rec.lam, mesh)
+        for component in components:
+            comp = traj[:, component - 1]
+            scale = float(np.max(np.abs(comp)))
+            if scale == 0.0:
+                raise DegenerateComponent(
+                    f"component {component} is identically zero")
+            near = np.abs(comp) <= 1e-12 * scale
+            if np.any(near[:-2] & near[1:-1] & near[2:]):
+                raise DegenerateComponent(
+                    f"component {component} vanishes on an interval of the grid")
+            solid = ~near
+            cells = np.flatnonzero(solid[:-1] & solid[1:]
+                                   & (comp[:-1] * comp[1:] < 0))
+            zeros.append(xs[1:-1][near[1:-1]])
+            counts.append(cells.size)
+            for out, value in ((lo, xs[cells]), (hi, xs[cells + 1]),
+                               (f_lo, comp[cells]), (f_hi, comp[cells + 1]),
+                               (y0, traj[cells].T)):
+                out.append(value)
+            lams.append(np.full(cells.size, float(rec.lam)))
+            rows.append(np.full(cells.size, component - 1))
+    lo, hi, f_lo, f_hi, lams, rows = (
+        np.concatenate(v) for v in (lo, hi, f_lo, f_hi, lams, rows))
+    owner = np.repeat(np.arange(len(counts)), counts)
 
-    scale = float(np.max(np.abs(comp)))
-    if scale == 0.0:
-        raise DegenerateComponent(f"component {component} is identically zero")
-    near = np.abs(comp) <= 1e-12 * scale
-    if np.any(near[:-2] & near[1:-1] & near[2:]):
-        raise DegenerateComponent(
-            f"component {component} vanishes on an interval of the grid")
+    def describe(k):
+        rec = records[owner[k] // len(components)]
+        return (f"eigenvalue index {rec.index} component {rows[k] + 1} node in "
+                f"[{lo[k]:.6g}, {hi[k]:.6g}]")
 
-    nodes = xs[1:-1][near[1:-1]].tolist()
+    roots = np.empty(0)
+    if lo.size:
+        rate = np.abs(lams) + mesh.v_max + abs(problem.mass)
+        roots = _node_newton(problem, lams, rows, np.concatenate(y0, axis=1),
+                             lo, hi, f_lo, f_hi, rate, describe)
+    sets = []
+    start = 0
+    for k, (exact, count) in enumerate(zip(zeros, counts)):
+        rec, component = records[k // len(components)], components[k % len(components)]
+        nodes = np.sort(np.concatenate((exact, roots[start:start + count])))
+        start += count
+        nodes = nodes[(nodes > _ENDPOINT_GUARD) & (nodes < math.pi - _ENDPOINT_GUARD)]
+        deduped = []
+        for x in nodes.tolist():
+            if not deduped or x - deduped[-1] > 1e-9:
+                deduped.append(x)
+        try:
+            predicted = node_count_prediction(problem.boundary, rec.index, component)
+        except (DomainError, UnsupportedPrediction):
+            predicted = None
+        result = NodalSet(rec.index, component, np.asarray(deduped),
+                          predicted_count=predicted)
+        if predicted is not None and result.count != predicted:
+            logger.debug("node count mismatch at n=%d component=%d: observed %d, "
+                         "predicted %d", rec.index, component, result.count,
+                         predicted)
+        sets.append(result)
+    return sets
 
-    solid = ~near
-    cells = np.nonzero(solid[:-1] & solid[1:] & (comp[:-1] * comp[1:] < 0))[0]
-    if cells.size:
-        def comp_at(x, open_):
-            """The component at x from the state at its cell's left node."""
-            x0 = xs[cells[open_]]
-            y1, y2 = traj[cells[open_]].T
-            h = x - x0
-            p = _entries(problem.mass, h, *_sample(problem, x0, h), rec.lam)
-            return p[component - 1, 0] * y1 + p[component - 1, 1] * y2
 
-        nodes.extend(_illinois(
-            comp_at, xs[cells], xs[cells + 1], comp[cells], comp[cells + 1],
-            _NODE_TOLERANCE, refine_iterations,
-            lambda k: (f"component {component} node in "
-                       f"[{xs[cells[k]]:.6g}, {xs[cells[k] + 1]:.6g}]")).tolist())
-
-    nodes.sort()
-    filtered = [x for x in nodes
-                if _ENDPOINT_GUARD < x < math.pi - _ENDPOINT_GUARD]
-    deduped = []
-    for x in filtered:
-        if not deduped or x - deduped[-1] > 1e-9:
-            deduped.append(x)
-
-    try:
-        predicted = node_count_prediction(problem.boundary, rec.index, component)
-    except (DomainError, UnsupportedPrediction):
-        predicted = None
-    result = NodalSet(rec.index, component, np.asarray(deduped),
-                      predicted_count=predicted)
-    if predicted is not None and result.count != predicted:
-        logger.debug("node count mismatch at n=%d component=%d: observed %d, "
-                     "predicted %d", rec.index, component, result.count, predicted)
-    return result
+def extract_nodes(problem: DiracProblem, rec: EigenRecord, component: int,
+                  cfg: IntegratorConfig | None = None) -> NodalSet:
+    """All interior zeros of one eigenfunction component:
+    ``extract_nodal_sets`` for one record and one component."""
+    return extract_nodal_sets(problem, [rec], (component,), cfg)[0]

@@ -229,8 +229,7 @@ def nodal_grid_sequence(problem: DiracProblem, indices, component: int = 1,
                         integrator=None, search=None) -> GridSequence:
     """Forward-solve the problem and collect nodal rows into a GridSequence."""
     records = solver.find_eigenvalues(problem, indices, integrator, search)
-    nodal_sets = [solver.extract_nodes(problem, rec, component, integrator)
-                  for rec in records]
+    nodal_sets = solver.extract_nodal_sets(problem, records, (component,), integrator)
     return GridSequence.from_nodal_sets(nodal_sets, problem.case)
 
 

@@ -218,7 +218,36 @@ class TestQuarterTurnShift:
         assert f"No such option '{flag}'" in res.output
 
 
+class TestIndexWindow:
+    @pytest.mark.parametrize("command", [
+        "spectrum", "stability", "validate-asymptotics", "quasinodal-check"])
+    def test_inverted_window_exits_2(self, tmp_path, command):
+        cfg = str(write_config(tmp_path, SIN_HALF))
+        problems = (["--problem-a", cfg, "--problem-b", cfg]
+                    if command == "stability" else ["--problem", cfg])
+        out = tmp_path / "out.csv"
+        res = run_cli(command, *problems, "--n-min", "12", "--n-max", "10",
+                      "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        payload = json.loads(res.stderr.strip().splitlines()[-1])
+        assert payload["type"] == "InputError"
+        assert "--n-max must be at least --n-min" in payload["message"]
+        assert not out.exists()
+
+
 class TestNodesCommand:
+    def test_component_without_nodes(self, tmp_path):
+        # V = 0, m = 0, alpha = beta = 0, n = 1: y1 = sin x has no interior zero
+        doc = dict(ZERO_QUARTER, boundary={"kind": "classical", "alpha": 0.0,
+                                           "beta": 0.0})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "nodes.csv"
+        res = run_cli("nodes", "--problem", str(cfg), "--n", "1",
+                      "--component", "1", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        _, header, rows = read_csv_table(out)
+        assert header == ["j", "x", "length"] and rows == []
+
     def test_nodes_csv(self, tmp_path):
         cfg = write_config(tmp_path, ZERO_QUARTER)
         out = tmp_path / "nodes.csv"

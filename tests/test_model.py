@@ -194,6 +194,10 @@ class TestNodalSet:
         with pytest.raises(InputError):
             NodalSet(5, 1, [0.5, 0.4])
 
+    def test_empty(self):
+        ns = NodalSet(1, 1, [])
+        assert ns.count == 0 and ns.lengths.size == 0
+
     def test_interior_enforced(self):
         with pytest.raises(InputError):
             NodalSet(5, 1, [0.0, 1.0])
@@ -227,6 +231,10 @@ class TestGridSequence:
     def test_monotonicity_enforced(self):
         with pytest.raises(InputError):
             GridSequence("I", {4: [1.0, 0.5]})
+
+    def test_empty_row_rejected(self):
+        with pytest.raises(InputError, match="empty row for index 3"):
+            GridSequence("II", {4: [1.0, 2.0], 3: []})
 
     def test_deviation_sup_exact_lattice(self):
         n = 10

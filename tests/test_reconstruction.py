@@ -124,6 +124,11 @@ class TestReconstructStep:
             reconstruct_step(nodes, p, ReconstructionMode("corrected", "numeric"),
                              lam=4.0)
 
+    def test_empty_row_rejected(self):
+        p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
+        with pytest.raises(InputError, match="at index 1 needs at least two"):
+            reconstruct_step(NodalSet(1, 1, []), p, lam=1.0)
+
     def test_case_one_uses_shifted_seed(self):
         b = canonical_pd(0.0, 0.0)
         p = DiracProblem(0.0, named_potential("zero"), b)

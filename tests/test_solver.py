@@ -9,6 +9,7 @@ oracles here; none of them go through the integrator.
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -331,8 +332,8 @@ class TestRootFinder:
             calls.append(open_.tolist())
             return x - 0.5
 
-        roots = solver_mod._illinois(line, [0.0, 0.0], [1.0, 0.9], [-0.5, -0.5],
-                                     [0.5, 0.4], 1e-10, 16, str)
+        roots, _ = solver_mod._illinois(line, [0.0, 0.0], [1.0, 0.9], [-0.5, -0.5],
+                                        [0.5, 0.4], 1e-10, 16, str)
         assert roots[0] == 0.5   # the first regula falsi step lands on it
         assert abs(roots[1] - 0.5) <= 1e-10
         assert calls[0] == [0, 1] and all(c == [1] for c in calls[1:])
@@ -679,11 +680,30 @@ class TestExtractNodes:
                 crossings = np.abs(np.diff(np.floor((theta - shift) / PI))).sum()
                 assert extract_nodes(p, rec, component).count == crossings
 
-    def test_refine_iterations_cap_raises(self, cache):
+    def test_refine_iterations_cap_raises(self, cache, monkeypatch):
         p, integ = cache.problem("sin_half"), cache.integrator("sin_half")
+        monkeypatch.setattr(solver_mod, "_NODE_ITERATIONS", 1)
         with pytest.raises(IterationFailure, match="component 1 node in"):
-            extract_nodes(p, cache.record("sin_half", 10), 1, integ,
-                          refine_iterations=2)
+            extract_nodes(p, cache.record("sin_half", 10), 1, integ)
+
+    def test_component_without_interior_zero(self):
+        # V = 0, m = 0, alpha = beta = 0, n = 1: y1 = sin x, y2 = -cos x
+        p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
+        rec = find_eigenvalue(p, 1, FAST)
+        first, second = solver_mod.extract_nodal_sets(p, [rec], (1, 2), FAST)
+        assert first.count == 0 and first.lengths.size == 0
+        assert second.count == 1
+        assert second.points[0] == pytest.approx(PI / 2, abs=1e-12)
+
+    def test_batch_is_bitwise_each_record_alone(self):
+        p = DiracProblem(*SIN_CLASSICAL)
+        records = find_eigenvalues(p, range(3, 41))
+        batch = solver_mod.extract_nodal_sets(p, records, (1, 2))
+        alone = [extract_nodes(p, rec, c) for rec in records for c in (1, 2)]
+        assert [(s.index, s.component) for s in batch] == \
+            [(s.index, s.component) for s in alone]
+        for a, b in zip(batch, alone):
+            assert np.array_equal(a.points, b.points)
 
     def test_degenerate_component_guard(self, monkeypatch):
         p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
@@ -699,6 +719,51 @@ class TestExtractNodes:
         monkeypatch.setattr(solver_mod, "_trajectory", fake_trajectory)
         with pytest.raises(DegenerateComponent):
             extract_nodes(p, rec, 1, FAST)
+
+
+class TestNodeNewton:
+    """The safeguarded Newton iteration of node refinement on one cell [0, 1]
+    whose component is f(x) = x**2 - 0.09, zero at 0.3, with the derivative
+    the ODE gives replaced by ``df``."""
+
+    @staticmethod
+    def refine(monkeypatch, df):
+        # the partial step from x0 = 0 at the state (1, 0) gives y1 = f and
+        # y2 = -df: with V = 0, m = 0 and lambda = 1, y1' = -y2 = df
+        seen = []
+
+        def entries(m, h, vbar, g, lams):
+            seen.extend(h.tolist())
+            p = np.zeros((2, 2) + h.shape)
+            p[0, 0], p[1, 0] = h * h - 0.09, -df(h)
+            return p
+
+        monkeypatch.setattr(solver_mod, "_entries", entries)
+        p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
+        one = np.ones(1)
+        root = solver_mod._node_newton(p, one, np.zeros(1, dtype=int),
+                                       np.array([[1.0], [0.0]]), 0 * one, one,
+                                       -0.09 * one, 0.91 * one, one, str)
+        return root[0], seen
+
+    @pytest.mark.parametrize("slope", [1e-3, 0.0], ids=["leaves_cell", "zero"])
+    def test_step_outside_bracket_bisects(self, monkeypatch, slope):
+        # at the first iterate, the secant point 0.09, the Newton step lands
+        # far outside [0.09, 1] (or at infinity): the next iterate is the
+        # midpoint of that bracket, and no RuntimeWarning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            root, seen = self.refine(
+                monkeypatch, lambda x: np.where(x < 0.1, slope, 2 * x))
+        assert seen[0] == pytest.approx(0.09)
+        assert seen[1] == 0.5 * (seen[0] + 1.0)
+        assert all(0.0 < x < 1.0 for x in seen)
+        assert root == pytest.approx(0.3, abs=1e-14)
+
+    def test_exact_derivative_converges_in_few_steps(self, monkeypatch):
+        root, seen = self.refine(monkeypatch, lambda x: 2 * x)
+        assert root == pytest.approx(0.3, abs=1e-14)
+        assert len(seen) <= 6
 
 
 def loop_reference(problem, lams, mesh):
