@@ -73,17 +73,23 @@ def _integer_base(problem, n):
     return n
 
 
-def lambda_asym(problem: DiracProblem, n: int, order: int = 2) -> float:
-    """Eigenvalue expansion through the requested order (0, 1 or 2)."""
+def lambda_asym(problem: DiracProblem, n: int, order: int = 2,
+                constants: AsymptoticConstants | None = None) -> float:
+    """Eigenvalue expansion through the requested order (0, 1 or 2).
+
+    ``constants``, the problem's AsymptoticConstants, spares a caller that
+    expands many indices computing them, and the integral of V, again for
+    each; the value is the same."""
     if n == 0:
         raise DomainError("index n must be nonzero")
     if order not in (0, 1, 2):
         raise InputError("order must be 0, 1 or 2")
     value = float(_integer_base(problem, n))
     if order >= 1:
-        value += mean_shift(problem) / math.pi
+        constants = constants or AsymptoticConstants.from_problem(problem)
+        value += constants.v / math.pi
     if order == 2:
-        value += AsymptoticConstants.from_problem(problem).second_order / n
+        value += constants.second_order / n
     return value
 
 

@@ -110,10 +110,15 @@ def _nodal_sets(cfg: LoadedConfig, records, component):
 
 
 def _window(n_min, n_max):
-    """The indices n_min..n_max; an empty window is an input error."""
+    """The indices n_min..n_max except 0, which labels no eigenvalue; an empty
+    window is an input error."""
     if n_max < n_min:
         raise InputError("--n-max must be at least --n-min")
-    return range(n_min, n_max + 1)
+    window = [n for n in range(n_min, n_max + 1) if n != 0]
+    if not window:
+        raise InputError("the window holds no index but 0, which labels no "
+                         "eigenvalue")
+    return window
 
 
 @click.group()
@@ -133,7 +138,7 @@ def spectrum(problem_path, n_min, n_max, out_path):
     steps, error_estimate."""
     window = _window(n_min, n_max)
     cfg = load_config(problem_path)
-    records = _spectrum_records(cfg, [n for n in window if n != 0])
+    records = _spectrum_records(cfg, window)
     rows = [[str(r.index), _fmt(r.lam), _fmt(r.residual), str(r.steps),
              _fmt(r.error_estimate)] for r in records]
     _write_csv(out_path, f"config={cfg.hash[:12]}",
@@ -257,10 +262,14 @@ def stability_cmd(path_a, path_b, n_min, n_max, out_path):
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_guard
 def validate_asymptotics(problem_path, n_min, n_max, out_path):
-    """Compare solver output with the closed-form expansions over a window."""
+    """Compare solver output with the closed-form expansions over a window of
+    positive indices."""
     window = _window(n_min, n_max)
+    if window[0] < 0:
+        raise InputError(f"the nodal expansions need positive indices; got "
+                         f"index {window[0]}")
     cfg = load_config(problem_path)
-    records = _spectrum_records(cfg, [n for n in window if n != 0])
+    records = _spectrum_records(cfg, window)
     nodal_sets = _nodal_sets(cfg, records, 1)
     problem = cfg.problem
     alpha = problem.boundary.alpha
@@ -326,9 +335,9 @@ def quasinodal_check_cmd(problem_path, n_min, n_max, grid_file,
         indices = [n for n in seq.indices() if n in window]
         seq = GridSequence(seq.case, {n: seq.row(n) for n in indices})
     else:
-        records = _spectrum_records(cfg, list(window))
-        nodal_sets = _nodal_sets(cfg, records, 1)
-        seq = GridSequence.from_nodal_sets(nodal_sets, cfg.problem.case)
+        seq = stability.nodal_grid_sequence(cfg.problem, window, 1,
+                                            cfg.solver.integrator(),
+                                            cfg.solver.search())
     report = stability.quasinodal_check(
         seq, cfg.problem.potential, cfg.problem.mass, cfg.problem.boundary,
         admissibility_constant=admissibility_constant)

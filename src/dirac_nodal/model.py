@@ -275,9 +275,12 @@ class EigenRecord:
     does not depend on the size of the unnormalized solution.  ``bracket``
     is the bracket the root finder started from.  ``steps`` is the number of
     uniform steps of the mesh ``lam`` was solved on (before the potential's
-    breakpoints are added), and ``error_estimate`` is |lam - lam'|, lam' the
-    eigenvalue on the mesh of half as many uniform steps.  Both are None on
-    a record that no search produced.
+    breakpoints are added), and ``error_estimate`` the estimate of the
+    error of ``lam`` from lam' and lam'', the eigenvalues on the meshes of
+    half and a quarter as many uniform steps: with d = lam' - lam and
+    rho = (lam'' - lam') / d, it is 3 |d| / (rho - 1) where rho lies in
+    [12, 20], as for a fourth-order error, and |d| elsewhere.  Both are None
+    on a record that no search produced.
     """
 
     index: int

@@ -60,14 +60,16 @@ side; chi changes sign exactly once in such a bracket, and a safeguarded
 Illinois regula falsi refines it until it is ``lambda_tolerance`` wide.
 Every round of the search evaluates one lambda per open index in one
 batched propagation, and each index stops on its own.  The search controls
-its error by mesh refinement (Pryce, 1993; SLEDGE, Pruess and Fulton, ACM
-TOMS 19, 1993): it starts on a quarter of ``n_steps``, estimates the error
-of each eigenvalue as its change from the mesh of half as many steps, and
-doubles the mesh of an index while that estimate exceeds
-``lambda_tolerance``.  A state at pi that
-cancels to a tiny fraction of its terms, as for an eigenfunction decaying
-from x = 0 across a mass gap, raises IntegrationFailure instead of
-yielding a wrong root.
+its error by mesh refinement and Richardson extrapolation (Pryce, 1993;
+SLEDGE, Pruess and Fulton, ACM TOMS 19, 1993): it starts on an eighth of
+``n_steps`` and compares each eigenvalue with those of the meshes of half
+and a quarter as many steps.  Where the ratio of the two differences is
+near 16, as for an error C h**4, the error estimate is the extrapolated
+one times a safety factor; elsewhere it is the change from the mesh of
+half as many steps.  The mesh of an index doubles while its estimate
+exceeds ``lambda_tolerance``.  A state at pi that cancels to a tiny
+fraction of its terms, as for an eigenfunction decaying from x = 0 across
+a mass gap, raises IntegrationFailure instead of yielding a wrong root.
 
 Nodes are extracted for many records and either or both components in one
 call, ``extract_nodal_sets``, on the full mesh, which it builds once; each
@@ -159,6 +161,21 @@ _START_TURN = _BLOCK_TURN / 2
 # eigenvalue on the coarser mesh: well inside the spacing of eigenvalues.
 _SHIFT_LIMIT = 1.0 / 16
 
+# Band of rho = (lambda_N/4 - lambda_N/2) / (lambda_N/2 - lambda_N), which is
+# 16 for an error C h**4, inside which the error estimate of lambda_N is
+# _RICHARDSON_SAFETY times the Richardson estimate |lambda_N/2 - lambda_N| /
+# (rho - 1) instead of |lambda_N/2 - lambda_N|.  Measured for n = 3..40 at
+# 4096 steps against a search on 32768 steps: on sin2x (m = 0.5, two
+# classical boundaries and case I) and poly (m = 2) rho lay in [15.6, 17.2]
+# and the error was at most 1.06 times the Richardson estimate; on the 30
+# seeded sampled potentials of the benchmark, whose meshes do not halve,
+# rho fell in the band for 24 of 1140 indices, 18 of them with errors up to
+# 1.56 times it.  A factor of 3 bounds those with a margin, and V = 8 sin 6x
+# with m = 10 still misses 1e-10 on 4096 steps (estimates up to 1.5e-10),
+# which it meets with a factor of 2.
+_RHO_BAND = (12.0, 20.0)
+_RICHARDSON_SAFETY = 3.0
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -199,8 +216,10 @@ class EigenSearchConfig:
 # Taylor coefficients of cosh(sqrt(u)) = sum u**k / (2k)! and of
 # sinh(sqrt(u)) / sqrt(u) = sum u**k / (2k + 1)!, highest power first.  For
 # |u| <= _SERIES_LIMIT seven terms leave a remainder below 1e-18.  The limit
-# covers |lambda - V| up to about 47 on 512 steps, the mesh of the default
-# search's error estimate, and up to about 370 on 4096 steps.
+# covers |lambda - V| up to about 370 on 4096 steps and up to about 47 on 512
+# steps, the default search's first mesh; its error estimate evaluates chi on
+# 256 and 128 steps, which take the trigonometric branch above about 23 and
+# 12.
 _COSH_SERIES = tuple(1.0 / math.factorial(2 * k) for k in reversed(range(7)))
 _SINHC_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in reversed(range(7)))
 _SERIES_LIMIT = 1.0 / 12
@@ -798,8 +817,22 @@ def _refine(problem, seeds, slopes, mesh, tolerance, max_evals, describe):
 
 def _levels(n_steps):
     """Uniform step counts of the meshes the eigenvalue search may use,
-    coarsest first: n_steps / 4, n_steps / 2 and n_steps."""
-    return n_steps >> 2, n_steps >> 1, n_steps
+    coarsest first: n_steps / 8, n_steps / 4, n_steps / 2 and n_steps."""
+    return n_steps >> 3, n_steps >> 2, n_steps >> 1, n_steps
+
+
+def _error_estimate(d1, d2):
+    """Error estimate of lambda_N from the differences d1 = lambda_N/2 -
+    lambda_N and d2 = lambda_N/4 - lambda_N/2: where their ratio rho = d2 /
+    d1 lies in _RHO_BAND, the mesh is in the fourth-order regime and the
+    estimate is _RICHARDSON_SAFETY |d1| / (rho - 1); elsewhere it is |d1|,
+    and infinite where d1 is not finite."""
+    undivided = np.where(np.isfinite(d1), np.abs(d1), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = d2 / d1
+        divided = _RICHARDSON_SAFETY * undivided / (rho - 1.0)
+    fourth = (rho >= _RHO_BAND[0]) & (rho <= _RHO_BAND[1])
+    return np.where(fourth, divided, undivided)
 
 
 def _start_levels(problem, seeds, levels, mesh):
@@ -829,19 +862,22 @@ def find_eigenvalues(problem: DiracProblem, indices,
     Index n labels the eigenvalue whose eigenfunction has rotation index
     ``_rotation_index(boundary, n)``.  The search runs on the meshes of
     ``_levels(integrator.n_steps)``.  Each index starts on the coarsest one
-    whose steps can count the angle's turns near its seed, N = n_steps / 4
+    whose steps can count the angle's turns near its seed, N = n_steps / 8
     unless the seed is large: seeds come from the second-order eigenvalue
-    expansion, ``_bracket`` turns them into brackets by the Prufer angle,
-    and ``_illinois`` refines chi in each.  A Newton step for the root one
-    mesh coarser (N / 2 uniform steps), from lambda_N with the slope of chi
-    across its final bracket, gives the error estimate
-    |lambda_N - lambda_N/2|: it bounds the error of lambda_N for any order
-    of convergence of at least 1, and at fourth order is about 15 times the
-    error.  While the estimate exceeds ``lambda_tolerance``, N
-    doubles and ``_refine`` solves on it from the previous root, which makes
-    the estimate |lambda_2N - lambda_N|.  Each index decides alone, so each
-    record is bitwise the same in any batch.  An index whose estimate still
-    exceeds the tolerance on the finest mesh raises ToleranceNotMet.
+    expansion, with its constants computed once per call, ``_bracket``
+    turns them into brackets by the Prufer angle, and ``_illinois`` refines
+    chi in each.  Two Newton steps from lambda_N, with the slope of chi
+    across its final bracket, give the roots on the meshes of N / 2 and
+    N / 4 uniform steps, and ``_error_estimate`` turns the differences
+    lambda_N/2 - lambda_N and lambda_N/4 - lambda_N/2 into the error
+    estimate: divided by rho - 1, rho their ratio, where rho is near 16,
+    and |lambda_N/2 - lambda_N| elsewhere, which bounds the error of
+    lambda_N for any order of convergence of at least 1.  While the
+    estimate exceeds ``lambda_tolerance``, N doubles and ``_refine`` solves
+    on it from the previous root; the estimate then comes from the roots
+    on 2N, N and N / 2 steps.  Each index decides alone, so each record is
+    bitwise the same in any batch.  An index whose estimate still exceeds
+    the tolerance on the finest mesh raises ToleranceNotMet.
     """
     integrator = integrator or IntegratorConfig()
     search = search or EigenSearchConfig()
@@ -852,7 +888,8 @@ def find_eigenvalues(problem: DiracProblem, indices,
     if len(set(indices)) != len(indices):
         raise InputError("duplicate eigenvalue indices")
 
-    seeds = np.array([asymptotics.lambda_asym(problem, n, order=2)
+    constants = asymptotics.AsymptoticConstants.from_problem(problem)
+    seeds = np.array([asymptotics.lambda_asym(problem, n, 2, constants)
                       for n in indices])
     tolerance, max_evals = search.lambda_tolerance, search.max_iterations
 
@@ -864,7 +901,9 @@ def find_eigenvalues(problem: DiracProblem, indices,
     levels = _levels(integrator.n_steps)
     start = _start_levels(problem, seeds, levels, mesh_of(levels[0]))
     size = len(indices)
-    lam, slope, lo, hi, residual = (np.zeros(size) for _ in range(5))
+    # per index: lambda_N/2 - lambda_N and lambda_N/4 - lambda_N/2 for the
+    # mesh of N steps it is on
+    lam, slope, lo, hi, residual, d1, d2 = (np.zeros(size) for _ in range(7))
     estimate = np.full(size, np.inf)
     steps = np.zeros(size, dtype=int)
     for level, n in enumerate(levels):
@@ -880,17 +919,19 @@ def find_eigenvalues(problem: DiracProblem, indices,
             lam[new], slope[new] = _illinois(_chi(problem, mesh), b_lo, b_hi,
                                              chi_lo, chi_hi, tolerance, max_evals,
                                              describe)
-            shift = _characteristic_batch(problem, lam[new], mesh_of(n >> 1)) \
-                / slope[new]
-            estimate[new] = np.where(np.isfinite(shift), np.abs(shift), np.inf)
+            # Newton steps from lambda_N for the roots on N/2 and N/4 steps
+            half, quarter = (_characteristic_batch(problem, lam[new], mesh_of(n >> k))
+                             / slope[new] for k in (1, 2))
+            d1[new], d2[new] = -half, half - quarter
             lo[new], hi[new] = b_lo, b_hi
         if old.size:
             roots, slope[old], lo[old], hi[old] = _refine(
                 problem, lam[old], slope[old], mesh, tolerance, max_evals,
                 describe_in(old))
-            estimate[old] = np.abs(roots - lam[old])
+            d1[old], d2[old] = lam[old] - roots, d1[old]
             lam[old] = roots
         here = np.concatenate((new, old))
+        estimate[here] = _error_estimate(d1[here], d2[here])
         steps[here] = n
         done = here[estimate[here] <= tolerance]
         if done.size:

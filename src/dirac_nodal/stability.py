@@ -227,10 +227,17 @@ def pseudometric_audit(samples, n_window, m: float = 0.0,
 
 def nodal_grid_sequence(problem: DiracProblem, indices, component: int = 1,
                         integrator=None, search=None) -> GridSequence:
-    """Forward-solve the problem and collect nodal rows into a GridSequence."""
+    """Forward-solve the problem and collect nodal rows into a GridSequence;
+    an index whose component has no interior zero has no row, with a
+    warning."""
     records = solver.find_eigenvalues(problem, indices, integrator, search)
     nodal_sets = solver.extract_nodal_sets(problem, records, (component,), integrator)
-    return GridSequence.from_nodal_sets(nodal_sets, problem.case)
+    for ns in nodal_sets:
+        if not ns.count:
+            logger.warning("nodal row unavailable at n=%d: component %d has no "
+                           "interior zero", ns.index, component)
+    return GridSequence.from_nodal_sets([ns for ns in nodal_sets if ns.count],
+                                        problem.case)
 
 
 def _deviation_trend_ok(pairs):
@@ -297,7 +304,7 @@ def stability_identity_report(v_a: Potential, v_b: Potential, boundary,
     for n in ns:
         try:
             s_values[n] = s_n(seq_a, seq_b, n, m)
-        except (RowMismatch, DomainError) as exc:
+        except (RowMismatch, InputError) as exc:   # InputError: a missing row
             logger.warning("s_n unavailable at n=%d: %s", n, exc)
             s_values[n] = None
 

@@ -139,8 +139,8 @@ class TestSpectrumCommand:
         for row in rows:
             n = int(row[0])
             assert float(row[1]) == pytest.approx(n + 0.25, abs=1e-9)
-            # V = 0 propagates exactly, so the coarsest mesh (512 / 4) suffices
-            assert int(row[3]) == 128 and float(row[4]) <= 1e-10
+            # V = 0 propagates exactly, so the coarsest mesh (512 / 8) suffices
+            assert int(row[3]) == 64 and float(row[4]) <= 1e-10
 
     def test_invalid_boundary_exits_2_with_json(self, tmp_path):
         doc = dict(ZERO_QUARTER)
@@ -233,6 +233,53 @@ class TestIndexWindow:
         assert payload["type"] == "InputError"
         assert "--n-max must be at least --n-min" in payload["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        "spectrum", "stability", "validate-asymptotics", "quasinodal-check"])
+    def test_index_zero_dropped(self, tmp_path, command):
+        # 0 labels no eigenvalue, so every command leaves it out of the
+        # window; the nodal expansions reject a negative index before solving
+        cfg = str(write_config(tmp_path, SIN_HALF))
+        problems = (["--problem-a", cfg, "--problem-b", cfg]
+                    if command == "stability" else ["--problem", cfg])
+        out = tmp_path / ("out.json" if command == "quasinodal-check" else "out.csv")
+        res = run_cli(command, *problems, "--n-min", "-2", "--n-max", "5",
+                      "--out", str(out))
+        if command == "validate-asymptotics":
+            assert res.returncode == 2, res.stderr
+            payload = json.loads(res.stderr.strip().splitlines()[-1])
+            assert payload["type"] == "InputError" and "-2" in payload["message"]
+            assert not out.exists()
+            return
+        assert res.returncode == 0, res.stderr
+        if command == "quasinodal-check":
+            # component 1 of indices -1 and 1 has no interior zero: no row
+            ns = [row["n"] for row in json.loads(out.read_text())["rows"]]
+            assert ns == [-2, 2, 3, 4, 5]
+        else:
+            assert [int(row[0]) for row in read_csv_table(out)[2]] == \
+                [-2, -1, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("command", ["stability", "quasinodal-check"])
+    def test_index_without_nodes_skipped(self, tmp_path, command):
+        # sin2x, m = 0.5, alpha = beta = 0: component 1 of index 1 has no
+        # interior zero
+        a = str(write_config(tmp_path, SIN_HALF, "a.json"))
+        zero = dict(SIN_HALF, potential={"kind": "named", "name": "zero", "params": {}})
+        b = str(write_config(tmp_path, zero, "b.json"))
+        problems = (["--problem-a", a, "--problem-b", b]
+                    if command == "stability" else ["--problem", a])
+        out = tmp_path / "out.csv"
+        res = run_cli(command, *problems, "--n-min", "1", "--n-max", "5",
+                      "--out", str(out), env={"DIRAC_NODAL_LOG": "info"})
+        assert res.returncode == 0, res.stderr
+        assert "nodal row unavailable at n=1" in res.stderr
+        if command == "quasinodal-check":
+            ns = [row["n"] for row in json.loads(out.read_text())["rows"]]
+        else:
+            assert "s_n unavailable at n=1" in res.stderr
+            ns = [int(row[0]) for row in read_csv_table(out)[2] if row[1]]
+        assert ns == [2, 3, 4, 5]
 
 
 class TestNodesCommand:

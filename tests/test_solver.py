@@ -24,7 +24,7 @@ from dirac_nodal import (Classical, DiracProblem, EigenRecord,
                          find_eigenvalue, find_eigenvalues, integrate,
                          make_potential_sampled, named_potential,
                          node_count_prediction, DomainError)
-from dirac_nodal import cli
+from dirac_nodal import AsymptoticConstants, cli, mean_shift
 from dirac_nodal import solver as solver_mod
 
 PI = math.pi
@@ -236,6 +236,26 @@ class TestFindEigenvalue:
                 rec.lam - 0.01, rec.lam + 0.01)
             assert rec.lam == pytest.approx(exact, abs=1e-10)
 
+    @pytest.mark.parametrize("label", ["sin_half", "pd_example"])
+    def test_seeds_once_per_call(self, cache, label, monkeypatch):
+        # one set of expansion constants per call, and each seed bitwise
+        # mu + v / pi + c / n as computed index by index
+        p = cache.problem(label)
+        indices = [-7, -1, 1, 2, 3, 17, 40]
+        mu = [n - 2 if label == "pd_example" and n > 0 else n for n in indices]
+        second = AsymptoticConstants.from_problem(p).second_order
+        expected = [float(k) + mean_shift(p) / PI + second / n
+                    for k, n in zip(mu, indices)]
+        made, seen = [], []
+        from_problem = AsymptoticConstants.from_problem
+        monkeypatch.setattr(AsymptoticConstants, "from_problem", classmethod(
+            lambda cls, problem: made.append(problem) or from_problem(problem)))
+        start_levels = solver_mod._start_levels
+        monkeypatch.setattr(solver_mod, "_start_levels", lambda problem, seeds, *rest:
+                            seen.append(seeds.tolist()) or start_levels(problem, seeds, *rest))
+        find_eigenvalues(p, indices, cache.integrator(label))
+        assert made == [p] and seen == [expected]
+
     def test_records_strictly_ordered(self, cache):
         recs = cache.records("sin_half", list(range(6, 16)))
         lams = [recs[n].lam for n in range(6, 16)]
@@ -389,14 +409,14 @@ def step_characteristic(lam, m, a, height, alpha, beta):
 
 
 class TestErrorControl:
-    """The search on the coarsest mesh of n_steps / 4, n_steps / 2 and n_steps
-    whose error estimate meets lambda_tol."""
+    """The search on the coarsest mesh of n_steps / 8, n_steps / 4, n_steps / 2
+    and n_steps whose error estimate meets lambda_tol."""
 
     def test_levels(self):
-        assert solver_mod._levels(4096) == (1024, 2048, 4096)
-        assert solver_mod._levels(1000) == (250, 500, 1000)
-        assert solver_mod._levels(4097) == (1024, 2048, 4097)
-        assert solver_mod._levels(64) == (16, 32, 64)
+        assert solver_mod._levels(4096) == (512, 1024, 2048, 4096)
+        assert solver_mod._levels(1000) == (125, 250, 500, 1000)
+        assert solver_mod._levels(4097) == (512, 1024, 2048, 4097)
+        assert solver_mod._levels(64) == (8, 16, 32, 64)
 
     @pytest.mark.parametrize("args", [SIN_CLASSICAL, (2.0, named_potential(
         "poly", coeffs=[1.0, -2.0, 0.5]), Classical(0.3, 0.7))], ids=["sin2x", "poly"])
@@ -455,7 +475,7 @@ class TestErrorControl:
                 lambda lam: step_characteristic(lam, m, a, height, alpha, beta),
                 rec.lam - 0.01, rec.lam + 0.01)
             err = abs(rec.lam - exact)
-            assert rec.steps == 1024 and rec.error_estimate <= 1e-10
+            assert rec.steps == 512 and rec.error_estimate <= 1e-10
             assert err <= 1e-12 and (err <= 1e-13 or err <= rec.error_estimate)
 
     @pytest.mark.parametrize("label", ["sin_half", "pd_example"])
@@ -470,6 +490,44 @@ class TestErrorControl:
             err = abs(rec.lam - r.lam)
             assert err <= 1e-10 and rec.error_estimate <= 1e-10
             assert err <= 1e-13 or err <= rec.error_estimate
+
+    def test_estimate_divides_only_inside_the_band(self):
+        # d1 a power of two, so that rho = d1 * rho / d1 exactly
+        lo, hi = solver_mod._RHO_BAND
+        d1 = -2.0 ** -30
+        rhos = np.array([16.0, lo, hi, lo - 1e-9, hi + 1e-9, 1.0, -16.0])
+        est = solver_mod._error_estimate(np.full(rhos.size, d1), d1 * rhos)
+        factor = solver_mod._RICHARDSON_SAFETY * -d1
+        assert est[:3] == pytest.approx([factor / 15, factor / (lo - 1),
+                                         factor / (hi - 1)], rel=1e-15)
+        assert np.all(est[3:] == -d1)
+        # no warning where d1 is 0 or not finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = solver_mod._error_estimate(np.array([0.0, 0.0, np.nan, np.inf]),
+                                             np.array([0.0, d1, d1, d1]))
+        assert est.tolist() == [0.0, 0.0, math.inf, math.inf]
+
+    @pytest.mark.parametrize("label", ["sin_half", "pd_example"])
+    def test_smooth_indices_stop_on_an_eighth(self, cache, label, monkeypatch):
+        # at the default 4096 steps every index is solved on 512 steps, and
+        # one chi on 256 and one on 128 steps give the batch's estimates
+        p = cache.problem(label)
+        calls = {}
+        terminal = solver_mod._terminal
+
+        def counted(problem, lams, mesh, angle=False):
+            calls[mesh.vbar.size] = calls.get(mesh.vbar.size, 0) + 1
+            return terminal(problem, lams, mesh, angle)
+
+        monkeypatch.setattr(solver_mod, "_terminal", counted)
+        batch = find_eigenvalues(p, range(3, 41))
+        assert {r.steps for r in batch} == {512}
+        assert set(calls) == {512, 256, 128}
+        assert calls[512] <= 10 and calls[256] == calls[128] == 1
+        monkeypatch.undo()
+        for rec in batch[::6]:
+            assert find_eigenvalue(p, rec.index) == rec
 
     @pytest.mark.parametrize("n_steps", [64, 1000, 4097])
     def test_uneven_step_counts(self, n_steps):
@@ -497,20 +555,36 @@ class TestErrorControl:
         p = DiracProblem(*SIN_CLASSICAL)
         search = EigenSearchConfig(lambda_tolerance=1e-12)
         batch = find_eigenvalues(p, range(3, 41), IntegratorConfig(4096), search)
-        assert {r.steps for r in batch} == {2048, 4096}
+        assert {r.steps for r in batch} == {1024, 2048}
         for rec in batch[::5] + batch[-1:]:
             assert find_eigenvalue(p, rec.index, IntegratorConfig(4096), search) == rec
 
     def test_refined_estimate_is_difference_of_meshes(self):
+        # solved on 512, 1024 and 2048 steps: the ratio of the differences
+        # is near 16, so the estimate is the divided one
         p = DiracProblem(*SIN_CLASSICAL)
         search = EigenSearchConfig(lambda_tolerance=1e-12)
         rec = find_eigenvalue(p, 40, IntegratorConfig(4096), search)
-        coarser = bisect_root(lambda lam: characteristic(p, lam, IntegratorConfig(2048)),
-                              rec.lam - 1e-6, rec.lam + 1e-6)
-        assert rec.steps == 4096
-        assert rec.error_estimate == pytest.approx(abs(rec.lam - coarser), abs=1e-12)
+        lam_1024, lam_512 = (bisect_root(
+            lambda lam: characteristic(p, lam, IntegratorConfig(n)),
+            rec.lam - 1e-6, rec.lam + 1e-6) for n in (1024, 512))
+        rho = (lam_512 - lam_1024) / (lam_1024 - rec.lam)
+        assert rec.steps == 2048 and 15.0 < rho < 17.0
+        assert rec.error_estimate == pytest.approx(
+            solver_mod._RICHARDSON_SAFETY * abs(lam_1024 - rec.lam) / (rho - 1.0),
+            rel=1e-2)
         assert rec.bracket[0] < rec.lam < rec.bracket[1]
         assert rec.bracket[1] - rec.bracket[0] <= 1e-12
+
+    def test_strong_potential_needs_8192_steps(self):
+        # the Richardson estimate's safety factor keeps V = 8 sin 6x with
+        # m = 10 short of 1e-10 on 4096 steps; it meets it on 8192
+        p = DiracProblem(*STRONG)
+        indices = list(range(-12, -1)) + list(range(1, 13))
+        with pytest.raises(ToleranceNotMet, match=r"finest mesh \(4096 steps\)"):
+            find_eigenvalues(p, indices, IntegratorConfig(4096))
+        records = find_eigenvalues(p, indices, IntegratorConfig(8192))
+        assert max(r.error_estimate for r in records) <= 1e-10
 
     def test_refine_widens_then_gives_up(self):
         # V = 0, m = 0: chi = -sin(pi lambda), roots at the integers; without a
@@ -980,10 +1054,24 @@ class TestStepKernel:
     @pytest.mark.parametrize("args", [SIN_CLASSICAL, KERNEL_PROBLEMS["pd_example"]],
                              ids=["sin2x", "pd_example"])
     def test_default_mesh_takes_only_the_series(self, args, monkeypatch):
+        # the meshes the search solves on take only the series; the trig
+        # branch serves the error estimate's chi on 256 and 128 steps
         p = DiracProblem(*args)
         sizes = count_trig(monkeypatch)
+        meshes = []
+        terminal = solver_mod._terminal
+
+        def tagged(problem, lams, mesh, angle=False):
+            before = len(sizes)
+            out = terminal(problem, lams, mesh, angle)
+            if len(sizes) > before:
+                meshes.append((mesh.vbar.size, angle))
+            return out
+
+        monkeypatch.setattr(solver_mod, "_terminal", tagged)
         find_eigenvalues(p, range(3, 41))
-        assert sizes == []
+        assert set(meshes) <= {(256, False), (128, False)}
+        sizes.clear()
         characteristic(p, 400.0)
         assert sum(sizes) > 0
 
