@@ -1,11 +1,11 @@
 """Closed-form asymptotic expansions: eigenvalues, nodal points and lengths,
 eigenfunction components.
 
-These expansions seed the eigenvalue search, generate synthetic nodal data,
-and back the order-of-convergence validation harness.  Implicit occurrences
-of the nodal position inside its own expansion are resolved by fixed-point
-iteration, which is better conditioned at moderate index than the fully
-expanded series (also provided, for cross-checking).
+These expansions seed the eigenvalue search inside the mass gap, generate
+synthetic nodal data, and back the order-of-convergence validation harness.
+Implicit occurrences of the nodal position inside its own expansion are
+resolved by fixed-point iteration, which is better conditioned at moderate
+index than the fully expanded series (also provided, for cross-checking).
 """
 
 from __future__ import annotations

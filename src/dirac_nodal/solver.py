@@ -54,22 +54,28 @@ lambda - V over each block, unwrap theta and fix the 2 pi branch of the
 terminal state's own angle.  theta(pi) is therefore bitwise the same for
 every such level and every batch.
 
-From the asymptotic seeds, each index jumps by its angle mismatch until
-both ends of its bracket lie within pi of the target angle, one on each
-side; chi changes sign exactly once in such a bracket, and a safeguarded
-Illinois regula falsi refines it until it is ``lambda_tolerance`` wide.
-Every round of the search evaluates one lambda per open index in one
-batched propagation, and each index stops on its own.  The search controls
-its error by mesh refinement and Richardson extrapolation (Pryce, 1993;
-SLEDGE, Pruess and Fulton, ACM TOMS 19, 1993): it starts on an eighth of
-``n_steps`` and compares each eigenvalue with those of the meshes of half
-and a quarter as many steps.  Where the ratio of the two differences is
-near 16, as for an error C h**4, the error estimate is the extrapolated
-one times a safety factor; elsewhere it is the change from the mesh of
-half as many steps.  The mesh of an index doubles while its estimate
-exceeds ``lambda_tolerance``.  A state at pi that cancels to a tiny
-fraction of its terms, as for an eigenfunction decaying from x = 0 across
-a mass gap, raises IntegrationFailure instead of yielding a wrong root.
+Each index is seeded with the eigenvalue of the problem with V replaced by
+its mean, which the Prufer angle gives in closed form up to a scalar root
+(Pryce, "Numerical Solution of Sturm-Liouville Problems", 1993, on seeding
+shooting methods); inside the mass gap the seed is the eigenvalue expansion.
+The search's first round evaluates the angle on both sides of every seed in
+one batched propagation, and an index whose seed was within its spread is
+bracketed by it; the others jump by their angle mismatch until both ends of
+the bracket lie within pi of the target angle, one on each side.  chi
+changes sign exactly once in such a bracket, and a safeguarded Illinois
+regula falsi refines it until it is ``lambda_tolerance`` wide.  Every round
+of the search evaluates the open indices in one batched propagation, and
+each index stops on its own.  The search controls its error by mesh
+refinement and Richardson extrapolation (Pryce, 1993; SLEDGE, Pruess and
+Fulton, ACM TOMS 19, 1993): it starts on an eighth of ``n_steps`` and
+compares each eigenvalue with those of the meshes of half and a quarter as
+many steps.  Where the ratio of the two differences is near 16, as for an
+error C h**4, the error estimate is the extrapolated one times a safety
+factor; elsewhere it is the change from the mesh of half as many steps.  The
+mesh of an index doubles while its estimate exceeds ``lambda_tolerance``.  A
+state at pi that cancels to a tiny fraction of its terms, as for an
+eigenfunction decaying from x = 0 across a mass gap, raises
+IntegrationFailure instead of yielding a wrong root.
 
 Nodes are extracted for many records and either or both components in one
 call, ``extract_nodal_sets``, on the full mesh, which it builds once; each
@@ -175,6 +181,28 @@ _SHIFT_LIMIT = 1.0 / 16
 # which it meets with a factor of 2.
 _RHO_BAND = (12.0, 20.0)
 _RICHARDSON_SAFETY = 3.0
+
+# Newton steps in s after which a mean-potential seed falls back to the
+# expansion, the relative step at which it is final, and the |s| a final
+# seed must exceed: at the edge of the mass gap, s = 0, E may vanish without
+# changing sign.
+_SEED_ITERATIONS = 32
+_SEED_TOLERANCE = 1e-12
+_SEED_EDGE = 1e-6
+
+# The first bracket round evaluates seed -+ spread, spread = max(_SEED_ERROR
+# W / (mu**2 + 1), _SEED_FLOOR), where W is the largest |vbar - mean V| over
+# the steps of the search's first mesh and mu = seed - mean V.  Measured
+# against the eigenvalues found, over the problems of seeds 1-30 of the
+# spectrum_batch and nodes_by_index benchmark workloads (n = -10..-1 and
+# 1..40, 6200 seeds): the seed error was at most 1.32 W / (mu**2 + 1), with a
+# median of 0.037; with the factor 1, 5 of them missed their first round,
+# all at |n| <= 2 on step potentials, and none with n >= 3.  A constant
+# potential (W = 0) has seeds within 1.4e-14 of its eigenvalues, on every
+# mesh, and the floor keeps that bracket narrower than lambda_tol = 1e-10,
+# so that it needs no regula falsi step.
+_SEED_ERROR = 1.0
+_SEED_FLOOR = 2e-11
 
 
 @dataclass(frozen=True)
@@ -695,15 +723,101 @@ def _illinois(f, lo, hi, f_lo, f_hi, tolerance, max_evals, describe):
         hi = np.where(move_lo, hi, x)
 
 
-def _free_phase(m, lams):
-    """sign(lambda) sqrt(lambda^2 - m^2), and 0 inside the mass gap: theta(pi)
-    / pi of the free (V = 0) system up to a constant."""
-    return np.sign(lams) * np.sqrt(np.maximum(lams * lams - m * m, 0.0))
+def _phase(m, mu):
+    """s = sign(mu) sqrt(mu^2 - m^2), and 0 inside the mass gap: with mu =
+    lambda - vbar, theta(pi) / pi of the system with the mean potential vbar
+    up to a bounded term."""
+    return np.sign(mu) * np.sqrt(np.maximum(mu * mu - m * m, 0.0))
 
 
-def _free_lambda(m, phase):
-    """The lambda outside the mass gap, or 0, of a free phase."""
-    return np.sign(phase) * np.sqrt(phase * phase + m * m)
+def _mu(m, s):
+    """The mu = lambda - vbar outside the mass gap, or 0, of a phase s."""
+    return np.sign(s) * np.sqrt(s * s + m * m)
+
+
+def _phase_function(theta, r):
+    """Phi(theta) = j pi + atan(r tan(theta - j pi)), j the integer nearest
+    theta / pi, which is continuous and increasing in theta and within pi/2
+    of it, and its partial derivatives in r and theta."""
+    cos, sin = np.cos(theta), np.sin(theta)
+    turn = np.arctan2(r * sin, cos) - theta
+    den = cos * cos + r * r * sin * sin
+    return (theta + turn - 2 * math.pi * np.rint(turn / (2 * math.pi)),
+            sin * cos / den, r / den)
+
+
+def _mean_potential_seeds(problem, turns, vbar, fallback):
+    """The eigenvalues with rotation indices ``turns`` of the problem with V
+    replaced by its mean vbar, where they lie outside the mass gap; the
+    ``fallback`` seeds elsewhere.
+
+    With mu = lambda - vbar the Prufer angle obeys theta' = mu + m cos 2
+    theta, and for |mu| > |m| it turns from theta0 to theta1 in the time
+    (Phi(theta1) - Phi(theta0)) / s, with s = sign(mu) sqrt(mu^2 - m^2) and
+    ``_phase_function`` at r = sqrt((mu - m) / (mu + m)).  The eigenvalue is
+    the root of E(s) = Phi(psi + k pi) - Phi(theta0) - pi s, theta0 and psi
+    from ``_start_angle`` and ``_end_angle`` at lambda = vbar + mu, and E is
+    positive below the root and negative above it on the branch sign(s).
+    The massless root (psi + k pi - theta0) / pi at the fallback seed picks
+    the branch and starts Newton steps in s with the exact derivative of E;
+    it is the root itself for m = 0 and a classical boundary.  A step that
+    leaves the bracket of signs of E seen so far, or the branch, bisects the
+    bracket or doubles s instead.  An index stops once its Newton step is at
+    most _SEED_TOLERANCE (1 + |s|).  It keeps its fallback seed where it
+    stops within _SEED_EDGE of s = 0, or after _SEED_ITERATIONS steps, as
+    where its root is inside the gap.  Each index iterates on its own
+    values, so its seed is bitwise the same in any batch."""
+    m = problem.mass
+    b = problem.boundary
+    target = np.asarray(turns, dtype=float) * math.pi
+    classical = isinstance(b, Classical)
+
+    def angles(lams, open_):
+        """psi + k pi and theta0, stacked, and their derivatives in lambda."""
+        y1, y2 = _initial_state(problem, lams)
+        ends = np.stack((_end_angle(problem, lams) + target[open_],
+                         _start_angle(problem, lams, y1, y2)))
+        if classical:
+            return ends, 0.0
+        a, c = _form_coefficients(problem, lams)
+        return ends, np.stack((b.right_sign_term / (a * a + c * c),
+                               b.left_sign_term / (y1 * y1 + y2 * y2)))
+
+    seeds = np.array(fallback, dtype=float)
+    ends, d_ends = angles(seeds, np.arange(seeds.size))
+    s = (ends[0] - ends[1]) / math.pi
+    open_ = np.flatnonzero(s)
+    s, ends = s[open_], ends[:, open_]
+    lo = np.where(s > 0.0, 0.0, -np.inf)   # E > 0 at lo, E <= 0 at hi
+    hi = np.where(s > 0.0, np.inf, 0.0)
+    for _ in range(_SEED_ITERATIONS):
+        if not open_.size:
+            break
+        mu = _mu(m, s)
+        if not classical:
+            ends, d_ends = angles(vbar + mu, open_)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # (mu + m)(mu - m) = s^2: divide by the larger factor
+            r = np.where(mu * m >= 0.0, s / (mu + m), (mu - m) / s)
+            phi, d_r, d_theta = _phase_function(ends, r)
+            e = phi[0] - phi[1] - math.pi * s
+            slope = (d_r[0] - d_r[1]) * r * m / (mu * s) - math.pi
+            if not classical:
+                slope += (d_theta[0] * d_ends[0] - d_theta[1] * d_ends[1]) * s / mu
+            step = s - e / slope
+            above = e > 0.0
+            lo, hi = np.where(above, s, lo), np.where(above, hi, s)
+            mid = 0.5 * (lo + hi)
+            done = np.abs(step - s) <= _SEED_TOLERANCE * (1.0 + np.abs(s))
+            s = np.where(done | (lo < step) & (step < hi), step,
+                         np.where(np.isfinite(mid), mid, 2.0 * s))
+        if done.any():
+            found = done & (np.abs(s) > _SEED_EDGE)
+            seeds[open_[found]] = vbar + _mu(m, s[found])
+            keep = ~done
+            open_, s, lo, hi = open_[keep], s[keep], lo[keep], hi[keep]
+            ends = ends[:, keep]
+    return seeds
 
 
 def _rotation_index(boundary, n):
@@ -716,40 +830,63 @@ def _rotation_index(boundary, n):
     return n if isinstance(boundary, Classical) else n - 1
 
 
-def _bracket(problem, turns, seeds, mesh, max_evals, describe):
+def _bracket(problem, turns, seeds, spread, vbar, mesh, max_evals, describe):
     """Brackets [lo, hi] of the eigenvalues with the given rotation indices.
 
     The angle mismatch f(lambda) = theta(pi) - psi - k pi increases strictly
     in lambda and vanishes at the eigenvalue.  An end is accepted once f is
     in (-pi, 0) at lo and in (0, pi) at hi; chi changes sign exactly once
-    in between.  Each index starts _AIM / pi below its seed.  Each round it
-    jumps from the end whose mismatch is nearer the aim f = -_AIM (lo still
-    missing) or +_AIM (hi missing), by that difference converted to lambda
-    through the phase of the free (V = 0) system.  While one side is
-    unknown, jumps in a row are stretched 2**k-fold, to at most twice the
-    one before, so that they cross a plateau of f.  Once both sides are
-    known, a jump that leaves the bracket is replaced by bisection.  Every
-    round evaluates one lambda per open index, and each index follows only
-    its own values, so its bracket does not depend on the batch.
-    Returns lo, hi and chi at both; an index still open after ``max_evals``
-    rounds raises IterationFailure.
+    in between.  The first round evaluates seed - spread and seed + spread
+    of every index in one call, so an index whose seed is within its spread
+    of the root is bracketed in one round.  Each later round evaluates one
+    lambda per open index:
+
+    * while one side is unknown, the index jumps from the end whose mismatch
+      is nearer the aim f = -_AIM (lo still missing) or +_AIM (hi missing),
+      by that difference converted to lambda through the ``_phase`` of the
+      system with the mean potential vbar.  Jumps in a row are stretched
+      2**k-fold, to at most twice the one before, so that they cross a
+      plateau of f;
+    * once both sides are known, it evaluates the middle of the window of f
+      (w, w + pi) that the missing end needs, its edges extrapolated by the
+      secant of f through the last two points on each side.  A window that
+      is empty or leaves the bracket, or a bracket that did not halve over
+      two rounds, takes a bisection instead.  This finds the narrow window
+      between a nearly degenerate pair in a few rounds where f is nearly
+      linear on both sides of it.
+
+    Each index follows only its own values, so its bracket does not depend
+    on the batch.  Returns lo, hi and chi at both; an index still open after
+    ``max_evals`` rounds raises IterationFailure.
     """
+    m = problem.mass
     size = turns.size
     lo, f_lo, chi_lo = np.full(size, -np.inf), np.full(size, -np.inf), np.zeros(size)
     hi, f_hi, chi_hi = np.full(size, np.inf), np.full(size, np.inf), np.zeros(size)
+    # the ends that lo and hi replaced last, for the secant of f on each side
+    lo_2, f_lo_2 = lo.copy(), f_lo.copy()
+    hi_2, f_hi_2 = hi.copy(), f_hi.copy()
     streak = np.zeros(size)   # jumps in a row from a one-sided bracket
     step = np.zeros(size)     # and the last of them
-    x = seeds - _AIM / math.pi
+    width_1 = np.full(size, np.inf)   # widths of the bracket one and two rounds ago
+    width_2 = width_1.copy()
     open_ = np.arange(size)
+    x = np.concatenate((seeds - spread, seeds + spread))
     for evals in itertools.count(1):
         y1, y2, theta = _terminal(problem, x, mesh, angle=True)
-        f = theta - _end_angle(problem, x) - math.pi * turns[open_]
+        f = theta - _end_angle(problem, x) - math.pi * np.resize(turns[open_], x.size)
         chi = _terminal_form(problem, x, y1, y2)
-        left = f < 0.0
-        for nearer, ends in ((left & (x > lo[open_]), (lo, f_lo, chi_lo)),
-                             (~left & (x < hi[open_]), (hi, f_hi, chi_hi))):
-            for end, value in zip(ends, (x, f, chi)):
-                end[open_[nearer]] = value[nearer]
+        # one column of one lambda per open index at a time, in increasing lambda
+        for col in range(0, x.size, open_.size):
+            cx, cf, cchi = (v[col:col + open_.size] for v in (x, f, chi))
+            left = cf < 0.0
+            for nearer, ends, before in (
+                    (left & (cx > lo[open_]), (lo, f_lo, chi_lo), (lo_2, f_lo_2)),
+                    (~left & (cx < hi[open_]), (hi, f_hi, chi_hi), (hi_2, f_hi_2))):
+                k = open_[nearer]
+                before[0][k], before[1][k] = ends[0][k], ends[1][k]
+                for end, value in zip(ends, (cx, cf, cchi)):
+                    end[k] = value[nearer]
         open_ = open_[(f_lo[open_] <= -math.pi) | (f_hi[open_] >= math.pi)]
         if not open_.size:
             return lo, hi, chi_lo, chi_hi
@@ -762,15 +899,29 @@ def _bracket(problem, turns, seeds, mesh, max_evals, describe):
         one_sided = np.isinf(a) | np.isinf(b)
         from_hi = np.abs(fb - aim) < np.abs(fa - aim)
         base, f_base = np.where(from_hi, b, a), np.where(from_hi, fb, fa)
-        jump = _free_lambda(problem.mass, _free_phase(problem.mass, base)
-                            + (aim - f_base) / math.pi) - base
+        jump = vbar + _mu(m, _phase(m, base - vbar) + (aim - f_base) / math.pi) - base
         jump *= 2.0 ** streak[open_]
         last = 2 * np.abs(step[open_])
         jump = np.where(last > 0, np.clip(jump, -last, last), jump)
         streak[open_] = np.where(one_sided, streak[open_] + 1, 0)
         step[open_] = np.where(one_sided, jump, 0.0)
-        x = base + jump
-        x = np.where(one_sided | ((a < x) & (x < b)), x, 0.5 * (a + b))
+        # two-sided: the middle of the window of f, (w, w + pi), that the
+        # missing end needs, its edges extrapolated from each side
+        w = np.where(fa <= -math.pi, -math.pi, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            chord = (fb - fa) / (b - a)
+            slope_a, slope_b = (
+                np.where((sec > 0.0) & np.isfinite(sec), sec, chord) for sec in (
+                    (fa - f_lo_2[open_]) / (a - lo_2[open_]),
+                    (fb - f_hi_2[open_]) / (b - hi_2[open_])))
+            edge_a, edge_b = a + (w - fa) / slope_a, b - (fb - w - math.pi) / slope_b
+        window = 0.5 * (edge_a + edge_b)
+        width = b - a
+        secant = (edge_a < edge_b) & (a < window) & (window < b) \
+            & (width <= 0.5 * width_2[open_])
+        width_2[open_] = width_1[open_]
+        width_1[open_] = width
+        x = np.where(one_sided, base + jump, np.where(secant, window, 0.5 * (a + b)))
 
 
 def _refine(problem, seeds, slopes, mesh, tolerance, max_evals, describe):
@@ -863,21 +1014,25 @@ def find_eigenvalues(problem: DiracProblem, indices,
     ``_rotation_index(boundary, n)``.  The search runs on the meshes of
     ``_levels(integrator.n_steps)``.  Each index starts on the coarsest one
     whose steps can count the angle's turns near its seed, N = n_steps / 8
-    unless the seed is large: seeds come from the second-order eigenvalue
-    expansion, with its constants computed once per call, ``_bracket``
-    turns them into brackets by the Prufer angle, and ``_illinois`` refines
-    chi in each.  Two Newton steps from lambda_N, with the slope of chi
-    across its final bracket, give the roots on the meshes of N / 2 and
-    N / 4 uniform steps, and ``_error_estimate`` turns the differences
-    lambda_N/2 - lambda_N and lambda_N/4 - lambda_N/2 into the error
-    estimate: divided by rho - 1, rho their ratio, where rho is near 16,
-    and |lambda_N/2 - lambda_N| elsewhere, which bounds the error of
-    lambda_N for any order of convergence of at least 1.  While the
-    estimate exceeds ``lambda_tolerance``, N doubles and ``_refine`` solves
-    on it from the previous root; the estimate then comes from the roots
-    on 2N, N and N / 2 steps.  Each index decides alone, so each record is
-    bitwise the same in any batch.  An index whose estimate still exceeds
-    the tolerance on the finest mesh raises ToleranceNotMet.
+    unless the seed is large.  Each seed is the eigenvalue of the same
+    problem with V replaced by its mean (``_mean_potential_seeds``), exact
+    for a constant V; inside the mass gap it is the second-order eigenvalue
+    expansion, whose constants are computed once per call.  ``_bracket``
+    turns the seeds into brackets by the Prufer angle, starting each at the
+    seed give or take a spread that models the seed's error (see
+    _SEED_ERROR), and ``_illinois`` refines chi in each.  Two Newton steps
+    from lambda_N, with the slope of chi across its final bracket, give the
+    roots on the meshes of N / 2 and N / 4 uniform steps, and
+    ``_error_estimate`` turns the differences lambda_N/2 - lambda_N and
+    lambda_N/4 - lambda_N/2 into the error estimate: divided by rho - 1, rho
+    their ratio, where rho is near 16, and |lambda_N/2 - lambda_N|
+    elsewhere, which bounds the error of lambda_N for any order of
+    convergence of at least 1.  While the estimate exceeds
+    ``lambda_tolerance``, N doubles and ``_refine`` solves on it from the
+    previous root; the estimate then comes from the roots on 2N, N and N / 2
+    steps.  Each index decides alone, so each record is bitwise the same in
+    any batch.  An index whose estimate still exceeds the tolerance on the
+    finest mesh raises ToleranceNotMet.
     """
     integrator = integrator or IntegratorConfig()
     search = search or EigenSearchConfig()
@@ -889,8 +1044,11 @@ def find_eigenvalues(problem: DiracProblem, indices,
         raise InputError("duplicate eigenvalue indices")
 
     constants = asymptotics.AsymptoticConstants.from_problem(problem)
-    seeds = np.array([asymptotics.lambda_asym(problem, n, 2, constants)
-                      for n in indices])
+    b = problem.boundary
+    vbar = (constants.v - b.beta + b.alpha) / math.pi
+    seeds = _mean_potential_seeds(
+        problem, turns, vbar,
+        [asymptotics.lambda_asym(problem, n, 2, constants) for n in indices])
     tolerance, max_evals = search.lambda_tolerance, search.max_iterations
 
     mesh_of = functools.cache(lambda n: _mesh(problem, n))
@@ -900,6 +1058,9 @@ def find_eigenvalues(problem: DiracProblem, indices,
 
     levels = _levels(integrator.n_steps)
     start = _start_levels(problem, seeds, levels, mesh_of(levels[0]))
+    deviation = float(np.abs(mesh_of(levels[0]).vbar - vbar).max())
+    spread = np.maximum(_SEED_ERROR * deviation / ((seeds - vbar) ** 2 + 1.0),
+                        _SEED_FLOOR)
     size = len(indices)
     # per index: lambda_N/2 - lambda_N and lambda_N/4 - lambda_N/2 for the
     # mesh of N steps it is on
@@ -915,7 +1076,8 @@ def find_eigenvalues(problem: DiracProblem, indices,
         if new.size:
             describe = describe_in(new)
             b_lo, b_hi, chi_lo, chi_hi = _bracket(problem, turns[new], seeds[new],
-                                                  mesh, max_evals, describe)
+                                                  spread[new], vbar, mesh, max_evals,
+                                                  describe)
             lam[new], slope[new] = _illinois(_chi(problem, mesh), b_lo, b_hi,
                                              chi_lo, chi_hi, tolerance, max_evals,
                                              describe)

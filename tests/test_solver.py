@@ -24,7 +24,7 @@ from dirac_nodal import (Classical, DiracProblem, EigenRecord,
                          find_eigenvalue, find_eigenvalues, integrate,
                          make_potential_sampled, named_potential,
                          node_count_prediction, DomainError)
-from dirac_nodal import AsymptoticConstants, cli, mean_shift
+from dirac_nodal import AsymptoticConstants, cli, lambda_asym, mean_shift
 from dirac_nodal import solver as solver_mod
 
 PI = math.pi
@@ -238,14 +238,19 @@ class TestFindEigenvalue:
 
     @pytest.mark.parametrize("label", ["sin_half", "pd_example"])
     def test_seeds_once_per_call(self, cache, label, monkeypatch):
-        # one set of expansion constants per call, and each seed bitwise
-        # mu + v / pi + c / n as computed index by index
+        # one set of expansion constants per call, and each seed bitwise the
+        # mean-potential seed of its index computed alone; sin2x has mean 0,
+        # so the classical seeds are those of V = 0, sign(n) sqrt(n^2 + m^2)
         p = cache.problem(label)
         indices = [-7, -1, 1, 2, 3, 17, 40]
-        mu = [n - 2 if label == "pd_example" and n > 0 else n for n in indices]
-        second = AsymptoticConstants.from_problem(p).second_order
-        expected = [float(k) + mean_shift(p) / PI + second / n
-                    for k, n in zip(mu, indices)]
+        vbar = (mean_shift(p) - p.boundary.beta + p.boundary.alpha) / PI
+        constants = AsymptoticConstants.from_problem(p)
+        expected = [solver_mod._mean_potential_seeds(
+            p, np.array([solver_mod._rotation_index(p.boundary, n)]), vbar,
+            [lambda_asym(p, n, 2, constants)])[0] for n in indices]
+        if label == "sin_half":
+            assert expected == pytest.approx(
+                [math.copysign(math.hypot(n, 0.5), n) for n in indices], abs=1e-13)
         made, seen = [], []
         from_problem = AsymptoticConstants.from_problem
         monkeypatch.setattr(AsymptoticConstants, "from_problem", classmethod(
@@ -255,6 +260,93 @@ class TestFindEigenvalue:
                             seen.append(seeds.tolist()) or start_levels(problem, seeds, *rest))
         find_eigenvalues(p, indices, cache.integrator(label))
         assert made == [p] and seen == [expected]
+
+    @pytest.mark.parametrize("mass", [0.0, 0.5, 10.0])
+    @pytest.mark.parametrize("boundary,indices", [
+        (Classical(0.0, 0.0), [-12, -5, -3, -1, 1, 2, 3, 5, 12]),
+        (Classical(0.3, 1.0), [-12, -5, -3, -1, 1, 2, 3, 5, 12]),
+        (Classical(1.2, 0.4), [-12, -5, -2, -1, 1, 2, 4, 12]),
+        (Classical(PI / 2, PI / 2), [-9, -1, 1, 9]),
+        (canonical_pd(0.4, 0.5), [-12, -5, -2, 2, 3, 5, 12]),
+        (canonical_pd(1.0, -0.3), [-12, -3, -1, 2, 3, 12]),
+    ], ids=["c00", "c03_10", "c12_04", "c_half_pi", "pd_04_05", "pd_10_m03"])
+    def test_constant_potential_seed_is_the_eigenvalue(self, mass, boundary, indices,
+                                                        monkeypatch):
+        # V = 1.3: outside the mass gap the seed is the eigenvalue itself, for
+        # |n| below m too; inside it, it is the expansion
+        p = DiracProblem(mass, named_potential("constant", c=1.3), boundary)
+        seen = []
+        start_levels = solver_mod._start_levels
+        monkeypatch.setattr(solver_mod, "_start_levels", lambda problem, seeds, *rest:
+                            seen.append(seeds) or start_levels(problem, seeds, *rest))
+        records = find_eigenvalues(p, indices)
+        seeds = dict(zip(indices, seen[0]))
+        outside = 0
+        for rec in records:
+            if abs(rec.lam - 1.3) > mass:
+                outside += 1
+                assert abs(seeds[rec.index] - rec.lam) <= 1e-10
+            else:
+                assert seeds[rec.index] == lambda_asym(p, rec.index, 2)
+        assert outside >= len(indices) - 2
+
+    @pytest.mark.parametrize("args", [
+        (10.0, named_potential("zero"), Classical(0.3, 1.0)),
+        (0.5, named_potential("sin2x"), canonical_pd(0.4, 0.5)),
+        (8.0, named_potential("sin2x"), canonical_pd(-0.4, 0.5)),
+    ], ids=["heavy", "pd_example", "case_one_gap"])
+    def test_seeds_bitwise_in_any_batch(self, args):
+        # the last problem's index 1 lies in the mass gap and falls back
+        p = DiracProblem(*args)
+        indices = [-9, -3, -1, 1, 2, 3, 4, 7, 20, 40]
+        turns = np.array([solver_mod._rotation_index(p.boundary, n) for n in indices])
+        fallback = [lambda_asym(p, n, 2) for n in indices]
+        vbar = p.potential.total_integral / PI
+        batch = solver_mod._mean_potential_seeds(p, turns, vbar, fallback)
+        for k in range(len(indices)):
+            alone = solver_mod._mean_potential_seeds(p, turns[k:k + 1], vbar,
+                                                     fallback[k:k + 1])
+            assert alone[0] == batch[k]
+        tail = solver_mod._mean_potential_seeds(p, turns[3:], vbar, fallback[3:])
+        assert np.array_equal(tail, batch[3:])
+
+    def test_heavy_indices_bracket_in_one_round(self, monkeypatch):
+        # the nodes_by_index heavy problem: exact seeds, one angle evaluation
+        # of two lambdas, no regula falsi step, and chi on N/2, N/4 and for
+        # the residual
+        p = DiracProblem(*HEAVY)
+        calls = []
+        terminal = solver_mod._terminal
+
+        def counted(problem, lams, mesh, angle=False):
+            calls.append(angle)
+            return terminal(problem, lams, mesh, angle)
+
+        monkeypatch.setattr(solver_mod, "_terminal", counted)
+        for n in (3, 4, 6, 10, 20):
+            calls.clear()
+            rec = find_eigenvalue(p, n)
+            assert calls.count(True) == 1 and len(calls) <= 7
+            assert rec.lam == pytest.approx(math.sqrt(n * n + 100.0), abs=1.0)
+
+    def test_nearly_degenerate_pair_under_default_cap(self, monkeypatch):
+        # V = 5 sin 3x, m = 10: index -1 sits 1e-6 below the unlabelled
+        # rotation-index-0 eigenvalue, so the window for hi is that narrow
+        p = DiracProblem(10.0, Potential(func=lambda x: 5.0 * np.sin(3.0 * x)),
+                         Classical(0.0, 0.0))
+        angles = []
+        terminal = solver_mod._terminal
+
+        def counted(problem, lams, mesh, angle=False):
+            angles.append(angle)
+            return terminal(problem, lams, mesh, angle)
+
+        monkeypatch.setattr(solver_mod, "_terminal", counted)
+        rec = find_eigenvalue(p, -1, IntegratorConfig(8192))
+        monkeypatch.undo()
+        assert sum(angles) <= 24   # 28 with bisection in the window
+        assert rec.lam == pytest.approx(-6.028559, abs=1e-6)
+        assert trajectory_rotation(p, rec.lam, rec.steps) == -1
 
     def test_records_strictly_ordered(self, cache):
         recs = cache.records("sin_half", list(range(6, 16)))
@@ -359,11 +451,15 @@ class TestRootFinder:
         assert calls[0] == [0, 1] and all(c == [1] for c in calls[1:])
 
     def test_exhausted_cap_raises(self, monkeypatch):
+        # V = 0, m = 0: the seeds are exact, so a first bracket 0.05 wide on
+        # each side holds the fake roots at n + 0.0372
         p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
+        monkeypatch.setattr(solver_mod, "_SEED_FLOOR", 0.05)
         monkeypatch.setattr(solver_mod, "_characteristic_batch", sign_only_chi)
         recs = find_eigenvalues(p, range(3, 41), FAST)   # default cap of 48
         assert all(abs(r.lam - r.index - 0.0372) <= 1e-10 for r in recs)
-        with pytest.raises(IterationFailure, match="eigenvalue index 5"):
+        with pytest.raises(IterationFailure,
+                           match="root not within .* eigenvalue index 5"):
             find_eigenvalue(p, 5, FAST, EigenSearchConfig(max_iterations=16))
 
     def test_exhausted_cap_exits_3_from_cli(self, tmp_path, monkeypatch):
@@ -375,6 +471,7 @@ class TestRootFinder:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         monkeypatch.delenv("DIRAC_NODAL_LOG", raising=False)
+        monkeypatch.setattr(solver_mod, "_SEED_FLOOR", 0.05)
         monkeypatch.setattr(solver_mod, "_characteristic_batch", sign_only_chi)
         res = CliRunner().invoke(cli.main, [
             "spectrum", "--problem", str(cfg), "--n-min", "4", "--n-max", "6",
@@ -382,6 +479,7 @@ class TestRootFinder:
         assert res.exit_code == 3, res.output
         payload = json.loads(res.stderr.strip().splitlines()[-1])
         assert payload["type"] == "IterationFailure"
+        assert payload["message"].startswith("root not within")
         assert not (tmp_path / "x.csv").exists()
 
 
@@ -684,12 +782,14 @@ class TestRotationLabels:
 
     @pytest.mark.parametrize("args", [HEAVY, SIN_CLASSICAL])
     def test_no_scan(self, args, monkeypatch):
+        # the first bracket round evaluates two lambdas per index, every
+        # later evaluation at most one
         sizes = count_terminal(monkeypatch)
         find_eigenvalues(DiracProblem(*args), range(3, 41))
-        assert 0 < max(sizes) <= 38
+        assert sizes[0] == 76 and 0 < max(sizes[1:]) <= 38
         sizes.clear()
         find_eigenvalue(DiracProblem(*args), 10)
-        assert set(sizes) == {1}
+        assert sizes[0] == 2 and set(sizes[1:]) == {1}
 
 
 class TestExtractNodes:
