@@ -1,8 +1,9 @@
 """Closed-form asymptotic expansions: eigenvalues, nodal points and lengths,
 eigenfunction components.
 
-These expansions seed the eigenvalue search inside the mass gap, generate
-synthetic nodal data, and back the order-of-convergence validation harness.
+These expansions are results the package validates against its solver:
+they generate synthetic nodal data, supply the asymptotic lambda source of
+reconstruction, and back the order-of-convergence validation harness.
 Implicit occurrences of the nodal position inside its own expansion are
 resolved by fixed-point iteration, which is better conditioned at moderate
 index than the fully expanded series (also provided, for cross-checking).
@@ -73,20 +74,15 @@ def _integer_base(problem, n):
     return n
 
 
-def lambda_asym(problem: DiracProblem, n: int, order: int = 2,
-                constants: AsymptoticConstants | None = None) -> float:
-    """Eigenvalue expansion through the requested order (0, 1 or 2).
-
-    ``constants``, the problem's AsymptoticConstants, spares a caller that
-    expands many indices computing them, and the integral of V, again for
-    each; the value is the same."""
+def lambda_asym(problem: DiracProblem, n: int, order: int = 2) -> float:
+    """Eigenvalue expansion through the requested order (0, 1 or 2)."""
     if n == 0:
         raise DomainError("index n must be nonzero")
     if order not in (0, 1, 2):
         raise InputError("order must be 0, 1 or 2")
     value = float(_integer_base(problem, n))
     if order >= 1:
-        constants = constants or AsymptoticConstants.from_problem(problem)
+        constants = AsymptoticConstants.from_problem(problem)
         value += constants.v / math.pi
     if order == 2:
         value += constants.second_order / n

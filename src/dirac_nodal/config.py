@@ -21,7 +21,7 @@ from .reconstruction import ReconstructionMode
 from .solver import EigenSearchConfig, IntegratorConfig
 
 _TOP_KEYS = {"mass", "potential", "boundary", "solver", "modes"}
-_SOLVER_KEYS = {"steps", "lambda_tol", "max_iterations"}
+_SOLVER_KEYS = {"steps", "lambda_tol"}
 _MODE_KEYS = {"reconstruction", "lambda_source"}
 _CLASSICAL_KEYS = {"kind", "alpha", "beta"}
 _PARAM_KEYS = {"kind", "alpha", "beta", "a0", "b0", "a1", "b1"}
@@ -29,16 +29,14 @@ _PARAM_KEYS = {"kind", "alpha", "beta", "a0", "b0", "a1", "b1"}
 
 @dataclass(frozen=True)
 class SolverSettings:
-    steps: int = 4096
-    lambda_tol: float = 1e-10
-    max_iterations: int = 48
+    steps: int = IntegratorConfig.n_steps
+    lambda_tol: float = EigenSearchConfig.lambda_tolerance
 
     def integrator(self) -> IntegratorConfig:
         return IntegratorConfig(n_steps=self.steps)
 
     def search(self) -> EigenSearchConfig:
-        return EigenSearchConfig(lambda_tolerance=self.lambda_tol,
-                                 max_iterations=self.max_iterations)
+        return EigenSearchConfig(lambda_tolerance=self.lambda_tol)
 
 
 @dataclass(frozen=True)
@@ -104,13 +102,12 @@ def parse_config(document) -> LoadedConfig:
 
     solver_obj = document.get("solver", {})
     _check_keys(solver_obj, _SOLVER_KEYS, "solver")
-    steps = solver_obj.get("steps", 4096)
+    steps = solver_obj.get("steps", SolverSettings.steps)
     if isinstance(steps, bool) or not isinstance(steps, int):
         raise ConfigError("steps must be an integer", field="solver.steps")
     settings = SolverSettings(
         steps=steps,
-        lambda_tol=float(solver_obj.get("lambda_tol", 1e-10)),
-        max_iterations=int(solver_obj.get("max_iterations", 48)),
+        lambda_tol=float(solver_obj.get("lambda_tol", SolverSettings.lambda_tol)),
     )
 
     modes_obj = document.get("modes", {})

@@ -134,16 +134,11 @@ def reconstruct_step(nodes: NodalSet, problem: DiracProblem,
 
 @dataclass(frozen=True)
 class LocalAverages:
-    """Rescaled local integrals of the potential over one nodal interval.
-
-    ``osc`` uses the kernel cos(2*lambda*t); ``osc_paper_kernel`` keeps the
-    cos(2*lambda*pi*t) variant alongside for comparison.  Decay is expected
-    of ``osc`` only.
-    """
+    """Rescaled local integrals of the potential over one nodal interval:
+    ``avg`` of V and ``osc`` of V against the kernel cos(2*lambda*t)."""
 
     avg: float
     osc: float
-    osc_paper_kernel: float
 
 
 def local_average_limit(potential: Potential, nodes: NodalSet, lam: float,
@@ -155,8 +150,7 @@ def local_average_limit(potential: Potential, nodes: NodalSet, lam: float,
     b = float(nodes.points[j])
     avg = lam * potential.integral_between(a, b)
     osc = lam * _oscillatory_integral(potential, a, b, 2.0 * lam)
-    osc_paper = lam * _oscillatory_integral(potential, a, b, 2.0 * lam * math.pi)
-    return LocalAverages(float(avg), float(osc), float(osc_paper))
+    return LocalAverages(float(avg), float(osc))
 
 
 def _oscillatory_integral(potential: Potential, a: float, b: float,

@@ -57,7 +57,8 @@ every such level and every batch.
 Each index is seeded with the eigenvalue of the problem with V replaced by
 its mean, which the Prufer angle gives in closed form up to a scalar root
 (Pryce, "Numerical Solution of Sturm-Liouville Problems", 1993, on seeding
-shooting methods); inside the mass gap the seed is the eigenvalue expansion.
+shooting methods); inside the mass gap, where that root does not exist, the
+seed is the massless one.
 The search's first round evaluates the angle on both sides of every seed in
 one batched propagation, and an index whose seed was within its spread is
 bracketed by it; the others jump by their angle mismatch until both ends of
@@ -99,7 +100,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import asymptotics
 from .errors import (ComputationError, DegenerateComponent, DomainError,
                      InputError, IntegrationFailure, IterationFailure,
                      RotationLimitExceeded, ToleranceNotMet,
@@ -182,27 +182,32 @@ _SHIFT_LIMIT = 1.0 / 16
 _RHO_BAND = (12.0, 20.0)
 _RICHARDSON_SAFETY = 3.0
 
-# Newton steps in s after which a mean-potential seed falls back to the
-# expansion, the relative step at which it is final, and the |s| a final
-# seed must exceed: at the edge of the mass gap, s = 0, E may vanish without
+# Newton steps in s after which a mean-potential seed keeps its massless
+# start, the relative step at which it is final, and the |s| a final seed
+# must exceed: at the edge of the mass gap, s = 0, E may vanish without
 # changing sign.
 _SEED_ITERATIONS = 32
 _SEED_TOLERANCE = 1e-12
 _SEED_EDGE = 1e-6
 
-# The first bracket round evaluates seed -+ spread, spread = max(_SEED_ERROR
-# W / (mu**2 + 1), _SEED_FLOOR), where W is the largest |vbar - mean V| over
-# the steps of the search's first mesh and mu = seed - mean V.  Measured
-# against the eigenvalues found, over the problems of seeds 1-30 of the
-# spectrum_batch and nodes_by_index benchmark workloads (n = -10..-1 and
-# 1..40, 6200 seeds): the seed error was at most 1.32 W / (mu**2 + 1), with a
-# median of 0.037; with the factor 1, 5 of them missed their first round,
-# all at |n| <= 2 on step potentials, and none with n >= 3.  A constant
-# potential (W = 0) has seeds within 1.4e-14 of its eigenvalues, on every
-# mesh, and the floor keeps that bracket narrower than lambda_tol = 1e-10,
-# so that it needs no regula falsi step.
-_SEED_ERROR = 1.0
+# The first bracket round evaluates seed -+ spread, spread = max(W / (mu**2 +
+# 1), _SEED_FLOOR), where W is the largest |vbar - mean V| over the steps of
+# the search's first mesh and mu = seed - mean V.  Measured against the
+# eigenvalues found, over the problems of seeds 1-30 of the spectrum_batch
+# and nodes_by_index benchmark workloads (n = -10..-1 and 1..40, 6200
+# seeds): the seed error was at most 1.32 W / (mu**2 + 1), with a median of
+# 0.037; 5 of them missed their first round, all at |n| <= 2 on step
+# potentials, and none with n >= 3.  A constant potential (W = 0) has seeds
+# within 1.4e-14 of its eigenvalues, on every mesh, and the floor keeps that
+# bracket narrower than lambda_tol = 1e-10, so that it needs no regula falsi
+# step.
 _SEED_FLOOR = 2e-11
+
+# Per index and mesh, the most angle evaluations that bracket an eigenvalue,
+# characteristic-function evaluations that refine its bracket, and widenings
+# of its bracket on a finer mesh; an index still open at this cap raises
+# IterationFailure.
+_MAX_EVALUATIONS = 48
 
 
 @dataclass(frozen=True)
@@ -221,24 +226,15 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class EigenSearchConfig:
-    """Bracketing and root-finding parameters for the eigenvalue search.
-
-    ``lambda_tolerance`` is both the bracket width at which a root is final
-    and the largest error estimate an eigenvalue may have.
-    ``max_iterations`` caps, per index and mesh, the angle evaluations that
-    bracket it, the characteristic-function evaluations that refine the
-    bracket and the widenings of a bracket on a finer mesh; an index still
-    open at a cap raises IterationFailure.
-    """
+    """Tolerance of the eigenvalue search: ``lambda_tolerance`` is both the
+    bracket width at which a root is final and the largest error estimate an
+    eigenvalue may have."""
 
     lambda_tolerance: float = 1e-10
-    max_iterations: int = 48
 
     def __post_init__(self):
         if self.lambda_tolerance <= 0:
             raise InputError("lambda_tolerance must be positive")
-        if self.max_iterations < 16:
-            raise InputError("max_iterations must be at least 16")
 
 
 # Taylor coefficients of cosh(sqrt(u)) = sum u**k / (2k)! and of
@@ -656,7 +652,7 @@ def characteristic(problem: DiracProblem, lam: float,
     return float(_characteristic_batch(problem, [float(lam)], mesh)[0])
 
 
-def _illinois(f, lo, hi, f_lo, f_hi, tolerance, max_evals, describe):
+def _illinois(f, lo, hi, f_lo, f_hi, tolerance, describe):
     """Roots of f in brackets [lo, hi] with f_lo * f_hi < 0, by a
     safeguarded Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971)
     vectorized over the brackets.
@@ -672,8 +668,9 @@ def _illinois(f, lo, hi, f_lo, f_hi, tolerance, max_evals, describe):
     exactly 0 at an iterate, which becomes its hi end, so each root is
     bitwise independent of the batch it is found in.  The root of a frozen
     bracket is that exact zero, or else the linear interpolant of its true
-    end values.  A bracket still open after ``max_evals`` evaluations raises
-    IterationFailure, naming the open brackets by ``describe(position)``.
+    end values.  A bracket still open after _MAX_EVALUATIONS evaluations
+    raises IterationFailure, naming the open brackets by
+    ``describe(position)``.
     Returns the roots and the slope of the secant of f across each final
     bracket.
     """
@@ -700,9 +697,9 @@ def _illinois(f, lo, hi, f_lo, f_hi, tolerance, max_evals, describe):
              width_3, mid, width) = (v[~done] for v in (
                  open_, lo, hi, f_lo, f_hi, g_lo, g_hi, kept, width_1, width_2,
                  width_3, mid, width))
-        if evals == max_evals:
+        if evals == _MAX_EVALUATIONS:
             raise IterationFailure(
-                f"root not within {tolerance:g} after {max_evals} evaluations: "
+                f"root not within {tolerance:g} after {_MAX_EVALUATIONS} evaluations: "
                 + ", ".join(describe(k) for k in open_))
         with np.errstate(divide="ignore", invalid="ignore"):
             x = lo + width * (g_lo / (g_lo - g_hi))
@@ -746,10 +743,10 @@ def _phase_function(theta, r):
             sin * cos / den, r / den)
 
 
-def _mean_potential_seeds(problem, turns, vbar, fallback):
+def _mean_potential_seeds(problem, turns, vbar):
     """The eigenvalues with rotation indices ``turns`` of the problem with V
-    replaced by its mean vbar, where they lie outside the mass gap; the
-    ``fallback`` seeds elsewhere.
+    replaced by its mean vbar, where they lie outside the mass gap, and the
+    massless ones elsewhere.
 
     With mu = lambda - vbar the Prufer angle obeys theta' = mu + m cos 2
     theta, and for |mu| > |m| it turns from theta0 to theta1 in the time
@@ -758,15 +755,17 @@ def _mean_potential_seeds(problem, turns, vbar, fallback):
     the root of E(s) = Phi(psi + k pi) - Phi(theta0) - pi s, theta0 and psi
     from ``_start_angle`` and ``_end_angle`` at lambda = vbar + mu, and E is
     positive below the root and negative above it on the branch sign(s).
-    The massless root (psi + k pi - theta0) / pi at the fallback seed picks
+    The massless root s0 = (psi + k pi - theta0) / pi, with the angles taken
+    at lambda = vbar + k (classically they do not depend on lambda), picks
     the branch and starts Newton steps in s with the exact derivative of E;
-    it is the root itself for m = 0 and a classical boundary.  A step that
-    leaves the bracket of signs of E seen so far, or the branch, bisects the
-    bracket or doubles s instead.  An index stops once its Newton step is at
-    most _SEED_TOLERANCE (1 + |s|).  It keeps its fallback seed where it
-    stops within _SEED_EDGE of s = 0, or after _SEED_ITERATIONS steps, as
-    where its root is inside the gap.  Each index iterates on its own
-    values, so its seed is bitwise the same in any batch."""
+    it is the root itself for m = 0 and a classical boundary.  With m = 0
+    there is no gap, and s may cross 0.  A step that leaves the bracket of
+    signs of E seen so far, or the branch, bisects the bracket or doubles s
+    instead.  An index stops once its Newton step is at most _SEED_TOLERANCE
+    (1 + |s|).  Its seed is vbar + s0 where it stops within _SEED_EDGE of s =
+    0, or after _SEED_ITERATIONS steps, as where its root is inside the gap.
+    Each index iterates on its own values, so its seed is bitwise the same in
+    any batch."""
     m = problem.mass
     b = problem.boundary
     target = np.asarray(turns, dtype=float) * math.pi
@@ -783,13 +782,16 @@ def _mean_potential_seeds(problem, turns, vbar, fallback):
         return ends, np.stack((b.right_sign_term / (a * a + c * c),
                                b.left_sign_term / (y1 * y1 + y2 * y2)))
 
-    seeds = np.array(fallback, dtype=float)
-    ends, d_ends = angles(seeds, np.arange(seeds.size))
+    ends, d_ends = angles(vbar + turns, np.arange(turns.size))
     s = (ends[0] - ends[1]) / math.pi
+    seeds = vbar + s
     open_ = np.flatnonzero(s)
     s, ends = s[open_], ends[:, open_]
-    lo = np.where(s > 0.0, 0.0, -np.inf)   # E > 0 at lo, E <= 0 at hi
-    hi = np.where(s > 0.0, np.inf, 0.0)
+    lo = np.full(s.size, -np.inf)   # E > 0 at lo, E <= 0 at hi
+    hi = np.full(s.size, np.inf)
+    if m:   # the branch sign(s) ends at the mass gap
+        lo[s > 0.0] = 0.0
+        hi[s < 0.0] = 0.0
     for _ in range(_SEED_ITERATIONS):
         if not open_.size:
             break
@@ -830,7 +832,7 @@ def _rotation_index(boundary, n):
     return n if isinstance(boundary, Classical) else n - 1
 
 
-def _bracket(problem, turns, seeds, spread, vbar, mesh, max_evals, describe):
+def _bracket(problem, turns, seeds, spread, vbar, mesh, describe):
     """Brackets [lo, hi] of the eigenvalues with the given rotation indices.
 
     The angle mismatch f(lambda) = theta(pi) - psi - k pi increases strictly
@@ -857,7 +859,7 @@ def _bracket(problem, turns, seeds, spread, vbar, mesh, max_evals, describe):
 
     Each index follows only its own values, so its bracket does not depend
     on the batch.  Returns lo, hi and chi at both; an index still open after
-    ``max_evals`` rounds raises IterationFailure.
+    _MAX_EVALUATIONS rounds raises IterationFailure.
     """
     m = problem.mass
     size = turns.size
@@ -890,9 +892,9 @@ def _bracket(problem, turns, seeds, spread, vbar, mesh, max_evals, describe):
         open_ = open_[(f_lo[open_] <= -math.pi) | (f_hi[open_] >= math.pi)]
         if not open_.size:
             return lo, hi, chi_lo, chi_hi
-        if evals == max_evals:
+        if evals == _MAX_EVALUATIONS:
             raise IterationFailure(
-                f"no bracket within pi of the target angle after {max_evals} "
+                f"no bracket within pi of the target angle after {_MAX_EVALUATIONS} "
                 "evaluations: " + ", ".join(describe(k) for k in open_))
         a, b, fa, fb = lo[open_], hi[open_], f_lo[open_], f_hi[open_]
         aim = np.where(fa <= -math.pi, -_AIM, _AIM)
@@ -924,7 +926,7 @@ def _bracket(problem, turns, seeds, spread, vbar, mesh, max_evals, describe):
         x = np.where(one_sided, base + jump, np.where(secant, window, 0.5 * (a + b)))
 
 
-def _refine(problem, seeds, slopes, mesh, tolerance, max_evals, describe):
+def _refine(problem, seeds, slopes, mesh, tolerance, describe):
     """Roots of chi on ``mesh`` next to the seeds, the roots on a coarser
     mesh, where chi had the given slopes.
 
@@ -933,10 +935,10 @@ def _refine(problem, seeds, slopes, mesh, tolerance, max_evals, describe):
     until chi changes sign, and ``_illinois`` refines it.  Every
     propagation evaluates one lambda per open index, and each index follows
     only its own values.  A bracket that would reach farther than
-    _SHIFT_LIMIT from its prediction, or is still open after ``max_evals``
-    widenings, raises IterationFailure.  Returns the roots, the slopes of
-    chi across their final brackets, and the brackets [lo, hi] that
-    ``_illinois`` started from.
+    _SHIFT_LIMIT from its prediction, or is still open after
+    _MAX_EVALUATIONS widenings, raises IterationFailure.  Returns the roots,
+    the slopes of chi across their final brackets, and the brackets [lo, hi]
+    that ``_illinois`` started from.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         x = seeds - _characteristic_batch(problem, seeds, mesh) / slopes
@@ -955,14 +957,14 @@ def _refine(problem, seeds, slopes, mesh, tolerance, max_evals, describe):
         if not open_.size:
             break
         half[open_] *= 16.0
-        if evals == max_evals or np.any(half[open_] > _SHIFT_LIMIT):
+        if evals == _MAX_EVALUATIONS or np.any(half[open_] > _SHIFT_LIMIT):
             raise IterationFailure(
                 "chi keeps its sign within "
                 f"{min(float(half[open_].max()) / 16, _SHIFT_LIMIT):.3g} of the "
                 "eigenvalue of the coarser mesh: "
                 + ", ".join(describe(k) for k in open_))
     roots, slopes = _illinois(_chi(problem, mesh), lo, hi, f_lo, f_hi,
-                              tolerance, max_evals, describe)
+                              tolerance, describe)
     return roots, slopes, lo, hi
 
 
@@ -1015,14 +1017,14 @@ def find_eigenvalues(problem: DiracProblem, indices,
     ``_levels(integrator.n_steps)``.  Each index starts on the coarsest one
     whose steps can count the angle's turns near its seed, N = n_steps / 8
     unless the seed is large.  Each seed is the eigenvalue of the same
-    problem with V replaced by its mean (``_mean_potential_seeds``), exact
-    for a constant V; inside the mass gap it is the second-order eigenvalue
-    expansion, whose constants are computed once per call.  ``_bracket``
-    turns the seeds into brackets by the Prufer angle, starting each at the
-    seed give or take a spread that models the seed's error (see
-    _SEED_ERROR), and ``_illinois`` refines chi in each.  Two Newton steps
-    from lambda_N, with the slope of chi across its final bracket, give the
-    roots on the meshes of N / 2 and N / 4 uniform steps, and
+    problem with V replaced by its mean vbar = integral(V) / pi
+    (``_mean_potential_seeds``), exact for a constant V; inside the mass gap
+    it is the massless one.  ``_bracket`` turns the seeds into brackets by
+    the Prufer angle, starting each at the seed give or take a spread that
+    models the seed's error (see _SEED_FLOOR), and ``_illinois`` refines chi
+    in each.  Two Newton steps from lambda_N, with the slope of chi across
+    its final bracket, give the roots on the meshes of N / 2 and N / 4
+    uniform steps, and
     ``_error_estimate`` turns the differences lambda_N/2 - lambda_N and
     lambda_N/4 - lambda_N/2 into the error estimate: divided by rho - 1, rho
     their ratio, where rho is near 16, and |lambda_N/2 - lambda_N|
@@ -1043,13 +1045,9 @@ def find_eigenvalues(problem: DiracProblem, indices,
     if len(set(indices)) != len(indices):
         raise InputError("duplicate eigenvalue indices")
 
-    constants = asymptotics.AsymptoticConstants.from_problem(problem)
-    b = problem.boundary
-    vbar = (constants.v - b.beta + b.alpha) / math.pi
-    seeds = _mean_potential_seeds(
-        problem, turns, vbar,
-        [asymptotics.lambda_asym(problem, n, 2, constants) for n in indices])
-    tolerance, max_evals = search.lambda_tolerance, search.max_iterations
+    vbar = problem.potential.total_integral / math.pi
+    seeds = _mean_potential_seeds(problem, turns, vbar)
+    tolerance = search.lambda_tolerance
 
     mesh_of = functools.cache(lambda n: _mesh(problem, n))
 
@@ -1059,8 +1057,7 @@ def find_eigenvalues(problem: DiracProblem, indices,
     levels = _levels(integrator.n_steps)
     start = _start_levels(problem, seeds, levels, mesh_of(levels[0]))
     deviation = float(np.abs(mesh_of(levels[0]).vbar - vbar).max())
-    spread = np.maximum(_SEED_ERROR * deviation / ((seeds - vbar) ** 2 + 1.0),
-                        _SEED_FLOOR)
+    spread = np.maximum(deviation / ((seeds - vbar) ** 2 + 1.0), _SEED_FLOOR)
     size = len(indices)
     # per index: lambda_N/2 - lambda_N and lambda_N/4 - lambda_N/2 for the
     # mesh of N steps it is on
@@ -1076,11 +1073,9 @@ def find_eigenvalues(problem: DiracProblem, indices,
         if new.size:
             describe = describe_in(new)
             b_lo, b_hi, chi_lo, chi_hi = _bracket(problem, turns[new], seeds[new],
-                                                  spread[new], vbar, mesh, max_evals,
-                                                  describe)
+                                                  spread[new], vbar, mesh, describe)
             lam[new], slope[new] = _illinois(_chi(problem, mesh), b_lo, b_hi,
-                                             chi_lo, chi_hi, tolerance, max_evals,
-                                             describe)
+                                             chi_lo, chi_hi, tolerance, describe)
             # Newton steps from lambda_N for the roots on N/2 and N/4 steps
             half, quarter = (_characteristic_batch(problem, lam[new], mesh_of(n >> k))
                              / slope[new] for k in (1, 2))
@@ -1088,8 +1083,7 @@ def find_eigenvalues(problem: DiracProblem, indices,
             lo[new], hi[new] = b_lo, b_hi
         if old.size:
             roots, slope[old], lo[old], hi[old] = _refine(
-                problem, lam[old], slope[old], mesh, tolerance, max_evals,
-                describe_in(old))
+                problem, lam[old], slope[old], mesh, tolerance, describe_in(old))
             d1[old], d2[old] = lam[old] - roots, d1[old]
             lam[old] = roots
         here = np.concatenate((new, old))

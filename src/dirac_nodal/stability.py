@@ -26,11 +26,12 @@ logger = logging.getLogger(__name__)
 
 
 def _check_positivity(case, n, m):
-    bound = m / math.sqrt(2.0) + (2.0 if case == "I" else 0.0)
-    if n < bound - 1e-12:
+    """The weights of s_n are positive where n - 2 > m/sqrt(2) in case I and
+    n > m/sqrt(2) classically; at equality the case-I weight is 0/0."""
+    shift = 2 if case == "I" else 0
+    if not n - shift > abs(m) / math.sqrt(2.0):
         raise DomainError(
-            f"prefactor positivity needs n >= m/sqrt(2) + "
-            f"{'2' if case == 'I' else '0'}; got n={n}, m={m}")
+            f"prefactor positivity needs n > m/sqrt(2) + {shift}; got n={n}, m={m}")
 
 
 def s_n(x_seq: GridSequence, y_seq: GridSequence, n: int, m: float = 0.0) -> float:
@@ -61,7 +62,7 @@ class D0Estimate:
 
     @property
     def d_sigma(self):
-        return 1.0 if self.infinite else self.value / (1.0 + self.value)
+        return d_sigma_from_d0(math.inf if self.infinite else self.value)
 
 
 def d0_estimate(x_seq: GridSequence, y_seq: GridSequence, n_window,

@@ -17,7 +17,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import cli_env, unreachable_angle
-from dirac_nodal import Classical, ConfigError, InputError
+from dirac_nodal import Classical, ConfigError, InputError, solver
 from dirac_nodal.cli import main, read_csv_table
 from dirac_nodal.config import config_hash, load_config, parse_config
 
@@ -75,6 +75,11 @@ class TestConfigParsing:
     def test_unknown_solver_key(self):
         doc = dict(ZERO_QUARTER, solver={"steps": 512, "nonsense": 2})
         with pytest.raises(ConfigError, match="solver"):
+            parse_config(doc)
+
+    def test_removed_max_iterations_rejected(self):
+        doc = dict(ZERO_QUARTER, solver={"steps": 512, "max_iterations": 48})
+        with pytest.raises(ConfigError, match="max_iterations"):
             parse_config(doc)
 
     def test_removed_bracket_expansion_rejected(self):
@@ -167,9 +172,10 @@ class TestSpectrumCommand:
     def test_bracket_cap_exits_3(self, tmp_path, monkeypatch):
         # in-process, so that the altered angle reaches the command; no index
         # of 4..6 comes within pi of its target angle
-        doc = dict(ZERO_QUARTER, solver={"steps": 512, "max_iterations": 16})
+        doc = dict(ZERO_QUARTER, solver={"steps": 512})
         cfg = write_config(tmp_path, doc)
         monkeypatch.delenv("DIRAC_NODAL_LOG", raising=False)
+        monkeypatch.setattr(solver, "_MAX_EVALUATIONS", 16)
         unreachable_angle(monkeypatch, 5, at=5.5)
         res = CliRunner().invoke(main, [
             "spectrum", "--problem", str(cfg), "--n-min", "4", "--n-max", "6",
@@ -373,6 +379,27 @@ class TestStabilityCommand:
         _, header, rows = read_csv_table(out)
         assert header == ["n", "S_n", "ratio_corrected", "ratio_paper_exact"]
         assert len(rows) == 5
+
+    def test_case_one_massless_window_from_2(self, tmp_path):
+        # case I, m = 0: the weight of s_n at n = 2 is 0/0, so that row is
+        # left blank instead of failing the command
+        a, b = -0.4, 0.5
+        boundary = {"kind": "param_dependent", "alpha": a, "beta": b,
+                    "a0": math.sin(a), "b0": -math.cos(a),
+                    "a1": -math.sin(b), "b1": math.cos(b)}
+        doc = {"mass": 0.0, "boundary": boundary,
+               "potential": {"kind": "named", "name": "sin2x", "params": {}}}
+        pa = write_config(tmp_path, doc, "a.json")
+        pb = write_config(tmp_path, dict(doc, potential={
+            "kind": "named", "name": "poly", "params": {"coeffs": [1.0, -2.0, 0.5]}}),
+            "b.json")
+        out = tmp_path / "stab.csv"
+        res = run_cli("stability", "--problem-a", str(pa), "--problem-b", str(pb),
+                      "--n-min", "2", "--n-max", "5", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        _, _, rows = read_csv_table(out)
+        assert [row[0] for row in rows] == ["2", "3", "4", "5"]
+        assert rows[0][1] == "" and all(row[1] for row in rows[1:])
 
 
 class TestValidateAsymptoticsCommand:

@@ -24,7 +24,7 @@ from dirac_nodal import (Classical, DiracProblem, EigenRecord,
                          find_eigenvalue, find_eigenvalues, integrate,
                          make_potential_sampled, named_potential,
                          node_count_prediction, DomainError)
-from dirac_nodal import AsymptoticConstants, cli, lambda_asym, mean_shift
+from dirac_nodal import asymptotics, cli, lambda_asym
 from dirac_nodal import solver as solver_mod
 
 PI = math.pi
@@ -238,28 +238,34 @@ class TestFindEigenvalue:
 
     @pytest.mark.parametrize("label", ["sin_half", "pd_example"])
     def test_seeds_once_per_call(self, cache, label, monkeypatch):
-        # one set of expansion constants per call, and each seed bitwise the
-        # mean-potential seed of its index computed alone; sin2x has mean 0,
-        # so the classical seeds are those of V = 0, sign(n) sqrt(n^2 + m^2)
+        # one set of seeds per call, each bitwise the mean-potential seed of
+        # its index computed alone; sin2x has mean 0, so the classical seeds
+        # are those of V = 0, sign(n) sqrt(n^2 + m^2)
         p = cache.problem(label)
         indices = [-7, -1, 1, 2, 3, 17, 40]
-        vbar = (mean_shift(p) - p.boundary.beta + p.boundary.alpha) / PI
-        constants = AsymptoticConstants.from_problem(p)
+        vbar = p.potential.total_integral / PI
         expected = [solver_mod._mean_potential_seeds(
-            p, np.array([solver_mod._rotation_index(p.boundary, n)]), vbar,
-            [lambda_asym(p, n, 2, constants)])[0] for n in indices]
+            p, np.array([solver_mod._rotation_index(p.boundary, n)]), vbar)[0]
+            for n in indices]
         if label == "sin_half":
             assert expected == pytest.approx(
                 [math.copysign(math.hypot(n, 0.5), n) for n in indices], abs=1e-13)
-        made, seen = [], []
-        from_problem = AsymptoticConstants.from_problem
-        monkeypatch.setattr(AsymptoticConstants, "from_problem", classmethod(
-            lambda cls, problem: made.append(problem) or from_problem(problem)))
+        seen = []
         start_levels = solver_mod._start_levels
         monkeypatch.setattr(solver_mod, "_start_levels", lambda problem, seeds, *rest:
                             seen.append(seeds.tolist()) or start_levels(problem, seeds, *rest))
         find_eigenvalues(p, indices, cache.integrator(label))
-        assert made == [p] and seen == [expected]
+        assert seen == [expected]
+
+    def test_search_does_not_use_the_expansion(self, monkeypatch):
+        # the eigenvalue expansion is an oracle of the search, not its input
+        def unavailable(*args, **kwargs):
+            raise AssertionError("lambda_asym called")
+
+        monkeypatch.setattr(asymptotics, "lambda_asym", unavailable)
+        p = DiracProblem(8.0, named_potential("sin2x"), canonical_pd(-0.4, 0.5))
+        records = find_eigenvalues(p, [-3, -1, 2, 3, 10])
+        assert [r.index for r in records] == [-3, -1, 2, 3, 10]
 
     @pytest.mark.parametrize("mass", [0.0, 0.5, 10.0])
     @pytest.mark.parametrize("boundary,indices", [
@@ -273,8 +279,11 @@ class TestFindEigenvalue:
     def test_constant_potential_seed_is_the_eigenvalue(self, mass, boundary, indices,
                                                         monkeypatch):
         # V = 1.3: outside the mass gap the seed is the eigenvalue itself, for
-        # |n| below m too; inside it, it is the expansion
+        # |n| below m too; inside it, it is the massless one, vbar + s0 with
+        # s0 = (psi + k pi - theta0) / pi at lambda = vbar + k, and no farther
+        # from the eigenvalue than the expansion
         p = DiracProblem(mass, named_potential("constant", c=1.3), boundary)
+        vbar = p.potential.total_integral / PI
         seen = []
         start_levels = solver_mod._start_levels
         monkeypatch.setattr(solver_mod, "_start_levels", lambda problem, seeds, *rest:
@@ -287,7 +296,14 @@ class TestFindEigenvalue:
                 outside += 1
                 assert abs(seeds[rec.index] - rec.lam) <= 1e-10
             else:
-                assert seeds[rec.index] == lambda_asym(p, rec.index, 2)
+                k = solver_mod._rotation_index(boundary, rec.index)
+                lam = np.array([vbar + k])
+                y0 = solver_mod._initial_state(p, lam)
+                theta0 = solver_mod._start_angle(p, lam, *y0)
+                s0 = (solver_mod._end_angle(p, lam) + k * PI - theta0)[0] / PI
+                assert seeds[rec.index] == vbar + s0
+                assert abs(seeds[rec.index] - rec.lam) <= abs(
+                    lambda_asym(p, rec.index, 2) - rec.lam)
         assert outside >= len(indices) - 2
 
     @pytest.mark.parametrize("args", [
@@ -296,19 +312,35 @@ class TestFindEigenvalue:
         (8.0, named_potential("sin2x"), canonical_pd(-0.4, 0.5)),
     ], ids=["heavy", "pd_example", "case_one_gap"])
     def test_seeds_bitwise_in_any_batch(self, args):
-        # the last problem's index 1 lies in the mass gap and falls back
+        # the last problem's index 1 lies in the mass gap and keeps its
+        # massless seed
         p = DiracProblem(*args)
         indices = [-9, -3, -1, 1, 2, 3, 4, 7, 20, 40]
         turns = np.array([solver_mod._rotation_index(p.boundary, n) for n in indices])
-        fallback = [lambda_asym(p, n, 2) for n in indices]
         vbar = p.potential.total_integral / PI
-        batch = solver_mod._mean_potential_seeds(p, turns, vbar, fallback)
+        batch = solver_mod._mean_potential_seeds(p, turns, vbar)
         for k in range(len(indices)):
-            alone = solver_mod._mean_potential_seeds(p, turns[k:k + 1], vbar,
-                                                     fallback[k:k + 1])
+            alone = solver_mod._mean_potential_seeds(p, turns[k:k + 1], vbar)
             assert alone[0] == batch[k]
-        tail = solver_mod._mean_potential_seeds(p, turns[3:], vbar, fallback[3:])
+        tail = solver_mod._mean_potential_seeds(p, turns[3:], vbar)
         assert np.array_equal(tail, batch[3:])
+
+    def test_gap_seed_brackets_in_two_rounds(self, monkeypatch):
+        # m = 10, V = 1.3, case I: index 2 lies in the mass gap; its massless
+        # seed is 1.1 from the eigenvalue (the expansion is 24 off)
+        p = DiracProblem(10.0, named_potential("constant", c=1.3),
+                         canonical_pd(0.4, 0.5))
+        angles = []
+        terminal = solver_mod._terminal
+
+        def counted(problem, lams, mesh, angle=False):
+            angles.append(angle)
+            return terminal(problem, lams, mesh, angle)
+
+        monkeypatch.setattr(solver_mod, "_terminal", counted)
+        rec = find_eigenvalue(p, 2)
+        assert sum(angles) <= 2
+        assert abs(rec.lam - 1.3) < 10.0
 
     def test_heavy_indices_bracket_in_one_round(self, monkeypatch):
         # the nodes_by_index heavy problem: exact seeds, one angle evaluation
@@ -356,10 +388,11 @@ class TestFindEigenvalue:
     def test_bracket_cap_raises(self, monkeypatch):
         p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
         unreachable_angle(monkeypatch, 5, at=5.3)
+        monkeypatch.setattr(solver_mod, "_MAX_EVALUATIONS", 16)
         with pytest.raises(IterationFailure,
                            match="no bracket .* after 16 evaluations: "
                                  "eigenvalue index 5"):
-            find_eigenvalue(p, 5, FAST, EigenSearchConfig(max_iterations=16))
+            find_eigenvalue(p, 5, FAST)
 
     def test_rotation_limit_exceeded(self):
         # at lambda ~ 100 one step of pi/64 may turn the angle by about 4.9 rad
@@ -445,7 +478,7 @@ class TestRootFinder:
             return x - 0.5
 
         roots, _ = solver_mod._illinois(line, [0.0, 0.0], [1.0, 0.9], [-0.5, -0.5],
-                                        [0.5, 0.4], 1e-10, 16, str)
+                                        [0.5, 0.4], 1e-10, str)
         assert roots[0] == 0.5   # the first regula falsi step lands on it
         assert abs(roots[1] - 0.5) <= 1e-10
         assert calls[0] == [0, 1] and all(c == [1] for c in calls[1:])
@@ -458,20 +491,23 @@ class TestRootFinder:
         monkeypatch.setattr(solver_mod, "_characteristic_batch", sign_only_chi)
         recs = find_eigenvalues(p, range(3, 41), FAST)   # default cap of 48
         assert all(abs(r.lam - r.index - 0.0372) <= 1e-10 for r in recs)
+        monkeypatch.setattr(solver_mod, "_MAX_EVALUATIONS", 16)
         with pytest.raises(IterationFailure,
-                           match="root not within .* eigenvalue index 5"):
-            find_eigenvalue(p, 5, FAST, EigenSearchConfig(max_iterations=16))
+                           match="root not within .* after 16 evaluations: "
+                                 "eigenvalue index 5"):
+            find_eigenvalue(p, 5, FAST)
 
     def test_exhausted_cap_exits_3_from_cli(self, tmp_path, monkeypatch):
         # in-process, so that the monkeypatched chi reaches the command
         doc = {"mass": 0.0,
                "potential": {"kind": "named", "name": "zero", "params": {}},
                "boundary": {"kind": "classical", "alpha": 0.0, "beta": 0.0},
-               "solver": {"steps": 512, "max_iterations": 16}}
+               "solver": {"steps": 512}}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         monkeypatch.delenv("DIRAC_NODAL_LOG", raising=False)
         monkeypatch.setattr(solver_mod, "_SEED_FLOOR", 0.05)
+        monkeypatch.setattr(solver_mod, "_MAX_EVALUATIONS", 16)
         monkeypatch.setattr(solver_mod, "_characteristic_batch", sign_only_chi)
         res = CliRunner().invoke(cli.main, [
             "spectrum", "--problem", str(cfg), "--n-min", "4", "--n-max", "6",
@@ -690,12 +726,11 @@ class TestErrorControl:
         p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
         mesh = solver_mod._mesh(p, 256)
         roots, slopes, lo, hi = solver_mod._refine(
-            p, np.array([7.0 + 3e-9]), np.array([np.nan]), mesh, 1e-10, 48, str)
+            p, np.array([7.0 + 3e-9]), np.array([np.nan]), mesh, 1e-10, str)
         assert abs(roots[0] - 7.0) <= 1e-10 and lo[0] < 7.0 < hi[0]
         assert slopes[0] == pytest.approx(-PI, rel=1e-3)
         with pytest.raises(IterationFailure, match="keeps its sign"):
-            solver_mod._refine(p, np.array([7.5]), np.array([1.0]), mesh, 1e-10,
-                               48, str)
+            solver_mod._refine(p, np.array([7.5]), np.array([1.0]), mesh, 1e-10, str)
 
     def test_cap_raises(self):
         p = DiracProblem(*SIN_CLASSICAL)

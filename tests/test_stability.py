@@ -52,6 +52,10 @@ class TestSn:
         x = GridSequence("I", {3: [1.0, 2.0]})
         with pytest.raises(DomainError):
             s_n(x, x, 3, m=2.0)
+        # the bound is strict: at n = 2, m = 0 the case-I weight is 0/0
+        x = GridSequence("I", {2: [1.0, 2.0]})
+        with pytest.raises(DomainError):
+            s_n(x, x, 2)
 
     def test_row_mismatch(self):
         x = GridSequence("II", {6: [0.5, 1.0]})
