@@ -2,8 +2,8 @@
 eigenfunction components.
 
 These expansions are results the package validates against its solver:
-they generate synthetic nodal data, supply the asymptotic lambda source of
-reconstruction, and back the order-of-convergence validation harness.
+they generate synthetic nodal data, supply the integer and asymptotic
+lambda sources of reconstruction, and back the order-of-convergence validation harness.
 Implicit occurrences of the nodal position inside its own expansion are
 resolved by fixed-point iteration, which is better conditioned at moderate
 index than the fully expanded series (also provided, for cross-checking).

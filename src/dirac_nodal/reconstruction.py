@@ -92,9 +92,10 @@ def _resolve_scale(nodes, problem, mode, lam):
         return float(lam)
     if mode.lambda_source == "asymptotic":
         return asymptotics.lambda_asym(problem, nodes.index, order=2)
-    seed = nodes.index - 2 if problem.case == "I" else nodes.index
+    # the integer seed is the expansion's zeroth order: n - 2 in case I, n
+    seed = asymptotics.lambda_asym(problem, nodes.index, order=0)
     if seed <= 0:
-        raise DomainError(f"integer seed {seed} not positive for index {nodes.index}")
+        raise DomainError(f"integer seed {seed:g} not positive for index {nodes.index}")
     return float(seed)
 
 

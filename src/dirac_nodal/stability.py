@@ -26,12 +26,12 @@ logger = logging.getLogger(__name__)
 
 
 def _check_positivity(case, n, m):
-    """The weights of s_n are positive where n - 2 > m/sqrt(2) in case I and
-    n > m/sqrt(2) classically; at equality the case-I weight is 0/0."""
+    """The weights of s_n are positive where n - 2 > |m|/sqrt(2) in case I
+    and n > |m|/sqrt(2) classically; at equality the case-I weight is 0/0."""
     shift = 2 if case == "I" else 0
     if not n - shift > abs(m) / math.sqrt(2.0):
         raise DomainError(
-            f"prefactor positivity needs n > m/sqrt(2) + {shift}; got n={n}, m={m}")
+            f"prefactor positivity needs n > |m|/sqrt(2) + {shift}; got n={n}, m={m}")
 
 
 def s_n(x_seq: GridSequence, y_seq: GridSequence, n: int, m: float = 0.0) -> float:

@@ -41,6 +41,20 @@ def pd_rotation_characteristic(lam, alpha, beta, a0, b0, a1, b1):
     return (lam * math.cos(beta) + a1) * y1 + (lam * math.sin(beta) + b1) * y2
 
 
+def pd_constant_characteristic(lam, m, v, b):
+    """Closed-form characteristic for constant V = v, parameter-dependent: the
+    exact exponential cos(w pi) I + sin(w pi) / w A, w^2 = (lam - v)^2 - m^2."""
+    y = np.array([-(lam * math.sin(b.alpha) + b.b0), lam * math.cos(b.alpha) + b.a0],
+                 dtype=complex)
+    lower, upper = v - m - lam, lam - v - m
+    w = np.sqrt(complex((lam - v) ** 2 - m * m))
+    s = np.sin(w * PI) / w if w != 0 else PI
+    y = np.array([np.cos(w * PI) * y[0] + s * lower * y[1],
+                  s * upper * y[0] + np.cos(w * PI) * y[1]])
+    return float(((lam * math.cos(b.beta) + b.a1) * y[0]
+                  + (lam * math.sin(b.beta) + b.b1) * y[1]).real)
+
+
 def bisect_root(f, a, b, iters=100):
     fa = f(a)
     assert fa * f(b) < 0
@@ -328,8 +342,8 @@ class TestFindEigenvalue:
     def test_gap_seed_brackets_in_two_rounds(self, monkeypatch):
         # m = 10, V = 1.3, case I: index 2 lies in the mass gap; its massless
         # seed is 1.1 from the eigenvalue (the expansion is 24 off)
-        p = DiracProblem(10.0, named_potential("constant", c=1.3),
-                         canonical_pd(0.4, 0.5))
+        b = canonical_pd(0.4, 0.5)
+        p = DiracProblem(10.0, named_potential("constant", c=1.3), b)
         angles = []
         terminal = solver_mod._terminal
 
@@ -340,7 +354,9 @@ class TestFindEigenvalue:
         monkeypatch.setattr(solver_mod, "_terminal", counted)
         rec = find_eigenvalue(p, 2)
         assert sum(angles) <= 2
-        assert abs(rec.lam - 1.3) < 10.0
+        exact = bisect_root(lambda lam: pd_constant_characteristic(lam, 10.0, 1.3, b),
+                            rec.lam - 0.01, rec.lam + 0.01)
+        assert rec.lam == pytest.approx(exact, abs=1e-10)
 
     def test_heavy_indices_bracket_in_one_round(self, monkeypatch):
         # the nodes_by_index heavy problem: exact seeds, one angle evaluation
