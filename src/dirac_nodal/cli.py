@@ -13,6 +13,7 @@ with status 2, numerical failures with status 3.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import logging
 import math
@@ -354,5 +355,12 @@ def quasinodal_check_cmd(problem_path, n_min, n_max, grid_file,
     })
 
 
-if __name__ == "__main__":
+def run():
+    """The console entry point: ``main`` with the import-time heap frozen,
+    so that the collections of a short-lived process do not traverse it."""
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    run()

@@ -80,7 +80,11 @@ IntegrationFailure instead of yielding a wrong root.
 
 Nodes are extracted for many records and either or both components in one
 call, ``extract_nodal_sets``, on the full mesh, which it builds once; each
-record's trajectory is taken at its own lambda.  Every sign change between
+record's trajectory is taken at its own lambda.  The last trajectory it took
+is kept, read-only, under the key (problem, lambda, n_steps), and a call
+with the same key reuses it instead of propagating again, as when components
+1 and 2 of one eigenvalue are extracted in two calls; the mesh is not kept,
+and the potential is sampled on every call.  Every sign change between
 mesh nodes brackets a zero, and all brackets are refined together by a
 safeguarded Newton iteration on the partial Magnus step from the bracket's
 left mesh node.  Its derivative is exact from the ODE, y1' = (V - m -
@@ -1206,6 +1210,27 @@ def _node_newton(problem, lams, rows, y0, lo, hi, f_lo, f_hi, rate, describe):
         x = np.where((lo < step) & (step < hi), step, mid)
 
 
+# The last trajectory extract_nodal_sets took, as ((problem, lambda,
+# n_steps), Trajectory) with read-only arrays, or None: callers that extract
+# components 1 and 2 of one eigenvalue in two calls then propagate it once.
+_last_trajectory = None
+
+
+def _node_trajectory(problem, lam, mesh, n_steps):
+    """``_trajectory`` at lam on the n_steps mesh, taken from the last call
+    when it was for the same problem, lambda and n_steps."""
+    global _last_trajectory
+    key = (problem, float(lam), n_steps)
+    last = _last_trajectory
+    if last is not None and last[0] == key:
+        return last[1]
+    traj = _trajectory(problem, lam, mesh)
+    for array in traj:
+        array.flags.writeable = False
+    _last_trajectory = (key, traj)
+    return traj
+
+
 def extract_nodal_sets(problem: DiracProblem, records, components,
                        cfg: IntegratorConfig | None = None) -> list[NodalSet]:
     """All interior zeros of the given components of the eigenfunctions of
@@ -1213,10 +1238,12 @@ def extract_nodal_sets(problem: DiracProblem, records, components,
     in the order of ``components`` within a record.
 
     The ``cfg.n_steps`` mesh is built once, and each record's trajectory is
-    taken on it at its own lambda.  Zeros are bracketed by the sign changes
-    between mesh nodes of every (record, component), and the brackets of all
-    of them are refined together by ``_node_newton``, so each record's nodes
-    are bitwise the same whether it is extracted alone or in any batch.
+    taken on it at its own lambda; the last one taken, possibly by an earlier
+    call, is reused for the same problem, lambda and ``cfg.n_steps``.  Zeros
+    are bracketed by the sign changes between mesh nodes of every (record,
+    component), and the brackets of all of them are refined together by
+    ``_node_newton``, so each record's nodes are bitwise the same whether it
+    is extracted alone or in any batch.
     Zeros within _ENDPOINT_GUARD of an end are dropped, as are zeros within
     1e-9 of the previous one.  A component that is identically zero,
     or vanishes on three consecutive mesh nodes, raises DegenerateComponent.
@@ -1234,7 +1261,7 @@ def extract_nodal_sets(problem: DiracProblem, records, components,
     zeros, counts = [], []
     lo, hi, f_lo, f_hi, y0, lams, rows = ([] for _ in range(7))
     for rec in records:
-        xs, traj = _trajectory(problem, rec.lam, mesh)
+        xs, traj = _node_trajectory(problem, rec.lam, mesh, cfg.n_steps)
         for component in components:
             comp = traj[:, component - 1]
             scale = float(np.max(np.abs(comp)))

@@ -51,6 +51,14 @@ def unreachable_angle(monkeypatch, turns, at):
     monkeypatch.setattr(solver, "_terminal", jumping)
 
 
+@pytest.fixture(autouse=True)
+def _no_kept_trajectory():
+    """Start every test without the trajectory that solver.extract_nodal_sets
+    keeps from its last call, so that no test reuses one another left, such
+    as one from a monkeypatched ``_trajectory``."""
+    solver._last_trajectory = None
+
+
 def loglog_slope(ns, errs):
     ns = np.asarray(ns, dtype=float)
     errs = np.asarray(errs, dtype=float)

@@ -6,6 +6,7 @@ constant-coefficient system is solvable by hand.  Those closed forms are the
 oracles here; none of them go through the integrator.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -944,6 +945,96 @@ class TestExtractNodes:
         monkeypatch.setattr(solver_mod, "_trajectory", fake_trajectory)
         with pytest.raises(DegenerateComponent):
             extract_nodes(p, rec, 1, FAST)
+
+
+class TestKeptTrajectory:
+    """extract_nodal_sets keeps the last trajectory it took, under the key
+    (problem, lambda, n_steps), and reuses it in a later call."""
+
+    LABELS = ("zero_quarter", "zero_flat", "zero_half_mass", "sin_half",
+              "const_one", "pd_example")
+
+    @staticmethod
+    def counted_trajectories(monkeypatch):
+        calls = []
+        trajectory = solver_mod._trajectory
+
+        def counted(problem, lam, mesh):
+            calls.append(lam)
+            return trajectory(problem, lam, mesh)
+
+        monkeypatch.setattr(solver_mod, "_trajectory", counted)
+        return calls
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_components_one_then_two_propagate_once(self, cache, monkeypatch, label):
+        p, cfg = cache.problem(label), cache.integrator(label)
+        rec = cache.record(label, 5)
+        calls = self.counted_trajectories(monkeypatch)
+        apart = [extract_nodes(p, rec, c, cfg) for c in (1, 2)]
+        assert len(calls) == 1
+        solver_mod._last_trajectory = None
+        together = solver_mod.extract_nodal_sets(p, [rec], (1, 2), cfg)
+        assert len(calls) == 2
+        for a, b in zip(apart, together):
+            assert (a.index, a.component) == (b.index, b.component)
+            assert a.points.tobytes() == b.points.tobytes()
+
+    def test_other_key_recomputes(self, cache, monkeypatch):
+        p, cfg = cache.problem("sin_half"), cache.integrator("sin_half")
+        rec = cache.record("sin_half", 5)
+        calls = self.counted_trajectories(monkeypatch)
+        extract_nodes(p, rec, 1, cfg)
+        extract_nodes(p, rec, 2, cfg)
+        # an equal problem over the same Potential object is the same key
+        extract_nodes(DiracProblem(p.mass, p.potential, p.boundary), rec, 1, cfg)
+        assert len(calls) == 1
+        extract_nodes(p, dataclasses.replace(rec, lam=rec.lam + 1e-3), 1, cfg)
+        assert len(calls) == 2
+        extract_nodes(p, rec, 1, IntegratorConfig(n_steps=cfg.n_steps // 2))
+        assert len(calls) == 3
+        fresh = DiracProblem(p.mass, named_potential("sin2x"), p.boundary)
+        extract_nodes(fresh, rec, 1, cfg)
+        assert len(calls) == 4
+
+    def test_potential_calls_equal_on_hit_and_miss(self, cache, monkeypatch):
+        p, cfg = cache.problem("pd_example"), cache.integrator("pd_example")
+        rec = cache.record("pd_example", 7)
+        trajectories = self.counted_trajectories(monkeypatch)
+        counts = []
+        call = Potential.__call__
+
+        def counted(potential, x):
+            counts[-1] += 1
+            return call(potential, x)
+
+        monkeypatch.setattr(Potential, "__call__", counted)
+        sets = []
+        for component in (2, 1, 2):
+            counts.append(0)
+            sets.append(extract_nodes(p, rec, component, cfg))
+        assert len(trajectories) == 1   # a miss, then two hits
+        assert counts[0] == counts[2] > 0
+        assert sets[0].points.tobytes() == sets[2].points.tobytes()
+
+    def test_kept_states_read_only(self, cache):
+        p, cfg = cache.problem("sin_half"), cache.integrator("sin_half")
+        rec = cache.record("sin_half", 9)
+        before = extract_nodes(p, rec, 1, cfg)
+        _, traj = solver_mod._last_trajectory
+        for array in traj:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        # integrate returns arrays of its own: mutating them does not reach
+        # the kept trajectory
+        own = integrate(p, rec.lam, cfg)
+        assert own.y.flags.writeable and own.xs.flags.writeable
+        own.y[:] = 1.0
+        own.xs[:] = 0.0
+        after = extract_nodes(p, rec, 1, cfg)
+        assert solver_mod._last_trajectory[1] is traj
+        assert before.points.tobytes() == after.points.tobytes()
 
 
 class TestNodeNewton:
