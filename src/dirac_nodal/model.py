@@ -49,7 +49,7 @@ class Potential:
     ``breakpoints`` are the points inside (0, pi), in increasing order,
     where V or its derivative jumps: the interior grid nodes of a sampled
     potential, and those given to the constructor for a callable.  The
-    solver puts a mesh node on each, which keeps its fourth order.
+    solver puts a mesh node on each, which keeps its sixth order.
     """
 
     __slots__ = ("values", "_func", "_anti", "name", "params", "quad_tol",
@@ -279,8 +279,9 @@ class EigenRecord:
     error of ``lam`` from lam' and lam'', the eigenvalues on the meshes of
     half and a quarter as many uniform steps: with d = lam' - lam and
     rho = (lam'' - lam') / d, it is 3 |d| / (rho - 1) where rho lies in
-    [12, 20], as for a fourth-order error, and |d| elsewhere.  Both are None
-    on a record that no search produced.
+    [48, 80], as for a sixth-order error, and |d| elsewhere, as where |d|
+    alone meets the tolerance and lam'' is not computed.  Both are None on
+    a record that no search produced.
     """
 
     index: int

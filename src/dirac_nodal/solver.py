@@ -1,15 +1,17 @@
 """Forward solver: initial-value integration, eigenvalue search, node extraction.
 
-The integrator is a fourth-order Magnus scheme built on the two-point
-Gauss-Legendre rule.  Each step propagates with the exact exponential of
-the averaged coefficient matrix plus its commutator correction, so constant
+The integrator is the sixth-order Magnus scheme built on the three-point
+Gauss-Legendre rule (Blanes, Casas and Ros, BIT 40, 2000).  Each step
+propagates with the exact exponential of its Magnus exponent Omega, a
+traceless 2x2 matrix whose entries are polynomials in lambda, so constant
 potentials are integrated exactly and the global error for smooth
-potentials scales like lambda * h^4; a classical RK4 at the same step
-count loses four orders of magnitude by n = 40.  The mesh is uniform with
-a node added at each breakpoint of the potential, so that V is smooth
-inside every step; without breakpoints it is exactly the uniform mesh.
+potentials falls by 2**6 = 64 each time the step halves.  The mesh is
+uniform with a node added at each breakpoint of the potential, so that V is
+smooth inside every step; without breakpoints it is exactly the uniform
+mesh.
 
-Each public call samples the potential at the mesh's Gauss points once.
+Each public call samples the potential at the mesh's Gauss points once, and
+the coefficients of every step's Omega in lambda are formed then.
 The 2x2 step matrices are unimodular and their product may be grouped in
 any order, so propagation is a log-depth computation on whole arrays, with
 no loop over steps.  One pairwise tree serves every use: each level
@@ -33,9 +35,9 @@ level in ``_order`` again.  The step tables are one stacked array of shape
 
 Both agree with a step-by-step loop to roundoff.  A step matrix needs
 cosh(sqrt(u)) and sinh(sqrt(u))/sqrt(u) with u about -(h (lambda - V))^2.
-For |u| <= 1/12, which on a 4096-step mesh holds for every
-|lambda - V| below about 370, they come from seven terms of their Taylor
-series by Horner's rule, as the eta functions of the CP methods do for
+For |u| <= 1/3, which on a 256-step mesh holds for every |lambda - V|
+below about 47, they come from nine terms of their Taylor series by
+Horner's rule, as the eta functions of the CP methods do for
 small arguments (Ledoux, Van Daele and Vanden Berghe, ACM TOMS 31, 2005);
 only larger |u| take cos and sin or cosh and sinh, chosen entry by entry.
 
@@ -68,10 +70,11 @@ regula falsi refines it until it is ``lambda_tolerance`` wide.  Every round
 of the search evaluates the open indices in one batched propagation, and
 each index stops on its own.  The search controls its error by mesh
 refinement and Richardson extrapolation (Pryce, 1993; SLEDGE, Pruess and
-Fulton, ACM TOMS 19, 1993): it starts on an eighth of ``n_steps`` and
-compares each eigenvalue with those of the meshes of half and a quarter as
-many steps.  Where the ratio of the two differences is near 16, as for an
-error C h**4, the error estimate is the extrapolated one times a safety
+Fulton, ACM TOMS 19, 1993): it starts on a sixteenth of ``n_steps`` and
+compares each eigenvalue with that of the mesh of half as many steps, and
+where that change alone exceeds ``lambda_tolerance``, also with that of a
+quarter as many.  Where the ratio of the two differences is near 64, as for
+an error C h**6, the error estimate is the extrapolated one times a safety
 factor; elsewhere it is the change from the mesh of half as many steps.  The
 mesh of an index doubles while its estimate exceeds ``lambda_tolerance``.  A
 state at pi that cancels to a tiny fraction of its terms, as for an
@@ -79,17 +82,21 @@ eigenfunction decaying from x = 0 across a mass gap, raises
 IntegrationFailure instead of yielding a wrong root.
 
 Nodes are extracted for many records and either or both components in one
-call, ``extract_nodal_sets``, on the full mesh, which it builds once; each
-record's trajectory is taken at its own lambda.  The last trajectory it took
-is kept, read-only, under the key (problem, lambda, n_steps), and a call
-with the same key reuses it instead of propagating again, as when components
-1 and 2 of one eigenvalue are extracted in two calls; the mesh is not kept,
-and the potential is sampled on every call.  Every sign change between
-mesh nodes brackets a zero, and all brackets are refined together by a
-safeguarded Newton iteration on the partial Magnus step from the bracket's
-left mesh node.  Its derivative is exact from the ODE, y1' = (V - m -
-lambda) y2 and y2' = (lambda - V - m) y1, at the partial step's state, and
-a step that would leave the bracket is replaced by bisection.
+call, ``extract_nodal_sets``.  A record's nodes follow its eigenvalue's
+mesh: they are taken on twice the uniform steps its eigenvalue stopped on,
+at most ``n_steps``; each such mesh is built once per call, and each
+record's trajectory is taken on its mesh at its own lambda.  The last
+trajectory it took is kept, read-only, under the key (problem, lambda,
+steps), and a call with the same key reuses it instead of propagating
+again, as when components 1 and 2 of one eigenvalue are extracted in two
+calls; the meshes are not kept, and the potential is sampled on every
+call.  Every sign change between mesh nodes brackets a zero, and all
+brackets are refined together by a safeguarded Newton iteration on the
+partial Magnus step from the bracket's left mesh node, starting where the
+solution for V constant on the cell vanishes.  Its derivative is exact
+from the ODE, y1' = (V - m - lambda) y2 and y2' = (lambda - V - m) y1, at
+the partial step's state, and a step that would leave the bracket is
+replaced by bisection.
 ``extract_nodes`` is that call for one record and one component.
 """
 
@@ -112,8 +119,9 @@ from .model import Classical, DiracProblem, EigenRecord, NodalSet
 
 logger = logging.getLogger(__name__)
 
-_GAUSS_LO = 0.5 - math.sqrt(3.0) / 6.0
-_GAUSS_HI = 0.5 + math.sqrt(3.0) / 6.0
+# Nodes of the three-point Gauss-Legendre rule on [0, 1], and its weights
+_GAUSS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
+_GAUSS_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
 
 # Nodes refined closer to an endpoint than this are residual-level phantom
 # zeros of a component that vanishes at the boundary; drop them.
@@ -124,9 +132,9 @@ _ENDPOINT_GUARD = 1e-8
 _NODE_TOLERANCE = 1e-14
 
 # Evaluations per node after which node refinement raises IterationFailure;
-# bisection alone narrows a step of pi / 64, the widest, to _NODE_TOLERANCE
-# in 43.
-_NODE_ITERATIONS = 44
+# bisection alone narrows a step of pi / 8, the widest (twice the 4 steps of
+# the coarsest search mesh at n_steps = 64), to _NODE_TOLERANCE in 46.
+_NODE_ITERATIONS = 47
 
 # Step-lambda entries per chunk of step tables in _terminal (a mesh whose
 # tables fit is one chunk): the chunk's temporaries (128 KiB per entry of
@@ -172,18 +180,18 @@ _START_TURN = _BLOCK_TURN / 2
 _SHIFT_LIMIT = 1.0 / 16
 
 # Band of rho = (lambda_N/4 - lambda_N/2) / (lambda_N/2 - lambda_N), which is
-# 16 for an error C h**4, inside which the error estimate of lambda_N is
+# 64 for an error C h**6, inside which the error estimate of lambda_N is
 # _RICHARDSON_SAFETY times the Richardson estimate |lambda_N/2 - lambda_N| /
-# (rho - 1) instead of |lambda_N/2 - lambda_N|.  Measured for n = 3..40 at
-# 4096 steps against a search on 32768 steps: on sin2x (m = 0.5, two
-# classical boundaries and case I) and poly (m = 2) rho lay in [15.6, 17.2]
-# and the error was at most 1.06 times the Richardson estimate; on the 30
-# seeded sampled potentials of the benchmark, whose meshes do not halve,
-# rho fell in the band for 24 of 1140 indices, 18 of them with errors up to
-# 1.56 times it.  A factor of 3 bounds those with a margin, and V = 8 sin 6x
-# with m = 10 still misses 1e-10 on 4096 steps (estimates up to 1.5e-10),
-# which it meets with a factor of 2.
-_RHO_BAND = (12.0, 20.0)
+# (rho - 1) instead of |lambda_N/2 - lambda_N|.  Measured at the default
+# 4096 steps against roots on 32768 steps, where the error was above 1e-13:
+# for n = 3..40 on sin2x (m = 0.5, two classical boundaries and case I) and
+# poly (m = 2), and for n = -12..-2 and 1..12 on V = 8 sin 6x with m = 10,
+# rho lay in [60.8, 78.9] and the error was at most 1.18 times the
+# Richardson estimate.  A factor of 3 bounds that with a margin; with a
+# factor of 1, 13 of the 23 estimates of V = 8 sin 6x fell below their
+# error.  On the 30 seeded sampled potentials of the benchmark, whose meshes
+# do not halve, rho fell in the band for none of 1140 indices.
+_RHO_BAND = (48.0, 80.0)
 _RICHARDSON_SAFETY = 3.0
 
 # Newton steps in s after which a mean-potential seed keeps its massless
@@ -217,9 +225,11 @@ _MAX_EVALUATIONS = 48
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Integration grid over [0, pi]: ``n_steps`` uniform steps, plus a node
-    at each breakpoint of the potential.  The eigenvalue search takes
-    ``n_steps`` as its finest mesh and stops on a coarser one where that
-    meets its tolerance; trajectories and nodes use ``n_steps``."""
+    at each breakpoint of the potential.  The eigenvalue search starts on
+    ``n_steps / 16``, takes ``n_steps`` as its finest mesh and stops on the
+    coarsest that meets its tolerance; nodes use twice the steps their
+    eigenvalue stopped on, at most ``n_steps``, and trajectories use
+    ``n_steps``."""
 
     n_steps: int = 4096
 
@@ -241,21 +251,22 @@ class EigenSearchConfig:
             raise InputError("lambda_tolerance must be positive")
 
 
-# Taylor coefficients of cosh(sqrt(u)) = sum u**k / (2k)! and of
-# sinh(sqrt(u)) / sqrt(u) = sum u**k / (2k + 1)!, highest power first.  For
-# |u| <= _SERIES_LIMIT seven terms leave a remainder below 1e-18.  The limit
-# covers |lambda - V| up to about 370 on 4096 steps and up to about 47 on 512
-# steps, the default search's first mesh; its error estimate evaluates chi on
-# 256 and 128 steps, which take the trigonometric branch above about 23 and
-# 12.
-_COSH_SERIES = tuple(1.0 / math.factorial(2 * k) for k in reversed(range(7)))
-_SINHC_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in reversed(range(7)))
-_SERIES_LIMIT = 1.0 / 12
+# Taylor coefficients of cosh(sqrt(u)) = sum u**k / (2k)! (column 0) and of
+# sinh(sqrt(u)) / sqrt(u) = sum u**k / (2k + 1)! (column 1), highest power
+# first.  For |u| <= _SERIES_LIMIT nine terms leave a remainder below 8e-21.
+# The limit covers |lambda - V| up to about 47 on 256 steps, the default
+# search's first mesh, and up to about 740 on 4096 steps; the error
+# estimate's chi on 128 steps takes the trigonometric branch above about 23.
+_SERIES = np.array([[1.0 / math.factorial(2 * k), 1.0 / math.factorial(2 * k + 1)]
+                    for k in reversed(range(9))])
+_SERIES_LIMIT = 1.0 / 3
 
 
 def _horner(coeffs, u):
-    """The polynomial with coefficients coeffs, highest power first, at u,
+    """The polynomials with coefficients coeffs, shape (terms, polynomials)
+    with the highest power first, at u, stacked along a new first axis and
     accumulated in place in one array."""
+    coeffs = coeffs.reshape(coeffs.shape + (1,) * np.ndim(u))
     out = coeffs[0] * u
     for a in coeffs[1:-1]:
         out += a
@@ -269,13 +280,12 @@ def _coshc_sinhc(u):
     sqrt(-u) for negative u).
 
     Entries with |u| <= _SERIES_LIMIT, which are all of them while
-    |lambda - V| stays below about 370 on a 4096-step mesh, take
+    |lambda - V| stays below about 47 on a 256-step mesh, take
     the Taylor series by Horner's rule: no square root, division or branch.
     Only the others go to ``_trig_coshc_sinhc``.  The choice is made per
     entry, so each value does not depend on the rest of the batch.
     """
-    c = _horner(_COSH_SERIES, u)
-    s = _horner(_SINHC_SERIES, u)
+    c, s = _horner(_SERIES, u)
     big = np.abs(u) > _SERIES_LIMIT
     if big.any():
         c[big], s[big] = _trig_coshc_sinhc(u[big])
@@ -318,24 +328,55 @@ class Trajectory(NamedTuple):
 class _Mesh(NamedTuple):
     """Mesh of [0, pi] with the potential sampled at its Gauss points.
 
-    ``h`` holds the width of each step and ``x`` the nodes; ``h_max`` is the
-    widest step and ``v_max`` the largest |vbar|."""
+    ``h`` holds the width of each step, ``vbar`` the mean of V over it, and
+    ``coef`` the coefficients of its Magnus exponent (``_sample``); ``x``
+    holds the nodes, ``h_max`` is the widest step and ``v_max`` the largest
+    |vbar|."""
 
     h: np.ndarray
     vbar: np.ndarray
-    g: np.ndarray
+    coef: np.ndarray
     x: np.ndarray
     h_max: float
     v_max: float
 
 
 def _sample(problem, x0, h):
-    """Mean potential vbar and commutator weight g of the steps [x0, x0 + h]."""
-    v_lo = np.asarray(problem.potential(x0 + _GAUSS_LO * h), dtype=float)
-    v_hi = np.asarray(problem.potential(x0 + _GAUSS_HI * h), dtype=float)
-    vbar = 0.5 * (v_lo + v_hi)
-    g = (math.sqrt(3.0) / 6.0) * problem.mass * h * h * (v_hi - v_lo)
-    return vbar, g
+    """Mean potential vbar of the steps [x0, x0 + h] by the three-point Gauss
+    rule, and the coefficients of their sixth-order Magnus exponents,
+    stacked as (v2, b1, b0, c1, c0, d2, d1, d0) along a new first axis.
+
+    With A = (lambda - V) J - m K, J = [[0, -1], [1, 0]] and K = [[0, 1],
+    [1, 0]], and A1, A2, A3 at the Gauss points, Omega is that of Blanes,
+    Casas, Oteo and Ros (Phys. Rep. 470, 2009): alpha1 = h A2, alpha2 =
+    (sqrt(15) h / 3) (A3 - A1), alpha3 = (10 h / 3) (A3 - 2 A2 + A1), C1 =
+    [alpha1, alpha2], C2 = -[alpha1, 2 alpha3 + C1] / 60 and Omega = alpha1 +
+    alpha3 / 12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240.  alpha2 and
+    alpha3 are multiples of J, so the commutators stay in the span of J, K
+    and D = diag(1, -1), and Omega = [[d, b], [c, -d]] with, in w = lambda -
+    v2, b = b1 w + b0, c = c1 w + c0 and d = (d2 w + d1) w + d0."""
+    x = x0 + np.multiply.outer(_GAUSS, h)
+    v1, v2, v3 = np.asarray(problem.potential(x.ravel()), dtype=float).reshape(x.shape)
+    sigma = v1 + v3
+    vbar = _GAUSS_WEIGHTS[0] * sigma + _GAUSS_WEIGHTS[1] * v2
+    # alpha2 = -(sqrt(15) / 3) p J and alpha3 = -(10 / 3) q J; Omega = aJ J +
+    # aK K + aD D with aJ = j1 w + j0, aK = k1 w + k0 and aD = (d2 w + d1) w +
+    # d0, in s = m h and e = 1 - s**2 / 15
+    p = h * (v3 - v1)
+    q = h * (sigma - 2.0 * v2)
+    s = problem.mass * h
+    s2 = s * s
+    e = 1.0 - s2 / 15.0
+    pp = p * p
+    sp = s * p
+    j1 = h + h * s2 * pp / 540.0
+    j0 = q * (-5.0 / 18.0 - s2 / 27.0)
+    k1 = s * q * h / 27.0
+    k0 = s * (pp * e / 36.0 - 1.0 - q * q / 162.0)
+    d2 = sp * h * h * (-math.sqrt(15.0) / 270.0)
+    d1 = sp * q * h * (math.sqrt(15.0) / 1620.0)
+    d0 = sp * e * (-math.sqrt(15.0) / 18.0)
+    return vbar, np.stack((v2, k1 - j1, k0 - j0, k1 + j1, k0 + j0, d2, d1, d0))
 
 
 def _mesh(problem, n_steps):
@@ -357,26 +398,38 @@ def _mesh(problem, n_steps):
         x[near[inner]] = breaks[inner]
         x = np.sort(np.concatenate((x, breaks[~close])))
         h = np.diff(x)
-    vbar, g = _sample(problem, x[:-1], h)
-    return _Mesh(h, vbar, g, x, float(h.max()), float(np.abs(vbar).max()))
+    vbar, coef = _sample(problem, x[:-1], h)
+    return _Mesh(h, vbar, coef, x, float(h.max()), float(np.abs(vbar).max()))
 
 
-def _entries(m, h, vbar, g, lams):
-    """Step propagators for any broadcast of steps (h, vbar, g) against
+def _entries(coef, lams):
+    """Step propagators exp(Omega) for any broadcast of steps, given by the
+    coefficients ``coef`` of ``_sample`` (stacked along axis 0), against
     spectral parameters lams, stacked in one array of shape (2, 2, ...):
-    entry [i, j] holds P_(i+1)(j+1).  Products are formed in place where the
+    entry [i, j] holds P_(i+1)(j+1).  Omega = [[d, b], [c, -d]] squares to
+    u = d**2 + b c times the identity, so exp(Omega) = cosh(sqrt(u)) +
+    sinh(sqrt(u)) / sqrt(u) Omega.  Products are formed in place where the
     operands allow it: fewer large temporaries, and the same values bit for
     bit."""
-    w = lams - vbar
-    bb = -h * (w + m)
-    cc = h * (w - m)
-    ec, es = _coshc_sinhc(g * g + bb * cc)
+    v2, b1, b0, c1, c0, d2, d1, d0 = coef
+    w = lams - v2
+    b = b1 * w
+    b += b0
+    c = c1 * w
+    c += c0
+    d = d2 * w
+    d += d1
+    d *= w
+    d += d0
+    u = b * c
+    u += d * d
+    ec, es = _coshc_sinhc(u)
     p = np.empty((2, 2) + ec.shape)
-    esg = np.multiply(es, g, out=p[0, 0])
-    np.add(ec, esg, out=p[1, 1])
-    np.subtract(ec, esg, out=p[0, 0])
-    np.multiply(bb, es, out=p[0, 1])
-    np.multiply(cc, es, out=p[1, 0])
+    esd = np.multiply(es, d, out=p[1, 1])
+    np.add(ec, esd, out=p[0, 0])
+    np.subtract(ec, esd, out=p[1, 1])
+    np.multiply(b, es, out=p[0, 1])
+    np.multiply(c, es, out=p[1, 0])
     return p
 
 
@@ -446,12 +499,12 @@ def _descend(levels, y):
     return y
 
 
-def _chunk(problem, lams, mesh, start, steps, levels):
+def _chunk(lams, mesh, start, steps, levels):
     """Products, in natural order, of the aligned blocks of 2**levels steps
     (or of all of them, if fewer) among mesh steps [start, start + steps):
     the step matrices are built in ``_order`` and halved by ``_halve``."""
     at = _order(steps)[0] + start
-    p = _entries(problem.mass, *(a[at][:, None] for a in mesh[:3]), lams)
+    p = _entries(mesh.coef[:, at, None], lams)
     return _halve(p, levels)[:, :, _order(-(-steps >> levels))[1]]
 
 
@@ -565,8 +618,8 @@ def _terminal(problem, lams, mesh, angle=False):
         level = _block_level(problem, lams, mesh)
         inner = min(level, inner)
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = np.concatenate([_chunk(problem, lams, mesh, s, min(width, n - s),
-                                        inner) for s in range(0, n, width)], axis=2)
+        blocks = np.concatenate([_chunk(lams, mesh, s, min(width, n - s), inner)
+                                 for s in range(0, n, width)], axis=2)
         blocks = blocks[:, :, _order(blocks.shape[2])[0]]
         y0 = _initial_state(problem, lams)
         if angle:
@@ -601,8 +654,7 @@ def _trajectory(problem, lam, mesh):
     order, inverse = _order(mesh.vbar.size)
     out = np.empty((2, mesh.x.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        tree = _tree(_entries(problem.mass, *(a[order][:, None] for a in mesh[:3]),
-                              lams))
+        tree = _tree(_entries(mesh.coef[:, order, None], lams))
         y0 = _initial_state(problem, lams)
         q = tree[-1][:, :, 0]
         for row, states in zip(out, _descend(tree, y0)[:, :, 0]):
@@ -974,22 +1026,24 @@ def _refine(problem, seeds, slopes, mesh, tolerance, describe):
 
 def _levels(n_steps):
     """Uniform step counts of the meshes the eigenvalue search may use,
-    coarsest first: n_steps / 8, n_steps / 4, n_steps / 2 and n_steps."""
-    return n_steps >> 3, n_steps >> 2, n_steps >> 1, n_steps
+    coarsest first: n_steps / 16, n_steps / 8, n_steps / 4, n_steps / 2 and
+    n_steps."""
+    return n_steps >> 4, n_steps >> 3, n_steps >> 2, n_steps >> 1, n_steps
 
 
 def _error_estimate(d1, d2):
     """Error estimate of lambda_N from the differences d1 = lambda_N/2 -
     lambda_N and d2 = lambda_N/4 - lambda_N/2: where their ratio rho = d2 /
-    d1 lies in _RHO_BAND, the mesh is in the fourth-order regime and the
-    estimate is _RICHARDSON_SAFETY |d1| / (rho - 1); elsewhere it is |d1|,
-    and infinite where d1 is not finite."""
+    d1 lies in _RHO_BAND, the mesh is in the sixth-order regime and the
+    estimate is _RICHARDSON_SAFETY |d1| / (rho - 1); elsewhere, as where d2
+    is nan because the mesh of N/4 steps was not needed, it is |d1|, and
+    infinite where d1 is not finite."""
     undivided = np.where(np.isfinite(d1), np.abs(d1), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = d2 / d1
         divided = _RICHARDSON_SAFETY * undivided / (rho - 1.0)
-    fourth = (rho >= _RHO_BAND[0]) & (rho <= _RHO_BAND[1])
-    return np.where(fourth, divided, undivided)
+    sixth = (rho >= _RHO_BAND[0]) & (rho <= _RHO_BAND[1])
+    return np.where(sixth, divided, undivided)
 
 
 def _start_levels(problem, seeds, levels, mesh):
@@ -1019,21 +1073,25 @@ def find_eigenvalues(problem: DiracProblem, indices,
     Index n labels the eigenvalue whose eigenfunction has rotation index
     ``_rotation_index(boundary, n)``.  The search runs on the meshes of
     ``_levels(integrator.n_steps)``.  Each index starts on the coarsest one
-    whose steps can count the angle's turns near its seed, N = n_steps / 8
+    whose steps can count the angle's turns near its seed, N = n_steps / 16
     unless the seed is large.  Each seed is the eigenvalue of the same
     problem with V replaced by its mean vbar = integral(V) / pi
     (``_mean_potential_seeds``), exact for a constant V; inside the mass gap
     it is the massless one.  ``_bracket`` turns the seeds into brackets by
     the Prufer angle, starting each at the seed give or take a spread that
     models the seed's error (see _SEED_FLOOR), and ``_illinois`` refines chi
-    in each.  Two Newton steps from lambda_N, with the slope of chi across
-    its final bracket, give the roots on the meshes of N / 2 and N / 4
-    uniform steps, and
-    ``_error_estimate`` turns the differences lambda_N/2 - lambda_N and
-    lambda_N/4 - lambda_N/2 into the error estimate: divided by rho - 1, rho
-    their ratio, where rho is near 16, and |lambda_N/2 - lambda_N|
-    elsewhere, which bounds the error of lambda_N for any order of
-    convergence of at least 1.  While the estimate exceeds
+    in each.  A Newton step from lambda_N, with the slope of chi across its
+    final bracket, gives the root on the mesh of N / 2 uniform steps, and
+    where |lambda_N/2 - lambda_N| exceeds ``lambda_tolerance``, another
+    gives the root on N / 4 steps.  ``_error_estimate`` turns the
+    differences lambda_N/2 - lambda_N and lambda_N/4 - lambda_N/2 into the
+    error estimate: divided by rho - 1, rho their ratio, where rho is near
+    64, and |lambda_N/2 - lambda_N| elsewhere, which bounds the error of
+    lambda_N on meshes that halve for any order of convergence of at least
+    1.  An index whose mesh of N / 4 steps was not needed reports
+    |lambda_N/2 - lambda_N|, which already meets the tolerance; the divided
+    estimate would be smaller, so skipping it changes no root, mesh or
+    stopping decision.  While the estimate exceeds
     ``lambda_tolerance``, N doubles and ``_refine`` solves on it from the
     previous root; the estimate then comes from the roots on 2N, N and N / 2
     steps.  Each index decides alone, so each record is bitwise the same in
@@ -1080,10 +1138,15 @@ def find_eigenvalues(problem: DiracProblem, indices,
                                                   spread[new], vbar, mesh, describe)
             lam[new], slope[new] = _illinois(_chi(problem, mesh), b_lo, b_hi,
                                              chi_lo, chi_hi, tolerance, describe)
-            # Newton steps from lambda_N for the roots on N/2 and N/4 steps
-            half, quarter = (_characteristic_batch(problem, lam[new], mesh_of(n >> k))
-                             / slope[new] for k in (1, 2))
-            d1[new], d2[new] = -half, half - quarter
+            # Newton steps from lambda_N for the roots on N/2 steps, and on
+            # N/4 steps where |lambda_N/2 - lambda_N| alone misses the tolerance
+            half = _characteristic_batch(problem, lam[new], mesh_of(n >> 1)) / slope[new]
+            d1[new], d2[new] = -half, np.nan
+            far = np.abs(half) > tolerance
+            if far.any():
+                quarter = _characteristic_batch(problem, lam[new[far]],
+                                                mesh_of(n >> 2)) / slope[new[far]]
+                d2[new[far]] = half[far] - quarter
             lo[new], hi[new] = b_lo, b_hi
         if old.size:
             roots, slope[old], lo[old], hi[old] = _refine(
@@ -1145,7 +1208,33 @@ def node_count_prediction(boundary, n: int, component: int) -> int:
     return n - 1
 
 
-def _node_newton(problem, lams, rows, y0, lo, hi, f_lo, f_hi, rate, describe):
+def _node_start(m, lams, rows, vbar, y_lo, y_hi, lo, hi, f_lo, f_hi):
+    """First iterates of node refinement in the brackets [lo, hi], mesh cells
+    whose states at the ends are y_lo and y_hi and whose mean potential is
+    vbar; the component is y1 where ``rows`` is 0 and y2 where it is 1.
+
+    With mu = lambda - vbar outside the mass gap, omega = sqrt(mu**2 - m**2)
+    and the angle phi of (y1, -(mu + m) y2 / omega), the solution for V
+    constant on the cell is y1 = r sin(phi), y2 = -r (omega / (mu + m))
+    cos(phi) with phi linear in x.  The iterate is where phi, interpolated
+    linearly between the cell's ends, is a multiple of pi (y1) or pi/2 off
+    one (y2): the zero itself for V constant on the cell, as for a constant
+    or step potential, and about as close as the linear interpolant of the
+    end values otherwise.  That interpolant is the iterate inside the gap
+    and wherever the angle's would not lie strictly inside the bracket."""
+    linear = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+    mu = lams - vbar
+    w2 = mu * mu - m * m
+    outside = w2 > 0.0
+    scale = -(mu + m) / np.sqrt(np.where(outside, w2, 1.0))
+    phi = np.arctan2(y_lo[0], scale * y_lo[1])
+    turn = np.mod(np.arctan2(y_hi[0], scale * y_hi[1]) - phi, 2 * math.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = lo + (hi - lo) * (np.mod(rows * (math.pi / 2) - phi, math.pi) / turn)
+    return np.where(outside & (lo < x) & (x < hi), x, linear)
+
+
+def _node_newton(problem, lams, rows, y0, lo, hi, f_lo, f_hi, x, rate, describe):
     """Zeros of a solution component in the brackets [lo, hi], with f_lo *
     f_hi < 0, by safeguarded Newton iteration vectorized over the brackets.
 
@@ -1154,8 +1243,9 @@ def _node_newton(problem, lams, rows, y0, lo, hi, f_lo, f_hi, rate, describe):
     is 0 and y2 where it is 1.  The component at x is that of the partial
     Magnus step from x0 (``_entries`` on the step [x0, x]), and its
     derivative is exact from the ODE at that state: y1' = (V - m - lambda)
-    y2 and y2' = (lambda - V - m) y1.  The first iterate is the linear
-    interpolant of the end values.  Each evaluation replaces the end of the
+    y2 and y2' = (lambda - V - m) y1.  The first iterates are x
+    (``_node_start``), or the midpoints where they do not lie strictly
+    inside their brackets.  Each evaluation replaces the end of the
     bracket whose sign it shares, and a Newton step that would not land
     strictly inside the new bracket, such as one from a zero derivative, is
     replaced by bisection.  A bracket stops at an exact zero; at its next
@@ -1173,11 +1263,10 @@ def _node_newton(problem, lams, rows, y0, lo, hi, f_lo, f_hi, rate, describe):
     x0 = lo
     open_ = np.arange(lo.size)
     roots = np.empty(lo.size)
-    x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
     x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
     for evals in itertools.count(1):
         h = x - x0
-        p = _entries(m, h, *_sample(problem, x0, h), lams)
+        p = _entries(_sample(problem, x0, h)[1], lams)
         y1, y2 = p[:, 0] * y0[0] + p[:, 1] * y0[1]
         f, other = np.where(first, y1, y2), np.where(first, y2, y1)
         df = (sign * (lams - np.asarray(problem.potential(x), dtype=float)) - m) * other
@@ -1210,10 +1299,18 @@ def _node_newton(problem, lams, rows, y0, lo, hi, f_lo, f_hi, rate, describe):
         x = np.where((lo < step) & (step < hi), step, mid)
 
 
-# The last trajectory extract_nodal_sets took, as ((problem, lambda,
-# n_steps), Trajectory) with read-only arrays, or None: callers that extract
-# components 1 and 2 of one eigenvalue in two calls then propagate it once.
+# The last trajectory extract_nodal_sets took, as ((problem, lambda, uniform
+# steps of its mesh), Trajectory) with read-only arrays, or None: callers
+# that extract components 1 and 2 of one eigenvalue in two calls then
+# propagate it once.
 _last_trajectory = None
+
+
+def _node_steps(rec, n_steps):
+    """Uniform steps of the mesh the nodes of a record are extracted on: twice
+    those its eigenvalue was solved on, at most n_steps, and n_steps for a
+    record that no search produced."""
+    return n_steps if rec.steps is None else min(2 * rec.steps, n_steps)
 
 
 def _node_trajectory(problem, lam, mesh, n_steps):
@@ -1237,9 +1334,13 @@ def extract_nodal_sets(problem: DiracProblem, records, components,
     many records: one NodalSet per record and component, record by record,
     in the order of ``components`` within a record.
 
-    The ``cfg.n_steps`` mesh is built once, and each record's trajectory is
-    taken on it at its own lambda; the last one taken, possibly by an earlier
-    call, is reused for the same problem, lambda and ``cfg.n_steps``.  Zeros
+    A record's nodes are extracted on the mesh of twice the uniform steps its
+    eigenvalue was solved on (``rec.steps``), at most ``cfg.n_steps``, and on
+    ``cfg.n_steps`` for a record without ``steps``: a sixth-order eigenvalue
+    converged on N steps leaves nodes on 2N steps within about 1e-12.  Each
+    of these meshes is built once per call, and each record's trajectory is
+    taken on its mesh at its own lambda; the last one taken, possibly by an
+    earlier call, is reused for the same problem, lambda and mesh.  Zeros
     are bracketed by the sign changes between mesh nodes of every (record,
     component), and the brackets of all of them are refined together by
     ``_node_newton``, so each record's nodes are bitwise the same whether it
@@ -1255,13 +1356,16 @@ def extract_nodal_sets(problem: DiracProblem, records, components,
     records = list(records)
     if not records:
         return []
-    mesh = _mesh(problem, cfg.n_steps)
+    steps = [_node_steps(rec, cfg.n_steps) for rec in records]
+    meshes = {n: _mesh(problem, n) for n in dict.fromkeys(steps)}
     # per (record, component): its zeros on the mesh and its number of
-    # brackets; per bracket: its ends, end values, left state, lambda, row
+    # brackets; per bracket: its ends, end values, states at both ends,
+    # lambda, row, mean potential of its cell and the largest |vbar| of its
+    # mesh
     zeros, counts = [], []
-    lo, hi, f_lo, f_hi, y0, lams, rows = ([] for _ in range(7))
-    for rec in records:
-        xs, traj = _node_trajectory(problem, rec.lam, mesh, cfg.n_steps)
+    lo, hi, f_lo, f_hi, y_lo, y_hi, lams, rows, vbar, v_max = ([] for _ in range(10))
+    for rec, n in zip(records, steps):
+        xs, traj = _node_trajectory(problem, rec.lam, meshes[n], n)
         for component in components:
             comp = traj[:, component - 1]
             scale = float(np.max(np.abs(comp)))
@@ -1279,12 +1383,14 @@ def extract_nodal_sets(problem: DiracProblem, records, components,
             counts.append(cells.size)
             for out, value in ((lo, xs[cells]), (hi, xs[cells + 1]),
                                (f_lo, comp[cells]), (f_hi, comp[cells + 1]),
-                               (y0, traj[cells].T)):
+                               (y_lo, traj[cells].T), (y_hi, traj[cells + 1].T),
+                               (vbar, meshes[n].vbar[cells])):
                 out.append(value)
             lams.append(np.full(cells.size, float(rec.lam)))
             rows.append(np.full(cells.size, component - 1))
-    lo, hi, f_lo, f_hi, lams, rows = (
-        np.concatenate(v) for v in (lo, hi, f_lo, f_hi, lams, rows))
+            v_max.append(np.full(cells.size, meshes[n].v_max))
+    lo, hi, f_lo, f_hi, lams, rows, vbar, v_max = (
+        np.concatenate(v) for v in (lo, hi, f_lo, f_hi, lams, rows, vbar, v_max))
     owner = np.repeat(np.arange(len(counts)), counts)
 
     def describe(k):
@@ -1294,9 +1400,11 @@ def extract_nodal_sets(problem: DiracProblem, records, components,
 
     roots = np.empty(0)
     if lo.size:
-        rate = np.abs(lams) + mesh.v_max + abs(problem.mass)
-        roots = _node_newton(problem, lams, rows, np.concatenate(y0, axis=1),
-                             lo, hi, f_lo, f_hi, rate, describe)
+        y_lo, y_hi = (np.concatenate(y, axis=1) for y in (y_lo, y_hi))
+        x = _node_start(problem.mass, lams, rows, vbar, y_lo, y_hi, lo, hi, f_lo, f_hi)
+        rate = np.abs(lams) + v_max + abs(problem.mass)
+        roots = _node_newton(problem, lams, rows, y_lo, lo, hi, f_lo, f_hi, x, rate,
+                             describe)
     sets = []
     start = 0
     for k, (exact, count) in enumerate(zip(zeros, counts)):

@@ -144,8 +144,10 @@ class TestSpectrumCommand:
         for row in rows:
             n = int(row[0])
             assert float(row[1]) == pytest.approx(n + 0.25, abs=1e-9)
-            # V = 0 propagates exactly, so the coarsest mesh (512 / 8) suffices
-            assert int(row[3]) == 64 and float(row[4]) <= 1e-10
+            # V = 0 propagates exactly, so each index stops on the mesh it
+            # starts on: the coarsest (512 / 16), or for n = 8, where one of
+            # its steps may turn the angle by more than pi / 4, the next
+            assert int(row[3]) == (32 if n < 8 else 64) and float(row[4]) <= 1e-10
 
     def test_invalid_boundary_exits_2_with_json(self, tmp_path):
         doc = dict(ZERO_QUARTER)

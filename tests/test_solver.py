@@ -85,6 +85,23 @@ def bisect_eigenvalue(problem, rec, iters=100):
     return 0.5 * (lo + hi)
 
 
+def fixed_mesh_roots(problem, lams, n_steps, half, iters=60):
+    """The roots of the characteristic function on the mesh of n_steps, each
+    by plain bisection of [lam - half, lam + half], all lams at once."""
+    mesh = solver_mod._mesh(problem, n_steps)
+    lams = np.asarray(lams, dtype=float)
+    lo, hi = lams - half, lams + half
+    f_lo = solver_mod._characteristic_batch(problem, lo, mesh)
+    assert np.all(f_lo * solver_mod._characteristic_batch(problem, hi, mesh) < 0)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        f_mid = solver_mod._characteristic_batch(problem, mid, mesh)
+        left = f_lo * f_mid <= 0.0
+        hi, lo, f_lo = np.where(left, mid, hi), np.where(left, lo, mid), \
+            np.where(left, f_lo, f_mid)
+    return 0.5 * (lo + hi)
+
+
 def bisect_nodes(problem, lam, component, n_steps, iters=44):
     """Interior nodes of one component: zeros on the mesh, and sign changes
     each bisected on a partial Magnus step from its cell's left mesh node."""
@@ -98,7 +115,7 @@ def bisect_nodes(problem, lam, component, n_steps, iters=44):
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         h = mid - x0
-        p = solver_mod._entries(problem.mass, h, *solver_mod._sample(problem, x0, h), lam)
+        p = solver_mod._entries(solver_mod._sample(problem, x0, h)[1], lam)
         row = p[component - 1]   # P11, P12 or P21, P22
         f_mid = row[0] * y1 + row[1] * y2
         left = f_lo * f_mid <= 0.0
@@ -560,14 +577,14 @@ def step_characteristic(lam, m, a, height, alpha, beta):
 
 
 class TestErrorControl:
-    """The search on the coarsest mesh of n_steps / 8, n_steps / 4, n_steps / 2
-    and n_steps whose error estimate meets lambda_tol."""
+    """The search on the coarsest mesh of n_steps / 16, n_steps / 8, n_steps / 4,
+    n_steps / 2 and n_steps whose error estimate meets lambda_tol."""
 
     def test_levels(self):
-        assert solver_mod._levels(4096) == (512, 1024, 2048, 4096)
-        assert solver_mod._levels(1000) == (125, 250, 500, 1000)
-        assert solver_mod._levels(4097) == (512, 1024, 2048, 4097)
-        assert solver_mod._levels(64) == (8, 16, 32, 64)
+        assert solver_mod._levels(4096) == (256, 512, 1024, 2048, 4096)
+        assert solver_mod._levels(1000) == (62, 125, 250, 500, 1000)
+        assert solver_mod._levels(4097) == (256, 512, 1024, 2048, 4097)
+        assert solver_mod._levels(64) == (4, 8, 16, 32, 64)
 
     @pytest.mark.parametrize("args", [SIN_CLASSICAL, (2.0, named_potential(
         "poly", coeffs=[1.0, -2.0, 0.5]), Classical(0.3, 0.7))], ids=["sin2x", "poly"])
@@ -576,10 +593,10 @@ class TestErrorControl:
         assert p.potential.breakpoints.size == 0
         for n_steps in (64, 1000, 4096, 4097):
             h = PI / n_steps
-            vbar, g = solver_mod._sample(p, np.arange(n_steps) * h, h)
+            vbar, coef = solver_mod._sample(p, np.arange(n_steps) * h, np.full(n_steps, h))
             mesh = solver_mod._mesh(p, n_steps)
             assert mesh.h.shape == (n_steps,) and np.all(mesh.h == h)
-            assert np.array_equal(mesh.vbar, vbar) and np.array_equal(mesh.g, g)
+            assert np.array_equal(mesh.vbar, vbar) and np.array_equal(mesh.coef, coef)
             assert np.array_equal(mesh.x, np.arange(n_steps + 1) * h)
 
     def test_breakpoints_are_mesh_nodes(self):
@@ -626,7 +643,7 @@ class TestErrorControl:
                 lambda lam: step_characteristic(lam, m, a, height, alpha, beta),
                 rec.lam - 0.01, rec.lam + 0.01)
             err = abs(rec.lam - exact)
-            assert rec.steps == 512 and rec.error_estimate <= 1e-10
+            assert rec.steps == 256 and rec.error_estimate <= 1e-10
             assert err <= 1e-12 and (err <= 1e-13 or err <= rec.error_estimate)
 
     @pytest.mark.parametrize("label", ["sin_half", "pd_example"])
@@ -646,10 +663,10 @@ class TestErrorControl:
         # d1 a power of two, so that rho = d1 * rho / d1 exactly
         lo, hi = solver_mod._RHO_BAND
         d1 = -2.0 ** -30
-        rhos = np.array([16.0, lo, hi, lo - 1e-9, hi + 1e-9, 1.0, -16.0])
+        rhos = np.array([64.0, lo, hi, lo - 1e-9, hi + 1e-9, 1.0, -64.0])
         est = solver_mod._error_estimate(np.full(rhos.size, d1), d1 * rhos)
         factor = solver_mod._RICHARDSON_SAFETY * -d1
-        assert est[:3] == pytest.approx([factor / 15, factor / (lo - 1),
+        assert est[:3] == pytest.approx([factor / 63, factor / (lo - 1),
                                          factor / (hi - 1)], rel=1e-15)
         assert np.all(est[3:] == -d1)
         # no warning where d1 is 0 or not finite
@@ -658,27 +675,60 @@ class TestErrorControl:
             est = solver_mod._error_estimate(np.array([0.0, 0.0, np.nan, np.inf]),
                                              np.array([0.0, d1, d1, d1]))
         assert est.tolist() == [0.0, 0.0, math.inf, math.inf]
+        # an index whose quarter mesh was skipped has d2 = nan: undivided
+        assert solver_mod._error_estimate(np.array([d1]), np.array([np.nan])) == -d1
 
-    @pytest.mark.parametrize("label", ["sin_half", "pd_example"])
-    def test_smooth_indices_stop_on_an_eighth(self, cache, label, monkeypatch):
-        # at the default 4096 steps every index is solved on 512 steps, and
-        # one chi on 256 and one on 128 steps give the batch's estimates
+    @pytest.mark.parametrize("label,meshes", [
+        ("sin_half", {256, 128}), ("pd_example", {512, 256, 128, 64})],
+        ids=["sin_half", "pd_example"])
+    def test_smooth_indices_stop_on_a_sixteenth(self, cache, label, meshes, monkeypatch):
+        # at the default 4096 steps every index starts on 256 steps; sin_half
+        # stops there, and pd_example refines its top indices on 512.  One
+        # chi on 128 steps gives every estimate, and the quarter mesh of 64
+        # steps is taken only for the indices whose |lambda_128 - lambda_256|
+        # exceeds the tolerance; the others report that difference
         p = cache.problem(label)
         calls = {}
         terminal = solver_mod._terminal
 
         def counted(problem, lams, mesh, angle=False):
-            calls[mesh.vbar.size] = calls.get(mesh.vbar.size, 0) + 1
+            calls.setdefault(mesh.vbar.size, []).append(np.size(lams))
             return terminal(problem, lams, mesh, angle)
 
         monkeypatch.setattr(solver_mod, "_terminal", counted)
         batch = find_eigenvalues(p, range(3, 41))
-        assert {r.steps for r in batch} == {512}
-        assert set(calls) == {512, 256, 128}
-        assert calls[512] <= 10 and calls[256] == calls[128] == 1
         monkeypatch.undo()
+        assert {r.steps for r in batch} == meshes - {128, 64}
+        assert set(calls) == meshes
+        assert len(calls[256]) <= 10 and calls[128] == [38]
+        first = [r for r in batch if r.steps == 256]
+        coarse = fixed_mesh_roots(p, [r.lam for r in first], 128, 1e-8)
+        undivided = np.abs(coarse - [r.lam for r in first])
+        # every index that refined missed the tolerance undivided on 256 steps
+        assert sum(calls.get(64, [])) == np.sum(undivided > 1e-10) + len(batch) - len(first)
+        for rec, d in zip(first, undivided):
+            if d <= 1e-10:
+                assert rec.error_estimate == pytest.approx(d, rel=1e-3)
         for rec in batch[::6]:
             assert find_eigenvalue(p, rec.index) == rec
+
+    @pytest.mark.parametrize("args", [
+        SIN_CLASSICAL, (0.5, named_potential("sin2x"), canonical_pd(0.4, 0.5)), POLY_M2],
+        ids=["sin2x", "pd_example", "poly_m2"])
+    def test_sixth_order_on_fixed_meshes(self, args):
+        # the largest error over n = 3..40 on 128, 256 and 512 steps, against
+        # the roots on 4096 steps, falls by 48 to 80 per halving (2**6 = 64)
+        # while the finer error is above 1e-13, ten times the 1.4e-14 by
+        # which the roots on 4096 and 8192 steps differ
+        p = DiracProblem(*args)
+        seeds = [r.lam for r in find_eigenvalues(p, range(3, 41))]
+        ref = fixed_mesh_roots(p, seeds, 4096, 1e-8)
+        errs = [np.max(np.abs(fixed_mesh_roots(p, ref, n, 1e-6) - ref))
+                for n in (128, 256, 512)]
+        assert errs[0] > 1e-10
+        for coarse, fine in zip(errs, errs[1:]):
+            if fine > 1e-13:
+                assert 48.0 <= coarse / fine <= 80.0
 
     @pytest.mark.parametrize("n_steps", [64, 1000, 4097])
     def test_uneven_step_counts(self, n_steps):
@@ -706,36 +756,41 @@ class TestErrorControl:
         p = DiracProblem(*SIN_CLASSICAL)
         search = EigenSearchConfig(lambda_tolerance=1e-12)
         batch = find_eigenvalues(p, range(3, 41), IntegratorConfig(4096), search)
-        assert {r.steps for r in batch} == {1024, 2048}
+        assert {r.steps for r in batch} == {256, 512, 1024}
         for rec in batch[::5] + batch[-1:]:
             assert find_eigenvalue(p, rec.index, IntegratorConfig(4096), search) == rec
 
     def test_refined_estimate_is_difference_of_meshes(self):
-        # solved on 512, 1024 and 2048 steps: the ratio of the differences
-        # is near 16, so the estimate is the divided one
+        # solved on 256, 512 and 1024 steps: the ratio of the differences
+        # is near 64, so the estimate is the divided one
         p = DiracProblem(*SIN_CLASSICAL)
         search = EigenSearchConfig(lambda_tolerance=1e-12)
         rec = find_eigenvalue(p, 40, IntegratorConfig(4096), search)
-        lam_1024, lam_512 = (bisect_root(
+        lam_512, lam_256 = (bisect_root(
             lambda lam: characteristic(p, lam, IntegratorConfig(n)),
-            rec.lam - 1e-6, rec.lam + 1e-6) for n in (1024, 512))
-        rho = (lam_512 - lam_1024) / (lam_1024 - rec.lam)
-        assert rec.steps == 2048 and 15.0 < rho < 17.0
+            rec.lam - 1e-6, rec.lam + 1e-6) for n in (512, 256))
+        rho = (lam_256 - lam_512) / (lam_512 - rec.lam)
+        assert rec.steps == 1024 and 60.0 < rho < 68.0
         assert rec.error_estimate == pytest.approx(
-            solver_mod._RICHARDSON_SAFETY * abs(lam_1024 - rec.lam) / (rho - 1.0),
+            solver_mod._RICHARDSON_SAFETY * abs(lam_512 - rec.lam) / (rho - 1.0),
             rel=1e-2)
         assert rec.bracket[0] < rec.lam < rec.bracket[1]
         assert rec.bracket[1] - rec.bracket[0] <= 1e-12
 
-    def test_strong_potential_needs_8192_steps(self):
-        # the Richardson estimate's safety factor keeps V = 8 sin 6x with
-        # m = 10 short of 1e-10 on 4096 steps; it meets it on 8192
+    def test_strong_potential_meets_tolerance_on_4096_steps(self):
+        # V = 8 sin 6x with m = 10 misses 1e-10 with a cap of 512 steps and
+        # meets it on the default 4096, stopping on 512 or 1024; every
+        # estimate is at least its error against a 32768-step root
         p = DiracProblem(*STRONG)
         indices = list(range(-12, -1)) + list(range(1, 13))
-        with pytest.raises(ToleranceNotMet, match=r"finest mesh \(4096 steps\)"):
-            find_eigenvalues(p, indices, IntegratorConfig(4096))
-        records = find_eigenvalues(p, indices, IntegratorConfig(8192))
+        with pytest.raises(ToleranceNotMet, match=r"finest mesh \(512 steps\)"):
+            find_eigenvalues(p, indices, IntegratorConfig(512))
+        records = find_eigenvalues(p, indices)
         assert max(r.error_estimate for r in records) <= 1e-10
+        assert {r.steps for r in records} <= {512, 1024}
+        ref = fixed_mesh_roots(p, [r.lam for r in records], 32768, 1e-9)
+        for rec, lam in zip(records, ref):
+            assert abs(rec.lam - lam) <= rec.error_estimate
 
     def test_refine_widens_then_gives_up(self):
         # V = 0, m = 0: chi = -sin(pi lambda), roots at the integers; without a
@@ -771,14 +826,18 @@ class TestErrorControl:
         assert not (tmp_path / "x.csv").exists()
 
     def test_four_argument_record(self, cache):
-        # a record built by hand, as a caller with its own eigenvalue does
+        # a record built by hand, as a caller with its own eigenvalue does:
+        # its nodes come from the full mesh, the searched record's from twice
+        # its own steps
         p, searched = cache.problem("sin_half"), cache.record("sin_half", 16)
         rec = EigenRecord(16, searched.lam, 0.0, (searched.lam, searched.lam))
         assert rec.steps is None and rec.error_estimate is None
         integ = cache.integrator("sin_half")
+        assert 2 * searched.steps < integ.n_steps
         for component in (1, 2):
-            assert np.array_equal(extract_nodes(p, rec, component, integ).points,
-                                  extract_nodes(p, searched, component, integ).points)
+            a = extract_nodes(p, rec, component, integ).points
+            b = extract_nodes(p, searched, component, integ).points
+            assert a.size == b.size and np.max(np.abs(a - b)) <= 1e-12
 
 
 class TestRotationLabels:
@@ -931,6 +990,32 @@ class TestExtractNodes:
         for a, b in zip(batch, alone):
             assert np.array_equal(a.points, b.points)
 
+    def test_node_mesh_is_twice_the_eigenvalue_mesh(self, monkeypatch):
+        # a record's nodes come from min(2 steps, n_steps) uniform steps, a
+        # record without steps from n_steps; each mesh is built once a call
+        p = DiracProblem(*SIN_CLASSICAL)
+        records = find_eigenvalues(p, [3, 7, 40], IntegratorConfig(4096),
+                                   EigenSearchConfig(lambda_tolerance=1e-12))
+        assert [r.steps for r in records] == [256, 256, 1024]
+        hand = EigenRecord(10, records[1].lam + 3.0, 0.0, (0.0, 0.0))
+        built, taken = [], []
+        mesh, trajectory = solver_mod._mesh, solver_mod._trajectory
+        monkeypatch.setattr(solver_mod, "_mesh", lambda problem, n: built.append(n)
+                            or mesh(problem, n))
+        monkeypatch.setattr(solver_mod, "_trajectory", lambda problem, lam, m:
+                            taken.append(m.vbar.size) or trajectory(problem, lam, m))
+        for cap, sizes in ((4096, [512, 512, 2048, 4096]), (1024, [512, 512, 1024, 1024])):
+            built.clear(), taken.clear()
+            sets = solver_mod.extract_nodal_sets(p, records + [hand], (1, 2),
+                                                 IntegratorConfig(cap))
+            assert taken == sizes and sorted(built) == sorted(set(sizes))
+        monkeypatch.undo()
+        # the same nodes as a record without steps on that mesh
+        for rec, first in zip(records, sets[::2]):
+            bare = EigenRecord(rec.index, rec.lam, 0.0, rec.bracket)
+            alone = extract_nodes(p, bare, 1, IntegratorConfig(min(2 * rec.steps, 1024)))
+            assert alone.points.tobytes() == first.points.tobytes()
+
     def test_degenerate_component_guard(self, monkeypatch):
         p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
         rec = find_eigenvalue(p, 5, FAST)
@@ -991,7 +1076,8 @@ class TestKeptTrajectory:
         assert len(calls) == 1
         extract_nodes(p, dataclasses.replace(rec, lam=rec.lam + 1e-3), 1, cfg)
         assert len(calls) == 2
-        extract_nodes(p, rec, 1, IntegratorConfig(n_steps=cfg.n_steps // 2))
+        # a cap below twice the record's steps puts its nodes on another mesh
+        extract_nodes(p, rec, 1, IntegratorConfig(n_steps=rec.steps))
         assert len(calls) == 3
         fresh = DiracProblem(p.mass, named_potential("sin2x"), p.boundary)
         extract_nodes(fresh, rec, 1, cfg)
@@ -1045,21 +1131,24 @@ class TestNodeNewton:
     @staticmethod
     def refine(monkeypatch, df):
         # the partial step from x0 = 0 at the state (1, 0) gives y1 = f and
-        # y2 = -df: with V = 0, m = 0 and lambda = 1, y1' = -y2 = df
+        # y2 = -df: with V = 0, m = 0 and lambda = 1, y1' = -y2 = df.  The
+        # step's coefficients are its width h
         seen = []
 
-        def entries(m, h, vbar, g, lams):
+        def entries(h, lams):
             seen.extend(h.tolist())
             p = np.zeros((2, 2) + h.shape)
             p[0, 0], p[1, 0] = h * h - 0.09, -df(h)
             return p
 
+        monkeypatch.setattr(solver_mod, "_sample", lambda problem, x0, h: (None, h))
         monkeypatch.setattr(solver_mod, "_entries", entries)
         p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
         one = np.ones(1)
+        # the first iterate is the linear interpolant of the end values
         root = solver_mod._node_newton(p, one, np.zeros(1, dtype=int),
                                        np.array([[1.0], [0.0]]), 0 * one, one,
-                                       -0.09 * one, 0.91 * one, one, str)
+                                       -0.09 * one, 0.91 * one, 0.09 * one, one, str)
         return root[0], seen
 
     @pytest.mark.parametrize("slope", [1e-3, 0.0], ids=["leaves_cell", "zero"])
@@ -1082,33 +1171,50 @@ class TestNodeNewton:
         assert len(seen) <= 6
 
 
+def magnus_omega(problem, lams, x0, h):
+    """The sixth-order Magnus exponent of each step [x0, x0 + h] at each
+    lambda, shape (2, 2, steps, lambdas), from the 2x2 matrices A = (lambda -
+    V) J - m K at the three Gauss points and their matrix commutators
+    (Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 2009, Omega^[6])."""
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])[..., None, None]
+    K = np.array([[0.0, 1.0], [1.0, 0.0]])[..., None, None]
+
+    def comm(a, b):
+        return np.einsum("ij...,jk...->ik...", a, b) - np.einsum("ij...,jk...->ik...", b, a)
+
+    c = math.sqrt(15.0) / 10.0
+    a1, a2, a3 = ((lams[None, :] - problem.potential(x0 + t * h)[:, None]) * J
+                  - problem.mass * K for t in (0.5 - c, 0.5, 0.5 + c))
+    h = h[:, None]
+    alpha1 = h * a2
+    alpha2 = math.sqrt(15.0) * h / 3.0 * (a3 - a1)
+    alpha3 = 10.0 * h / 3.0 * (a3 - 2.0 * a2 + a1)
+    c1 = comm(alpha1, alpha2)
+    c2 = -comm(alpha1, 2.0 * alpha3 + c1) / 60.0
+    return alpha1 + alpha3 / 12.0 + comm(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
+
+
 def loop_reference(problem, lams, mesh):
     """States at every node of the mesh, shape (N + 1, 2, K) for N steps of
-    any widths, by a plain per-step loop: step tables with both branches of
-    cosh/cos and sinh/sin evaluated everywhere, then one matrix-vector
-    product per step."""
+    any widths, by a plain per-step loop: step tables exp(Omega) of the
+    traceless Omega of ``magnus_omega``, with both branches of cosh/cos and
+    sinh/sin evaluated everywhere, then one matrix-vector product per
+    step."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    m = problem.mass
-    h, x0 = mesh.h, mesh.x[:-1]
-    v_lo = problem.potential(x0 + (0.5 - math.sqrt(3.0) / 6.0) * h)
-    v_hi = problem.potential(x0 + (0.5 + math.sqrt(3.0) / 6.0) * h)
-    vbar = 0.5 * (v_lo + v_hi)
-    g = ((math.sqrt(3.0) / 6.0) * m * h * h * (v_hi - v_lo))[:, None]
-    w = lams[None, :] - vbar[:, None]
-    bb = -h[:, None] * (w + m)
-    cc = h[:, None] * (w - m)
-    s2 = g * g + bb * cc
+    omega = magnus_omega(problem, lams, mesh.x[:-1], mesh.h)
+    s2 = omega[0, 0] ** 2 + omega[0, 1] * omega[1, 0]
     t = np.sqrt(np.abs(s2))
     ec = np.where(s2 > 0, np.cosh(t), np.cos(t))
     small = t < 1e-8
     t_safe = np.where(small, 1.0, t)
     es = np.where(s2 > 0, np.sinh(t_safe), np.sin(t_safe)) / t_safe
     es = np.where(small, 1.0 + s2 / 6.0, es)
-    p11, p12, p21, p22 = ec - es * g, es * bb, es * cc, ec + es * g
+    p11, p12, p21, p22 = ec + es * omega[0, 0], es * omega[0, 1], \
+        es * omega[1, 0], ec + es * omega[1, 1]
 
-    out = np.empty((h.size + 1, 2, lams.size))
+    out = np.empty((mesh.h.size + 1, 2, lams.size))
     out[0] = solver_mod._initial_state(problem, lams)
-    for i in range(h.size):
+    for i in range(mesh.h.size):
         y1, y2 = out[i]
         out[i + 1, 0] = p11[i] * y1 + p12[i] * y2
         out[i + 1, 1] = p21[i] * y1 + p22[i] * y2
@@ -1202,8 +1308,7 @@ def tree_reference(problem, lams, mesh):
     order: matrices 2j and 2j + 1 paired at each level, an unpaired last one
     carried up."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    p = solver_mod._entries(problem.mass, mesh.h[:, None], mesh.vbar[:, None],
-                            mesh.g[:, None], lams)
+    p = solver_mod._entries(mesh.coef[:, :, None], lams)
     while p.shape[2] > 1:
         even = p.shape[2] // 2 * 2
         p = np.concatenate((solver_mod._mul(p[:, :, 1:even:2], p[:, :, 0:even:2]),
@@ -1253,10 +1358,10 @@ class TestStepKernel:
 
     @pytest.mark.parametrize("angle", [False, True])
     def test_mixed_branches_batch_invariance(self, angle, monkeypatch):
-        # on 256 steps |u| passes 1/12 near |lambda - V| = 23.5
+        # on 256 steps |u| passes 1/3 near |lambda - V| = 47
         p = DiracProblem(*SIN_CLASSICAL)
         mesh = solver_mod._mesh(p, 256)
-        lams = np.linspace(-60.0, 60.0, 97)
+        lams = np.linspace(-90.0, 90.0, 97)
         sizes = count_trig(monkeypatch)
         batch = solver_mod._terminal(p, lams, mesh, angle)
         assert 0 < sum(sizes) < lams.size * 256
@@ -1297,7 +1402,7 @@ class TestStepKernel:
                              ids=["sin2x", "pd_example"])
     def test_default_mesh_takes_only_the_series(self, args, monkeypatch):
         # the meshes the search solves on take only the series; the trig
-        # branch serves the error estimate's chi on 256 and 128 steps
+        # branch serves the error estimate's chi on 128 and 64 steps
         p = DiracProblem(*args)
         sizes = count_trig(monkeypatch)
         meshes = []
@@ -1312,9 +1417,9 @@ class TestStepKernel:
 
         monkeypatch.setattr(solver_mod, "_terminal", tagged)
         find_eigenvalues(p, range(3, 41))
-        assert set(meshes) <= {(256, False), (128, False)}
+        assert set(meshes) <= {(128, False), (64, False)}
         sizes.clear()
-        characteristic(p, 400.0)
+        characteristic(p, 1000.0)
         assert sum(sizes) > 0
 
 
