@@ -1016,6 +1016,25 @@ class TestExtractNodes:
             alone = extract_nodes(p, bare, 1, IntegratorConfig(min(2 * rec.steps, 1024)))
             assert alone.points.tobytes() == first.points.tobytes()
 
+    def test_first_iterate_exact_for_constant_potential(self, monkeypatch):
+        # V = 0, m = 0.5, Classical(0, 0): y1 is a multiple of sin(w x), w =
+        # sqrt(lambda^2 - m^2), so the start for V constant on each cell is
+        # the node itself, and one Newton evaluation confirms it
+        p = DiracProblem(0.5, named_potential("zero"), Classical(0.0, 0.0))
+        rec = find_eigenvalue(p, 9)
+        starts, evaluations = [], []
+        newton, entries = solver_mod._node_newton, solver_mod._entries
+        monkeypatch.setattr(solver_mod, "_node_newton",
+                            lambda *args: starts.append(args[8]) or newton(*args))
+        monkeypatch.setattr(solver_mod, "_entries", lambda coef, lams:
+                            evaluations.append(np.ndim(lams)) or entries(coef, lams))
+        nodes = extract_nodes(p, rec, 1).points
+        exact = np.arange(1, 9) * PI / math.sqrt(rec.lam ** 2 - 0.25)
+        assert nodes.size == 8 and np.max(np.abs(starts[0] - exact)) <= 1e-13
+        assert np.max(np.abs(nodes - exact)) <= 1e-13
+        # the trajectory's step tables, then one partial step for all nodes
+        assert len(evaluations) == 2
+
     def test_degenerate_component_guard(self, monkeypatch):
         p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
         rec = find_eigenvalue(p, 5, FAST)
@@ -1194,14 +1213,10 @@ def magnus_omega(problem, lams, x0, h):
     return alpha1 + alpha3 / 12.0 + comm(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
 
 
-def loop_reference(problem, lams, mesh):
-    """States at every node of the mesh, shape (N + 1, 2, K) for N steps of
-    any widths, by a plain per-step loop: step tables exp(Omega) of the
-    traceless Omega of ``magnus_omega``, with both branches of cosh/cos and
-    sinh/sin evaluated everywhere, then one matrix-vector product per
-    step."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    omega = magnus_omega(problem, lams, mesh.x[:-1], mesh.h)
+def traceless_exp(omega):
+    """exp(omega) of traceless 2x2 matrices (axes 0 and 1): cosh(t) + sinh(t)
+    / t omega with t**2 = omega00**2 + omega01 omega10, both branches of
+    cosh/cos and sinh/sin evaluated everywhere."""
     s2 = omega[0, 0] ** 2 + omega[0, 1] * omega[1, 0]
     t = np.sqrt(np.abs(s2))
     ec = np.where(s2 > 0, np.cosh(t), np.cos(t))
@@ -1209,8 +1224,17 @@ def loop_reference(problem, lams, mesh):
     t_safe = np.where(small, 1.0, t)
     es = np.where(s2 > 0, np.sinh(t_safe), np.sin(t_safe)) / t_safe
     es = np.where(small, 1.0 + s2 / 6.0, es)
-    p11, p12, p21, p22 = ec + es * omega[0, 0], es * omega[0, 1], \
-        es * omega[1, 0], ec + es * omega[1, 1]
+    return ec * np.eye(2)[:, :, None, None] + es * omega
+
+
+def loop_reference(problem, lams, mesh):
+    """States at every node of the mesh, shape (N + 1, 2, K) for N steps of
+    any widths, by a plain per-step loop: step tables exp(Omega) of the
+    traceless Omega of ``magnus_omega``, with both branches of cosh/cos and
+    sinh/sin evaluated everywhere, then one matrix-vector product per
+    step."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    (p11, p12), (p21, p22) = traceless_exp(magnus_omega(problem, lams, mesh.x[:-1], mesh.h))
 
     out = np.empty((mesh.h.size + 1, 2, lams.size))
     out[0] = solver_mod._initial_state(problem, lams)
@@ -1368,6 +1392,17 @@ class TestStepKernel:
         for k, lam in enumerate(lams):
             alone = solver_mod._terminal(p, [lam], mesh, angle)
             assert all(x[k] == y[0] for x, y in zip(batch, alone))
+
+    @pytest.mark.parametrize("label", sorted(KERNEL_PROBLEMS))
+    def test_step_matches_matrix_commutators(self, label):
+        # steps 0.3 wide, where every commutator term of Omega^[6] shows:
+        # the closed form of the coefficients against 2x2 matrix products
+        p = DiracProblem(*KERNEL_PROBLEMS[label])
+        x0, h = np.linspace(0.0, 2.8, 8), np.full(8, 0.3)
+        lams = np.array([-7.0, 0.3, 2.5, 11.0])
+        ref = traceless_exp(magnus_omega(p, lams, x0, h))
+        got = solver_mod._entries(solver_mod._sample(p, x0, h)[1][:, :, None], lams)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n_steps", [64, 1000, 4096, 4097])
     def test_chunk_tree_matches_reduce(self, n_steps, monkeypatch):
