@@ -21,6 +21,9 @@ from .model import Classical, DiracProblem, ParamDependent
 _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_MAX_ITER = 50
 
+# Smallest |lambda| at which eigenfunction_asym offers its expansion.
+_EIGENFUNCTION_MIN_LAMBDA = 5.0
+
 
 def mean_shift(problem: DiracProblem) -> float:
     """The first-order constant v = integral of V plus beta - alpha."""
@@ -248,16 +251,16 @@ def nodal_length_asym(problem: DiracProblem, n: int, j: int, component: int = 1,
 
 
 def eigenfunction_asym(problem: DiracProblem, lam: float, x: float,
-                       component: int, min_lambda: float = 5.0) -> float:
+                       component: int) -> float:
     """Leading eigenfunction term plus the first-order correction.
 
     The remainder is not modeled, so the expansion is only offered for
-    |lam| above a configurable threshold.
+    |lam| of at least _EIGENFUNCTION_MIN_LAMBDA.
     """
     if component not in (1, 2):
         raise InputError("component must be 1 or 2")
-    if abs(lam) < min_lambda:
-        raise DomainError(f"|lambda| must be at least {min_lambda}")
+    if abs(lam) < _EIGENFUNCTION_MIN_LAMBDA:
+        raise DomainError(f"|lambda| must be at least {_EIGENFUNCTION_MIN_LAMBDA}")
     b = problem.boundary
     m = problem.mass
     x = float(x)

@@ -27,6 +27,11 @@ DOMAIN_LENGTH = math.pi
 # Slack for floating-point comparisons against interval endpoints.
 _EDGE_TOL = 1e-12
 
+# Absolute tolerance of the adaptive Simpson quadrature of a callable
+# potential without an antiderivative, and its largest recursion depth.
+_QUAD_TOL = 1e-10
+_QUAD_DEPTH = 40
+
 
 def _as_float_array(values, name):
     arr = np.asarray(values, dtype=float)
@@ -44,7 +49,7 @@ class Potential:
     exact antiderivative vanishing at 0) and a uniformly sampled grid with
     linear interpolation.  ``integral_0_to`` is exact for sampled potentials
     and for callables that supply an antiderivative; otherwise it falls back
-    to adaptive Simpson quadrature with absolute tolerance ``quad_tol``.
+    to adaptive Simpson quadrature with absolute tolerance _QUAD_TOL.
 
     ``breakpoints`` are the points inside (0, pi), in increasing order,
     where V or its derivative jumps: the interior grid nodes of a sampled
@@ -52,18 +57,17 @@ class Potential:
     solver puts a mesh node on each, which keeps its sixth order.
     """
 
-    __slots__ = ("values", "_func", "_anti", "name", "params", "quad_tol",
+    __slots__ = ("values", "_func", "_anti", "name", "params",
                  "_grid", "_grid_h", "_prefix", "breakpoints")
 
     def __init__(self, func=None, antiderivative=None, values=None,
-                 name=None, params=None, quad_tol=1e-10, breakpoints=()):
+                 name=None, params=None, breakpoints=()):
         if (func is None) == (values is None):
             raise InputError("exactly one of func/values must be given")
         self._func = func
         self._anti = antiderivative
         self.name = name
         self.params = dict(params) if params else {}
-        self.quad_tol = float(quad_tol)
         if values is not None:
             if len(breakpoints):
                 raise InputError("a sampled potential's breakpoints are its grid nodes")
@@ -122,7 +126,7 @@ class Potential:
             return float(self._prefix[k] + v0 * t + 0.5 * slope * t * t)
         if self._anti is not None:
             return float(self._anti(x) - self._anti(0.0))
-        return _adaptive_simpson(self._func, 0.0, x, self.quad_tol)
+        return _adaptive_simpson(self._func, 0.0, x)
 
     def integral_between(self, a, b):
         return self.integral_0_to(b) - self.integral_0_to(a)
@@ -154,7 +158,7 @@ def cumulative_integral(potential: Potential, x: float) -> float:
     return potential.integral_0_to(x)
 
 
-def _adaptive_simpson(f, a, b, tol, max_depth=40):
+def _adaptive_simpson(f, a, b):
     """Plain recursive adaptive Simpson with Richardson correction."""
     def _simp(lo, hi, flo, fmid, fhi):
         return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
@@ -176,7 +180,7 @@ def _adaptive_simpson(f, a, b, tol, max_depth=40):
     fm = float(f(np.asarray(0.5 * (a + b))))
     fb = float(f(np.asarray(b)))
     whole = _simp(a, b, fa, fm, fb)
-    return _rec(a, b, fa, fm, fb, whole, tol, max_depth)
+    return _rec(a, b, fa, fm, fb, whole, _QUAD_TOL, _QUAD_DEPTH)
 
 
 @dataclass(frozen=True)
@@ -276,12 +280,9 @@ class EigenRecord:
     is the bracket the root finder started from.  ``steps`` is the number of
     uniform steps of the mesh ``lam`` was solved on (before the potential's
     breakpoints are added), and ``error_estimate`` the estimate of the
-    error of ``lam`` from lam' and lam'', the eigenvalues on the meshes of
-    half and a quarter as many uniform steps: with d = lam' - lam and
-    rho = (lam'' - lam') / d, it is 3 |d| / (rho - 1) where rho lies in
-    [48, 80], as for a sixth-order error, and |d| elsewhere, as where |d|
-    alone meets the tolerance and lam'' is not computed.  Both are None on
-    a record that no search produced.
+    error of ``lam``: |lam' - lam|, lam' the eigenvalue on the mesh of half
+    as many uniform steps.  Both are None on a record that no search
+    produced.
     """
 
     index: int

@@ -32,6 +32,9 @@ from .model import DOMAIN_LENGTH, DiracProblem, NodalSet, Potential
 _MODE_TAGS = ("corrected", "paper_exact")
 _LAMBDA_SOURCES = ("integer_seed", "numeric", "asymptotic")
 
+# Uniform cells of the piecewise-linear representation of a callable V.
+_LINEAR_CELLS = 4096
+
 
 @dataclass(frozen=True)
 class StepFunction:
@@ -199,12 +202,12 @@ def _union(a, b):
     return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
 
 
-def _linear_nodes(potential: Potential, n_cells: int = 4096):
+def _linear_nodes(potential: Potential):
     """Nodes of a piecewise-linear representation of V: a sampled potential's
-    own grid, or n_cells uniform cells with a node at each breakpoint."""
+    own grid, or _LINEAR_CELLS uniform cells with a node at each breakpoint."""
     if potential.is_sampled:
         return np.linspace(0.0, DOMAIN_LENGTH, potential.values.size)
-    return _union(np.linspace(0.0, DOMAIN_LENGTH, n_cells + 1),
+    return _union(np.linspace(0.0, DOMAIN_LENGTH, _LINEAR_CELLS + 1),
                   potential.breakpoints)
 
 

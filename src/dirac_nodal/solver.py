@@ -69,17 +69,14 @@ changes sign exactly once in such a bracket, and a safeguarded Illinois
 regula falsi refines it until it is ``lambda_tolerance`` wide.  Every round
 of the search evaluates the open indices in one batched propagation, and
 each index stops on its own.  The search controls its error by mesh
-refinement and Richardson extrapolation (Pryce, 1993; SLEDGE, Pruess and
-Fulton, ACM TOMS 19, 1993): it starts on a sixteenth of ``n_steps`` and
-compares each eigenvalue with that of the mesh of half as many steps, and
-where that change alone exceeds ``lambda_tolerance``, also with that of a
-quarter as many.  Where the ratio of the two differences is near 64, as for
-an error C h**6, the error estimate is the extrapolated one times a safety
-factor; elsewhere it is the change from the mesh of half as many steps.  The
-mesh of an index doubles while its estimate exceeds ``lambda_tolerance``.  A
-state at pi that cancels to a tiny fraction of its terms, as for an
-eigenfunction decaying from x = 0 across a mass gap, raises
-IntegrationFailure instead of yielding a wrong root.
+refinement (Pryce, 1993; SLEDGE, Pruess and Fulton, ACM TOMS 19, 1993): it
+starts on a sixteenth of ``n_steps``, and the error estimate of each
+eigenvalue is its change from the mesh of half as many steps, about 63
+times the error of a sixth-order scheme.  The mesh of an index doubles
+while its estimate exceeds ``lambda_tolerance``.  A state at pi that
+cancels to a tiny fraction of its terms, as for an eigenfunction decaying
+from x = 0 across a mass gap, raises IntegrationFailure instead of yielding
+a wrong root.
 
 Nodes are extracted for many records and either or both components in one
 call, ``extract_nodal_sets``.  A record's nodes follow its eigenvalue's
@@ -178,21 +175,6 @@ _START_TURN = _BLOCK_TURN / 2
 # Largest distance the eigenvalue refined on a mesh is looked for from the
 # eigenvalue on the coarser mesh: well inside the spacing of eigenvalues.
 _SHIFT_LIMIT = 1.0 / 16
-
-# Band of rho = (lambda_N/4 - lambda_N/2) / (lambda_N/2 - lambda_N), which is
-# 64 for an error C h**6, inside which the error estimate of lambda_N is
-# _RICHARDSON_SAFETY times the Richardson estimate |lambda_N/2 - lambda_N| /
-# (rho - 1) instead of |lambda_N/2 - lambda_N|.  Measured at the default
-# 4096 steps against roots on 32768 steps, where the error was above 1e-13:
-# for n = 3..40 on sin2x (m = 0.5, two classical boundaries and case I) and
-# poly (m = 2), and for n = -12..-2 and 1..12 on V = 8 sin 6x with m = 10,
-# rho lay in [60.8, 78.9] and the error was at most 1.18 times the
-# Richardson estimate.  A factor of 3 bounds that with a margin; with a
-# factor of 1, 13 of the 23 estimates of V = 8 sin 6x fell below their
-# error.  On the 30 seeded sampled potentials of the benchmark, whose meshes
-# do not halve, rho fell in the band for none of 1140 indices.
-_RHO_BAND = (48.0, 80.0)
-_RICHARDSON_SAFETY = 3.0
 
 # Newton steps in s after which a mean-potential seed keeps its massless
 # start, the relative step at which it is final, and the |s| a final seed
@@ -988,10 +970,10 @@ def _refine(problem, seeds, slopes, mesh, tolerance, describe):
 
     A Newton step from each seed predicts its root.  A bracket 0.8
     ``tolerance`` wide around the prediction is widened 16-fold about it
-    until chi changes sign, and ``_illinois`` refines it.  Every
-    propagation evaluates one lambda per open index, and each index follows
-    only its own values.  A bracket that would reach farther than
-    _SHIFT_LIMIT from its prediction, or is still open after
+    until chi changes sign, and ``_illinois`` refines it.  Each widening
+    evaluates both ends of every open bracket in one propagation, and each
+    index follows only its own values.  A bracket that would reach farther
+    than _SHIFT_LIMIT from its prediction, or is still open after
     _MAX_EVALUATIONS widenings, raises IterationFailure.  Returns the roots,
     the slopes of chi across their final brackets, and the brackets [lo, hi]
     that ``_illinois`` started from.
@@ -1004,8 +986,8 @@ def _refine(problem, seeds, slopes, mesh, tolerance, describe):
     open_ = np.arange(seeds.size)
     for evals in itertools.count(1):
         a, b = x[open_] - half[open_], x[open_] + half[open_]
-        fa = _characteristic_batch(problem, a, mesh)
-        fb = _characteristic_batch(problem, b, mesh)
+        fa, fb = np.split(
+            _characteristic_batch(problem, np.concatenate((a, b)), mesh), 2)
         found = np.sign(fa) != np.sign(fb)
         for end, value in ((lo, a), (hi, b), (f_lo, fa), (f_hi, fb)):
             end[open_[found]] = value[found]
@@ -1029,21 +1011,6 @@ def _levels(n_steps):
     coarsest first: n_steps / 16, n_steps / 8, n_steps / 4, n_steps / 2 and
     n_steps."""
     return n_steps >> 4, n_steps >> 3, n_steps >> 2, n_steps >> 1, n_steps
-
-
-def _error_estimate(d1, d2):
-    """Error estimate of lambda_N from the differences d1 = lambda_N/2 -
-    lambda_N and d2 = lambda_N/4 - lambda_N/2: where their ratio rho = d2 /
-    d1 lies in _RHO_BAND, the mesh is in the sixth-order regime and the
-    estimate is _RICHARDSON_SAFETY |d1| / (rho - 1); elsewhere, as where d2
-    is nan because the mesh of N/4 steps was not needed, it is |d1|, and
-    infinite where d1 is not finite."""
-    undivided = np.where(np.isfinite(d1), np.abs(d1), np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = d2 / d1
-        divided = _RICHARDSON_SAFETY * undivided / (rho - 1.0)
-    sixth = (rho >= _RHO_BAND[0]) & (rho <= _RHO_BAND[1])
-    return np.where(sixth, divided, undivided)
 
 
 def _start_levels(problem, seeds, levels, mesh):
@@ -1082,21 +1049,14 @@ def find_eigenvalues(problem: DiracProblem, indices,
     models the seed's error (see _SEED_FLOOR), and ``_illinois`` refines chi
     in each.  A Newton step from lambda_N, with the slope of chi across its
     final bracket, gives the root on the mesh of N / 2 uniform steps, and
-    where |lambda_N/2 - lambda_N| exceeds ``lambda_tolerance``, another
-    gives the root on N / 4 steps.  ``_error_estimate`` turns the
-    differences lambda_N/2 - lambda_N and lambda_N/4 - lambda_N/2 into the
-    error estimate: divided by rho - 1, rho their ratio, where rho is near
-    64, and |lambda_N/2 - lambda_N| elsewhere, which bounds the error of
+    the error estimate is |lambda_N/2 - lambda_N|, which bounds the error of
     lambda_N on meshes that halve for any order of convergence of at least
-    1.  An index whose mesh of N / 4 steps was not needed reports
-    |lambda_N/2 - lambda_N|, which already meets the tolerance; the divided
-    estimate would be smaller, so skipping it changes no root, mesh or
-    stopping decision.  While the estimate exceeds
-    ``lambda_tolerance``, N doubles and ``_refine`` solves on it from the
-    previous root; the estimate then comes from the roots on 2N, N and N / 2
-    steps.  Each index decides alone, so each record is bitwise the same in
-    any batch.  An index whose estimate still exceeds the tolerance on the
-    finest mesh raises ToleranceNotMet.
+    1; a difference that is not finite is an infinite estimate.  While the
+    estimate exceeds ``lambda_tolerance``, N doubles and ``_refine`` solves
+    on it from the previous root, and the estimate is the root's change
+    from the previous one.  Each index decides alone, so each record is
+    bitwise the same in any batch.  An index whose estimate still exceeds
+    the tolerance on the finest mesh raises ToleranceNotMet.
     """
     integrator = integrator or IntegratorConfig()
     search = search or EigenSearchConfig()
@@ -1121,9 +1081,8 @@ def find_eigenvalues(problem: DiracProblem, indices,
     deviation = float(np.abs(mesh_of(levels[0]).vbar - vbar).max())
     spread = np.maximum(deviation / ((seeds - vbar) ** 2 + 1.0), _SEED_FLOOR)
     size = len(indices)
-    # per index: lambda_N/2 - lambda_N and lambda_N/4 - lambda_N/2 for the
-    # mesh of N steps it is on
-    lam, slope, lo, hi, residual, d1, d2 = (np.zeros(size) for _ in range(7))
+    # per index: lambda_N/2 - lambda_N for the mesh of N steps it is on
+    lam, slope, lo, hi, residual, d1 = (np.zeros(size) for _ in range(6))
     estimate = np.full(size, np.inf)
     steps = np.zeros(size, dtype=int)
     for level, n in enumerate(levels):
@@ -1138,23 +1097,17 @@ def find_eigenvalues(problem: DiracProblem, indices,
                                                   spread[new], vbar, mesh, describe)
             lam[new], slope[new] = _illinois(_chi(problem, mesh), b_lo, b_hi,
                                              chi_lo, chi_hi, tolerance, describe)
-            # Newton steps from lambda_N for the roots on N/2 steps, and on
-            # N/4 steps where |lambda_N/2 - lambda_N| alone misses the tolerance
-            half = _characteristic_batch(problem, lam[new], mesh_of(n >> 1)) / slope[new]
-            d1[new], d2[new] = -half, np.nan
-            far = np.abs(half) > tolerance
-            if far.any():
-                quarter = _characteristic_batch(problem, lam[new[far]],
-                                                mesh_of(n >> 2)) / slope[new[far]]
-                d2[new[far]] = half[far] - quarter
+            # a Newton step from lambda_N for the root on N/2 steps
+            d1[new] = -_characteristic_batch(problem, lam[new],
+                                             mesh_of(n >> 1)) / slope[new]
             lo[new], hi[new] = b_lo, b_hi
         if old.size:
             roots, slope[old], lo[old], hi[old] = _refine(
                 problem, lam[old], slope[old], mesh, tolerance, describe_in(old))
-            d1[old], d2[old] = lam[old] - roots, d1[old]
+            d1[old] = lam[old] - roots
             lam[old] = roots
         here = np.concatenate((new, old))
-        estimate[here] = _error_estimate(d1[here], d2[here])
+        estimate[here] = np.where(np.isfinite(d1[here]), np.abs(d1[here]), np.inf)
         steps[here] = n
         done = here[estimate[here] <= tolerance]
         if done.size:

@@ -378,8 +378,8 @@ class TestFindEigenvalue:
 
     def test_heavy_indices_bracket_in_one_round(self, monkeypatch):
         # the nodes_by_index heavy problem: exact seeds, one angle evaluation
-        # of two lambdas, no regula falsi step, and chi on N/2, N/4 and for
-        # the residual
+        # of two lambdas, no regula falsi step, and chi on N/2 and for the
+        # residual
         p = DiracProblem(*HEAVY)
         calls = []
         terminal = solver_mod._terminal
@@ -392,7 +392,7 @@ class TestFindEigenvalue:
         for n in (3, 4, 6, 10, 20):
             calls.clear()
             rec = find_eigenvalue(p, n)
-            assert calls.count(True) == 1 and len(calls) <= 7
+            assert calls.count(True) == 1 and len(calls) == 3
             assert rec.lam == pytest.approx(math.sqrt(n * n + 100.0), abs=1.0)
 
     def test_nearly_degenerate_pair_under_default_cap(self, monkeypatch):
@@ -553,12 +553,15 @@ class TestRootFinder:
         assert not (tmp_path / "x.csv").exists()
 
 
+# the problems of the shared solve cache in conftest.py
+FIXTURES = ("zero_quarter", "zero_flat", "zero_half_mass", "sin_half", "const_one",
+            "pd_example")
 HEAVY = (10.0, named_potential("zero"), Classical(0.3, 1.0))
 POLY_M2 = (2.0, named_potential("poly", coeffs=[1.0, -2.0, 0.5]), Classical(0.3, 0.7))
 SIN_CLASSICAL = (0.5, named_potential("sin2x"), Classical(0.3, 0.7))
 # wells deeper than the mass gap: nearly degenerate pairs, and plateaus of
 # theta(pi) that the bracket search has to jump across; the error estimates
-# meet 1e-10 on 8192 steps, not on 4096
+# meet 1e-10 on 4096 steps, not on 512
 STRONG = (10.0, Potential(func=lambda x: 8.0 * np.sin(6.0 * x)), Classical(0.2, 0.9))
 
 
@@ -659,56 +662,35 @@ class TestErrorControl:
             assert err <= 1e-10 and rec.error_estimate <= 1e-10
             assert err <= 1e-13 or err <= rec.error_estimate
 
-    def test_estimate_divides_only_inside_the_band(self):
-        # d1 a power of two, so that rho = d1 * rho / d1 exactly
-        lo, hi = solver_mod._RHO_BAND
-        d1 = -2.0 ** -30
-        rhos = np.array([64.0, lo, hi, lo - 1e-9, hi + 1e-9, 1.0, -64.0])
-        est = solver_mod._error_estimate(np.full(rhos.size, d1), d1 * rhos)
-        factor = solver_mod._RICHARDSON_SAFETY * -d1
-        assert est[:3] == pytest.approx([factor / 63, factor / (lo - 1),
-                                         factor / (hi - 1)], rel=1e-15)
-        assert np.all(est[3:] == -d1)
-        # no warning where d1 is 0 or not finite
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            est = solver_mod._error_estimate(np.array([0.0, 0.0, np.nan, np.inf]),
-                                             np.array([0.0, d1, d1, d1]))
-        assert est.tolist() == [0.0, 0.0, math.inf, math.inf]
-        # an index whose quarter mesh was skipped has d2 = nan: undivided
-        assert solver_mod._error_estimate(np.array([d1]), np.array([np.nan])) == -d1
-
     @pytest.mark.parametrize("label,meshes", [
-        ("sin_half", {256, 128}), ("pd_example", {512, 256, 128, 64})],
+        ("sin_half", {256, 128}), ("pd_example", {512, 256, 128})],
         ids=["sin_half", "pd_example"])
     def test_smooth_indices_stop_on_a_sixteenth(self, cache, label, meshes, monkeypatch):
         # at the default 4096 steps every index starts on 256 steps; sin_half
         # stops there, and pd_example refines its top indices on 512.  One
-        # chi on 128 steps gives every estimate, and the quarter mesh of 64
-        # steps is taken only for the indices whose |lambda_128 - lambda_256|
-        # exceeds the tolerance; the others report that difference
+        # chi on 128 steps gives every estimate on 256 steps, |lambda_128 -
+        # lambda_256|, and no mesh of 64 steps is built
         p = cache.problem(label)
-        calls = {}
-        terminal = solver_mod._terminal
+        calls, built = {}, []
+        terminal, make_mesh = solver_mod._terminal, solver_mod._mesh
 
         def counted(problem, lams, mesh, angle=False):
             calls.setdefault(mesh.vbar.size, []).append(np.size(lams))
             return terminal(problem, lams, mesh, angle)
 
         monkeypatch.setattr(solver_mod, "_terminal", counted)
+        monkeypatch.setattr(solver_mod, "_mesh", lambda problem, n: built.append(n)
+                            or make_mesh(problem, n))
         batch = find_eigenvalues(p, range(3, 41))
         monkeypatch.undo()
-        assert {r.steps for r in batch} == meshes - {128, 64}
-        assert set(calls) == meshes
+        assert {r.steps for r in batch} == meshes - {128}
+        assert set(calls) == meshes and sorted(built) == sorted(meshes)
         assert len(calls[256]) <= 10 and calls[128] == [38]
         first = [r for r in batch if r.steps == 256]
         coarse = fixed_mesh_roots(p, [r.lam for r in first], 128, 1e-8)
-        undivided = np.abs(coarse - [r.lam for r in first])
-        # every index that refined missed the tolerance undivided on 256 steps
-        assert sum(calls.get(64, [])) == np.sum(undivided > 1e-10) + len(batch) - len(first)
-        for rec, d in zip(first, undivided):
-            if d <= 1e-10:
-                assert rec.error_estimate == pytest.approx(d, rel=1e-3)
+        for rec, lam in zip(first, coarse):
+            assert rec.error_estimate == pytest.approx(abs(lam - rec.lam), rel=1e-3,
+                                                       abs=1e-13)
         for rec in batch[::6]:
             assert find_eigenvalue(p, rec.index) == rec
 
@@ -761,21 +743,32 @@ class TestErrorControl:
             assert find_eigenvalue(p, rec.index, IntegratorConfig(4096), search) == rec
 
     def test_refined_estimate_is_difference_of_meshes(self):
-        # solved on 256, 512 and 1024 steps: the ratio of the differences
-        # is near 64, so the estimate is the divided one
+        # solved on 256 and 512 steps: the estimate, 2.4e-11, is the change
+        # from the root on 256 steps, not a fraction of it
         p = DiracProblem(*SIN_CLASSICAL)
-        search = EigenSearchConfig(lambda_tolerance=1e-12)
-        rec = find_eigenvalue(p, 40, IntegratorConfig(4096), search)
-        lam_512, lam_256 = (bisect_root(
-            lambda lam: characteristic(p, lam, IntegratorConfig(n)),
-            rec.lam - 1e-6, rec.lam + 1e-6) for n in (512, 256))
-        rho = (lam_256 - lam_512) / (lam_512 - rec.lam)
-        assert rec.steps == 1024 and 60.0 < rho < 68.0
-        assert rec.error_estimate == pytest.approx(
-            solver_mod._RICHARDSON_SAFETY * abs(lam_512 - rec.lam) / (rho - 1.0),
-            rel=1e-2)
+        rec = find_eigenvalue(p, 40)
+        lam_256 = bisect_root(lambda lam: characteristic(p, lam, IntegratorConfig(256)),
+                              rec.lam - 1e-6, rec.lam + 1e-6)
+        assert rec.steps == 512 and rec.error_estimate >= 1e-11
+        assert rec.error_estimate == pytest.approx(abs(lam_256 - rec.lam),
+                                                   rel=1e-3, abs=0)
         assert rec.bracket[0] < rec.lam < rec.bracket[1]
-        assert rec.bracket[1] - rec.bracket[0] <= 1e-12
+        assert rec.bracket[1] - rec.bracket[0] <= 1e-10
+
+    @pytest.mark.parametrize("label", FIXTURES)
+    def test_estimate_is_difference_of_two_finest_roots(self, cache, label):
+        # every record on N steps reports |lambda_N/2 - lambda_N|, to 4 units
+        # in the last place of |lambda| + 1, against roots bisected on both
+        # meshes
+        p = cache.problem(label)
+        records = cache.records(label, list(range(-20, 0)) + list(range(1, 61))).values()
+        for n in {r.steps for r in records}:
+            on = [r for r in records if r.steps == n]
+            fine, coarse = (fixed_mesh_roots(p, [r.lam for r in on], k, 1e-8)
+                            for k in (n, n // 2))
+            estimates = np.array([r.error_estimate for r in on])
+            assert np.all(np.abs(estimates - np.abs(coarse - fine))
+                          <= 4 * np.spacing(np.abs(fine) + 1.0))
 
     def test_strong_potential_meets_tolerance_on_4096_steps(self):
         # V = 8 sin 6x with m = 10 misses 1e-10 with a cap of 512 steps and
@@ -792,23 +785,38 @@ class TestErrorControl:
         for rec, lam in zip(records, ref):
             assert abs(rec.lam - lam) <= rec.error_estimate
 
-    def test_refine_widens_then_gives_up(self):
+    def test_refine_widens_then_gives_up(self, monkeypatch):
         # V = 0, m = 0: chi = -sin(pi lambda), roots at the integers; without a
-        # slope the prediction is the seed, 3e-9 from the root
+        # slope the prediction is the seed, 3e-9 from the root, and each of
+        # the three widenings evaluates both ends in one propagation
         p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
         mesh = solver_mod._mesh(p, 256)
+        sizes = count_terminal(monkeypatch)
         roots, slopes, lo, hi = solver_mod._refine(
             p, np.array([7.0 + 3e-9]), np.array([np.nan]), mesh, 1e-10, str)
+        assert sizes[:5] == [1, 2, 2, 2, 1]
         assert abs(roots[0] - 7.0) <= 1e-10 and lo[0] < 7.0 < hi[0]
         assert slopes[0] == pytest.approx(-PI, rel=1e-3)
         with pytest.raises(IterationFailure, match="keeps its sign"):
             solver_mod._refine(p, np.array([7.5]), np.array([1.0]), mesh, 1e-10, str)
 
-    def test_cap_raises(self):
+    def test_cap_raises(self, monkeypatch):
         p = DiracProblem(*SIN_CLASSICAL)
         with pytest.raises(ToleranceNotMet, match=r"finest mesh \(256 steps\).*"
                                                   r"eigenvalue index 40 \("):
             find_eigenvalues(p, range(30, 41), IntegratorConfig(256))
+        # a difference that is not finite is an infinite estimate, without a
+        # warning: V = 0 and index 8 starts on the finest of 64 steps, and
+        # chi on 32 steps is nan
+        p = DiracProblem(0.5, named_potential("zero"), Classical(0.0, 0.0))
+        chi = solver_mod._characteristic_batch
+        monkeypatch.setattr(
+            solver_mod, "_characteristic_batch", lambda problem, lams, mesh:
+            chi(problem, lams, mesh) * (np.nan if mesh.h.size == 32 else 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToleranceNotMet, match=r"eigenvalue index 8 \(inf\)"):
+                find_eigenvalue(p, 8, IntegratorConfig(64))
 
     def test_cap_exits_3_from_cli(self, tmp_path):
         doc = {"mass": 0.5,
@@ -893,11 +901,23 @@ class TestRotationLabels:
 
     @pytest.mark.parametrize("args", [HEAVY, SIN_CLASSICAL])
     def test_no_scan(self, args, monkeypatch):
-        # the first bracket round evaluates two lambdas per index, every
-        # later evaluation at most one
+        # the first bracket round evaluates two lambdas per index, and so does
+        # each widening in _refine, one at each end of a bracket; every other
+        # evaluation at most one
         sizes = count_terminal(monkeypatch)
+        refine, widened = solver_mod._refine, set()
+
+        def counted(problem, seeds, *args):
+            start = len(sizes)
+            out = refine(problem, seeds, *args)
+            assert max(sizes[start:]) <= 2 * seeds.size
+            widened.update(range(start + 1, len(sizes)))
+            return out
+
+        monkeypatch.setattr(solver_mod, "_refine", counted)
         find_eigenvalues(DiracProblem(*args), range(3, 41))
-        assert sizes[0] == 76 and 0 < max(sizes[1:]) <= 38
+        rest = [size for k, size in enumerate(sizes) if k not in widened]
+        assert sizes[0] == 76 and 0 < max(rest[1:]) <= 38
         sizes.clear()
         find_eigenvalue(DiracProblem(*args), 10)
         assert sizes[0] == 2 and set(sizes[1:]) == {1}
@@ -996,7 +1016,7 @@ class TestExtractNodes:
         p = DiracProblem(*SIN_CLASSICAL)
         records = find_eigenvalues(p, [3, 7, 40], IntegratorConfig(4096),
                                    EigenSearchConfig(lambda_tolerance=1e-12))
-        assert [r.steps for r in records] == [256, 256, 1024]
+        assert [r.steps for r in records] == [256, 512, 1024]
         hand = EigenRecord(10, records[1].lam + 3.0, 0.0, (0.0, 0.0))
         built, taken = [], []
         mesh, trajectory = solver_mod._mesh, solver_mod._trajectory
@@ -1004,7 +1024,7 @@ class TestExtractNodes:
                             or mesh(problem, n))
         monkeypatch.setattr(solver_mod, "_trajectory", lambda problem, lam, m:
                             taken.append(m.vbar.size) or trajectory(problem, lam, m))
-        for cap, sizes in ((4096, [512, 512, 2048, 4096]), (1024, [512, 512, 1024, 1024])):
+        for cap, sizes in ((4096, [512, 1024, 2048, 4096]), (1024, [512, 1024, 1024, 1024])):
             built.clear(), taken.clear()
             sets = solver_mod.extract_nodal_sets(p, records + [hand], (1, 2),
                                                  IntegratorConfig(cap))
@@ -1055,9 +1075,6 @@ class TestKeptTrajectory:
     """extract_nodal_sets keeps the last trajectory it took, under the key
     (problem, lambda, n_steps), and reuses it in a later call."""
 
-    LABELS = ("zero_quarter", "zero_flat", "zero_half_mass", "sin_half",
-              "const_one", "pd_example")
-
     @staticmethod
     def counted_trajectories(monkeypatch):
         calls = []
@@ -1070,7 +1087,7 @@ class TestKeptTrajectory:
         monkeypatch.setattr(solver_mod, "_trajectory", counted)
         return calls
 
-    @pytest.mark.parametrize("label", LABELS)
+    @pytest.mark.parametrize("label", FIXTURES)
     def test_components_one_then_two_propagate_once(self, cache, monkeypatch, label):
         p, cfg = cache.problem(label), cache.integrator(label)
         rec = cache.record(label, 5)
@@ -1437,7 +1454,7 @@ class TestStepKernel:
                              ids=["sin2x", "pd_example"])
     def test_default_mesh_takes_only_the_series(self, args, monkeypatch):
         # the meshes the search solves on take only the series; the trig
-        # branch serves the error estimate's chi on 128 and 64 steps
+        # branch serves the error estimate's chi on 128 steps
         p = DiracProblem(*args)
         sizes = count_trig(monkeypatch)
         meshes = []
@@ -1452,7 +1469,7 @@ class TestStepKernel:
 
         monkeypatch.setattr(solver_mod, "_terminal", tagged)
         find_eigenvalues(p, range(3, 41))
-        assert set(meshes) <= {(128, False), (64, False)}
+        assert set(meshes) <= {(128, False)}
         sizes.clear()
         characteristic(p, 1000.0)
         assert sum(sizes) > 0
