@@ -25,7 +25,7 @@ import click
 import numpy as np
 
 from . import __version__, asymptotics, solver, stability
-from .config import LoadedConfig, load_config
+from .config import LoadedConfig, load_config, read_json
 from .errors import (CaseMismatch, ComputationError, ConfigError,
                      DiracNodalError, InputError)
 from .model import GridSequence
@@ -327,8 +327,7 @@ def quasinodal_check_cmd(problem_path, n_min, n_max, grid_file,
     window = _window(n_min, n_max)
     cfg = load_config(problem_path)
     if grid_file is not None:
-        with open(grid_file, "r", encoding="utf-8") as fh:
-            seq = GridSequence.from_json(json.load(fh))
+        seq = GridSequence.from_json(read_json(grid_file))
         if seq.case != cfg.problem.case:
             raise CaseMismatch(
                 f"grid sequence is case {seq.case} but the problem is case "

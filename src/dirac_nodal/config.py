@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import BoundaryConditionError, ConfigError, InputError
 from .model import Classical, DiracProblem, ParamDependent
-from .potentials import potential_from_json
+from .potentials import potential_from_json, require_number
 from .reconstruction import ReconstructionMode
 from .solver import EigenSearchConfig, IntegratorConfig
 
@@ -56,15 +56,6 @@ def config_hash(document: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _require_number(obj, key, where):
-    if key not in obj:
-        raise ConfigError("missing required field", field=f"{where}.{key}")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"expected a number, got {value!r}", field=f"{where}.{key}")
-    return float(value)
-
-
 def _check_keys(obj, allowed, where):
     if not isinstance(obj, dict):
         raise ConfigError("expected an object", field=where)
@@ -79,11 +70,11 @@ def _parse_boundary(obj):
     try:
         if kind == "classical":
             _check_keys(obj, _CLASSICAL_KEYS, "boundary")
-            return Classical(_require_number(obj, "alpha", "boundary"),
-                             _require_number(obj, "beta", "boundary"))
+            return Classical(require_number(obj, "alpha", "boundary"),
+                             require_number(obj, "beta", "boundary"))
         if kind == "param_dependent":
             _check_keys(obj, _PARAM_KEYS, "boundary")
-            return ParamDependent(*(_require_number(obj, k, "boundary")
+            return ParamDependent(*(require_number(obj, k, "boundary")
                                     for k in ("alpha", "beta", "a0", "b0", "a1", "b1")))
     except BoundaryConditionError as exc:
         raise ConfigError(str(exc), field="boundary") from exc
@@ -96,7 +87,7 @@ def parse_config(document) -> LoadedConfig:
     for key in ("mass", "potential", "boundary"):
         if key not in document:
             raise ConfigError("missing required section", field=key)
-    mass = _require_number(document, "mass", "<root>")
+    mass = require_number(document, "mass", "<root>")
     potential = potential_from_json(document["potential"])
     boundary = _parse_boundary(document["boundary"])
 
@@ -105,10 +96,10 @@ def parse_config(document) -> LoadedConfig:
     steps = solver_obj.get("steps", SolverSettings.steps)
     if isinstance(steps, bool) or not isinstance(steps, int):
         raise ConfigError("steps must be an integer", field="solver.steps")
-    settings = SolverSettings(
-        steps=steps,
-        lambda_tol=float(solver_obj.get("lambda_tol", SolverSettings.lambda_tol)),
-    )
+    lambda_tol = SolverSettings.lambda_tol
+    if "lambda_tol" in solver_obj:
+        lambda_tol = require_number(solver_obj, "lambda_tol", "solver")
+    settings = SolverSettings(steps=steps, lambda_tol=lambda_tol)
 
     modes_obj = document.get("modes", {})
     _check_keys(modes_obj, _MODE_KEYS, "modes")
@@ -126,15 +117,23 @@ def parse_config(document) -> LoadedConfig:
                         document=document)
 
 
-def load_config(path) -> LoadedConfig:
+def read_json(path):
+    """The JSON document in the file at path; ConfigError naming the file
+    when it cannot be read or is not JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno} column {exc.colno}: "
                           f"{exc.msg}", field=str(path)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text: {exc}", field=str(path)) from exc
+
+
+def load_config(path) -> LoadedConfig:
+    document = read_json(path)
     if not isinstance(document, dict):
         raise ConfigError("top-level document must be an object", field=str(path))
     return parse_config(document)

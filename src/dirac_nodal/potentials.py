@@ -7,10 +7,34 @@ quadrature error, and its breakpoints (the jump of ``step``).
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .errors import ConfigError, InputError
 from .model import Potential, make_potential_sampled
+
+
+def require_number(obj, key, where):
+    """obj[key], of an object or a list of a document, as a float: a finite
+    number other than a bool, or ConfigError naming the field."""
+    try:
+        value = obj[key]
+    except KeyError:
+        raise ConfigError("missing required field", field=f"{where}.{key}") from None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {value!r}",
+                          field=f"{where}.{key}")
+    return float(value)
+
+
+def _numbers(values, field):
+    """A list of finite numbers as floats; ConfigError naming the field."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"expected a list of numbers, got {values!r}", field=field)
+    return [require_number(values, k, field) for k in range(len(values))]
 
 
 def _zero(params):
@@ -19,7 +43,7 @@ def _zero(params):
 
 
 def _constant(params):
-    c = float(params["c"])
+    c = require_number(params, "c", "potential.params")
     return (lambda x: np.full_like(np.asarray(x, dtype=float), c),
             lambda x: c * np.asarray(x, dtype=float), ())
 
@@ -30,7 +54,7 @@ def _sin2x(params):
 
 
 def _poly(params):
-    coeffs = [float(c) for c in params["coeffs"]]
+    coeffs = _numbers(params["coeffs"], "potential.params.coeffs")
     if not coeffs:
         raise ConfigError("poly potential needs a non-empty coeffs list",
                           field="potential.params.coeffs")
@@ -41,8 +65,8 @@ def _poly(params):
 
 
 def _step(params):
-    a = float(params["a"])
-    height = float(params["height"])
+    a = require_number(params, "a", "potential.params")
+    height = require_number(params, "height", "potential.params")
     if not 0.0 <= a <= np.pi:
         raise ConfigError("step location must lie in [0, pi]",
                           field="potential.params.a")
@@ -68,7 +92,7 @@ def named_potential(name: str, **params) -> Potential:
     """Instantiate a library potential by name."""
     try:
         builder, required = _LIBRARY[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ConfigError(f"unknown potential {name!r}; known: {library_names()}",
                           field="potential.name") from None
     missing = [key for key in required if key not in params]
@@ -93,11 +117,9 @@ def potential_from_json(obj) -> Potential:
         keys = set(obj) - {"kind", "values"}
         if keys:
             raise ConfigError(f"unknown keys {sorted(keys)}", field="potential")
+        values = _numbers(obj.get("values"), "potential.values")
         try:
-            return make_potential_sampled(obj["values"])
-        except KeyError:
-            raise ConfigError("sampled potential needs 'values'",
-                              field="potential.values") from None
+            return make_potential_sampled(values)
         except InputError as exc:
             raise ConfigError(str(exc), field="potential.values") from exc
     if kind == "named":
@@ -106,7 +128,10 @@ def potential_from_json(obj) -> Potential:
             raise ConfigError(f"unknown keys {sorted(keys)}", field="potential")
         if "name" not in obj:
             raise ConfigError("named potential needs 'name'", field="potential.name")
-        return named_potential(obj["name"], **obj.get("params", {}))
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError("expected an object", field="potential.params")
+        return named_potential(obj["name"], **params)
     raise ConfigError(f"potential kind must be 'sampled' or 'named', got {kind!r}",
                       field="potential.kind")
 

@@ -161,32 +161,21 @@ def _oscillatory_integral(potential: Potential, a: float, b: float,
                           omega: float) -> float:
     """Integral of cos(omega t) V(t) over [a, b].
 
-    Exact for sampled potentials (closed form per linear cell); panelled
-    Gauss-Legendre otherwise, with panel count tied to the phase span.
+    Panelled 16-point Gauss-Legendre: the panels are cut at the breakpoints
+    of V inside (a, b), a sampled potential's grid nodes among them, so that
+    V is smooth on every panel, and between cuts their count is tied to the
+    phase span.
     """
     if b <= a:
         return 0.0
     if abs(omega) < 1e-12:
         return potential.integral_between(a, b)
-    if potential.is_sampled:
-        grid = np.linspace(0.0, DOMAIN_LENGTH, potential.values.size)
-        cuts = grid[(grid > a) & (grid < b)]
-        edges = np.concatenate([[a], cuts, [b]])
-        total = 0.0
-        for u, w in zip(edges[:-1], edges[1:]):
-            vm = float(potential(0.5 * (u + w)))
-            slope = float((potential(w) - potential(u)) / (w - u)) if w > u else 0.0
-            # linear segment p + q t through the midpoint
-            q = slope
-            p = vm - q * 0.5 * (u + w)
-            su, sw = math.sin(omega * u), math.sin(omega * w)
-            cu, cw = math.cos(omega * u), math.cos(omega * w)
-            total += ((p + q * w) * sw - (p + q * u) * su) / omega \
-                + q * (cw - cu) / (omega * omega)
-        return total
-    n_panels = int(abs(omega) * (b - a) / 3.0) + 1
+    breaks = potential.breakpoints
+    cuts = np.concatenate(([a], breaks[(breaks > a) & (breaks < b)], [b]))
+    counts = (abs(omega) * np.diff(cuts) / 3.0).astype(int) + 1
+    edges = np.concatenate([np.linspace(u, w, k + 1)[:-1] for u, w, k
+                            in zip(cuts[:-1], cuts[1:], counts)] + [[b]])
     nodes16, weights16 = np.polynomial.legendre.leggauss(16)
-    edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     ts = (mid[:, None] + half[:, None] * nodes16[None, :]).ravel()

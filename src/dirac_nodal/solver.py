@@ -82,19 +82,18 @@ Nodes are extracted for many records and either or both components in one
 call, ``extract_nodal_sets``.  A record's nodes follow its eigenvalue's
 mesh: they are taken on twice the uniform steps its eigenvalue stopped on,
 at most ``n_steps``; each such mesh is built once per call, and each
-record's trajectory is taken on its mesh at its own lambda.  The last
-trajectory it took is kept, read-only, under the key (problem, lambda,
-steps), and a call with the same key reuses it instead of propagating
-again, as when components 1 and 2 of one eigenvalue are extracted in two
-calls; the meshes are not kept, and the potential is sampled on every
-call.  Every sign change between mesh nodes brackets a zero, and all
-brackets are refined together by a safeguarded Newton iteration on the
+record's trajectory is taken on its mesh at its own lambda; nothing is kept
+between calls.  Every sign change between mesh nodes brackets a zero, and
+all brackets are refined together by a safeguarded Newton iteration on the
 partial Magnus step from the bracket's left mesh node, starting where the
 solution for V constant on the cell vanishes.  Its derivative is exact
 from the ODE, y1' = (V - m - lambda) y2 and y2' = (lambda - V - m) y1, at
 the partial step's state, and a step that would leave the bracket is
 replaced by bisection.
-``extract_nodes`` is that call for one record and one component.
+``extract_nodes``, the call for one record and one component, extracts
+both components and keeps the two nodal sets of the last record, so that
+components 1 and 2 asked for in two calls are extracted once; a call for
+one component also refines the other, and fails when either fails.
 """
 
 from __future__ import annotations
@@ -140,14 +139,6 @@ _NODE_ITERATIONS = 47
 # benchmark (seed 901, 30 interleaved repeats on one CPU of a 2-vCPU Xeon
 # with numpy 2.4): 336 ms at 1 << 13, 234 ms at 1 << 14, 339 ms at 1 << 15.
 _CHUNK_ENTRIES = 1 << 14
-
-# On a mesh of several chunks, a chunk stops halving before its products
-# hold fewer than this many entries, and _halve finishes the tree over all
-# chunks at once, with one _mul per level instead of one per chunk.
-# Measured as above (seed 902, chunks of 1 << 14): 244 ms when every chunk
-# halves to one product, 238 ms at 256, 233 ms at 512, 277 ms at 1024, 308 ms
-# at 2048.
-_TAIL_ENTRIES = 512
 
 # A breakpoint closer than this fraction of a step to a uniform mesh node
 # replaces that node: the two differ by roundoff, such as the grid node
@@ -229,7 +220,7 @@ class EigenSearchConfig:
     lambda_tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.lambda_tolerance <= 0:
+        if not self.lambda_tolerance > 0:
             raise InputError("lambda_tolerance must be positive")
 
 
@@ -579,13 +570,12 @@ def _terminal(problem, lams, mesh, angle=False):
     The step matrices are multiplied by the full pairwise tree over the
     mesh: in one chunk if their tables hold at most _CHUNK_ENTRIES
     step-lambda entries, else in aligned power-of-two chunks of at most that
-    many (``_chunk``), each of which stops halving before its products hold
-    fewer than _TAIL_ENTRIES entries; ``_halve`` finishes the tree over all
-    chunks at once.  For the angle the halving pauses at the level of
+    many (``_chunk``), each halved to one product; ``_halve`` finishes the
+    tree over all chunks.  For the angle the halving pauses at the level of
     ``_block_level``, ``_tree`` finishes the tree, and its down-sweep
     (``_descend``) gives the block starts to ``_rotation``.  Neither the
-    chunk width, nor where a chunk stops, nor the level changes the tree,
-    so y(pi) and theta(pi) are bitwise the same for a lambda in any batch.
+    chunk width nor the level changes the tree, so y(pi) and theta(pi) are
+    bitwise the same for a lambda in any batch.
     """
     lams = _lambdas(lams)
     n = mesh.vbar.size
@@ -594,8 +584,6 @@ def _terminal(problem, lams, mesh, angle=False):
     width = n if n * lams.size <= _CHUNK_ENTRIES else \
         1 << (max(1, _CHUNK_ENTRIES // lams.size).bit_length() - 1)
     inner = (width - 1).bit_length()
-    if n > width:
-        inner = max(0, inner - ((_TAIL_ENTRIES - 1) // lams.size).bit_length())
     if angle:
         level = _block_level(problem, lams, mesh)
         inner = min(level, inner)
@@ -1252,33 +1240,11 @@ def _node_newton(problem, lams, rows, y0, lo, hi, f_lo, f_hi, x, rate, describe)
         x = np.where((lo < step) & (step < hi), step, mid)
 
 
-# The last trajectory extract_nodal_sets took, as ((problem, lambda, uniform
-# steps of its mesh), Trajectory) with read-only arrays, or None: callers
-# that extract components 1 and 2 of one eigenvalue in two calls then
-# propagate it once.
-_last_trajectory = None
-
-
 def _node_steps(rec, n_steps):
     """Uniform steps of the mesh the nodes of a record are extracted on: twice
     those its eigenvalue was solved on, at most n_steps, and n_steps for a
     record that no search produced."""
     return n_steps if rec.steps is None else min(2 * rec.steps, n_steps)
-
-
-def _node_trajectory(problem, lam, mesh, n_steps):
-    """``_trajectory`` at lam on the n_steps mesh, taken from the last call
-    when it was for the same problem, lambda and n_steps."""
-    global _last_trajectory
-    key = (problem, float(lam), n_steps)
-    last = _last_trajectory
-    if last is not None and last[0] == key:
-        return last[1]
-    traj = _trajectory(problem, lam, mesh)
-    for array in traj:
-        array.flags.writeable = False
-    _last_trajectory = (key, traj)
-    return traj
 
 
 def extract_nodal_sets(problem: DiracProblem, records, components,
@@ -1292,12 +1258,12 @@ def extract_nodal_sets(problem: DiracProblem, records, components,
     ``cfg.n_steps`` for a record without ``steps``: a sixth-order eigenvalue
     converged on N steps leaves nodes on 2N steps within about 1e-12.  Each
     of these meshes is built once per call, and each record's trajectory is
-    taken on its mesh at its own lambda; the last one taken, possibly by an
-    earlier call, is reused for the same problem, lambda and mesh.  Zeros
-    are bracketed by the sign changes between mesh nodes of every (record,
-    component), and the brackets of all of them are refined together by
-    ``_node_newton``, so each record's nodes are bitwise the same whether it
-    is extracted alone or in any batch.
+    taken on its mesh at its own lambda; nothing is kept between calls, so
+    two calls for one record propagate it twice.  Zeros are bracketed by the
+    sign changes between mesh nodes of every (record, component), and the
+    brackets of all of them are refined together by ``_node_newton``, so
+    each record's nodes are bitwise the same whether it is extracted alone
+    or in any batch.
     Zeros within _ENDPOINT_GUARD of an end are dropped, as are zeros within
     1e-9 of the previous one.  A component that is identically zero,
     or vanishes on three consecutive mesh nodes, raises DegenerateComponent.
@@ -1318,7 +1284,7 @@ def extract_nodal_sets(problem: DiracProblem, records, components,
     zeros, counts = [], []
     lo, hi, f_lo, f_hi, y_lo, y_hi, lams, rows, vbar, v_max = ([] for _ in range(10))
     for rec, n in zip(records, steps):
-        xs, traj = _node_trajectory(problem, rec.lam, meshes[n], n)
+        xs, traj = _trajectory(problem, rec.lam, meshes[n])
         for component in components:
             comp = traj[:, component - 1]
             scale = float(np.max(np.abs(comp)))
@@ -1383,8 +1349,27 @@ def extract_nodal_sets(problem: DiracProblem, records, components,
     return sets
 
 
+# ((problem, index, lambda, node-mesh steps), nodal sets of components 1 and
+# 2) of the record extract_nodes extracted last, or None
+_last_nodal_sets = None
+
+
 def extract_nodes(problem: DiracProblem, rec: EigenRecord, component: int,
                   cfg: IntegratorConfig | None = None) -> NodalSet:
-    """All interior zeros of one eigenfunction component:
-    ``extract_nodal_sets`` for one record and one component."""
-    return extract_nodal_sets(problem, [rec], (component,), cfg)[0]
+    """All interior zeros of one eigenfunction component.
+
+    Both components of rec come from one ``extract_nodal_sets`` call, and
+    the two sets of the last record are kept: a call with the same problem,
+    index, lambda and node-mesh steps returns the kept set without
+    propagating or evaluating the potential.  A call for one component thus
+    also pays for refining the other, and a component that raises, such as
+    DegenerateComponent, raises on a call for either component.
+    """
+    global _last_nodal_sets
+    if component not in (1, 2):
+        raise InputError("component must be 1 or 2")
+    cfg = cfg or IntegratorConfig()
+    key = (problem, rec.index, float(rec.lam), _node_steps(rec, cfg.n_steps))
+    if _last_nodal_sets is None or _last_nodal_sets[0] != key:
+        _last_nodal_sets = (key, extract_nodal_sets(problem, [rec], (1, 2), cfg))
+    return _last_nodal_sets[1][component - 1]

@@ -52,11 +52,11 @@ def unreachable_angle(monkeypatch, turns, at):
 
 
 @pytest.fixture(autouse=True)
-def _no_kept_trajectory():
-    """Start every test without the trajectory that solver.extract_nodal_sets
-    keeps from its last call, so that no test reuses one another left, such
-    as one from a monkeypatched ``_trajectory``."""
-    solver._last_trajectory = None
+def _no_kept_nodal_sets():
+    """Start every test without the nodal sets that solver.extract_nodes
+    keeps from its last call, so that no test reuses sets another left, such
+    as ones from a monkeypatched ``_trajectory``."""
+    solver._last_nodal_sets = None
 
 
 def loglog_slope(ns, errs):

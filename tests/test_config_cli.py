@@ -458,6 +458,56 @@ class TestQuasinodalCommand:
         assert report["flagged_rows"] == [36, 44, 52]
 
 
+def named(name, **params):
+    return {"kind": "named", "name": name, "params": params}
+
+
+class TestMalformedInput:
+    """A malformed number in a problem document, or a grid file that cannot
+    be read as JSON, exits 2 with the field or file in its message."""
+
+    @pytest.mark.parametrize("key, value, field", [
+        ("solver", {"lambda_tol": "abc"}, "solver.lambda_tol"),
+        ("solver", {"lambda_tol": None}, "solver.lambda_tol"),
+        ("solver", {"lambda_tol": [1]}, "solver.lambda_tol"),
+        ("solver", {"lambda_tol": True}, "solver.lambda_tol"),
+        ("solver", {"lambda_tol": math.nan}, "solver.lambda_tol"),
+        ("potential", named("constant", c="abc"), "potential.params.c"),
+        ("potential", named("constant", c=True), "potential.params.c"),
+        ("potential", named("constant", c=math.inf), "potential.params.c"),
+        ("potential", named("step", a=None, height=1.0), "potential.params.a"),
+        ("potential", named("poly", coeffs=["x"]), "potential.params.coeffs.0"),
+        ("potential", named("poly", coeffs=3), "potential.params.coeffs"),
+        ("potential", {"kind": "named", "name": "constant", "params": []},
+         "potential.params"),
+        ("potential", {"kind": "sampled", "values": ["x", 1, 2]}, "potential.values.0"),
+        ("--grid-file", None, None),
+        ("--grid-file", b"{oops", None),
+        ("--grid-file", b"\xff\xfe", None),
+    ], ids=["lambda_tol-text", "lambda_tol-null", "lambda_tol-list", "lambda_tol-bool",
+            "lambda_tol-nan", "c-text", "c-bool", "c-inf", "step-null", "coeffs-text",
+            "coeffs-scalar", "params-list", "values-text", "grid-missing",
+            "grid-not-json", "grid-not-utf8"])
+    def test_exits_2_naming_the_field(self, tmp_path, key, value, field):
+        doc = dict(SIN_HALF)
+        args = ["spectrum", "--n-min", "3", "--n-max", "4"]
+        if key == "--grid-file":
+            grid = tmp_path / "grid.json"
+            if value is not None:
+                grid.write_bytes(value)
+            args = ["quasinodal-check", "--n-min", "8", "--n-max", "9",
+                    "--grid-file", str(grid)]
+            field = str(grid)
+        else:
+            doc[key] = value
+        cfg = write_config(tmp_path, doc)
+        res = CliRunner().invoke(main, args + ["--problem", str(cfg),
+                                               "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2, res.output
+        payload = json.loads(res.stderr.strip().splitlines()[-1])
+        assert payload["error"] == "input" and field in payload["message"], payload
+
+
 class TestLogEnvironment:
     def test_invalid_level_rejected(self, tmp_path):
         cfg = write_config(tmp_path, ZERO_QUARTER)

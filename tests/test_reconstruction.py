@@ -188,6 +188,31 @@ class TestLocalAverageLimit:
         assert out.osc == pytest.approx(float(brute), abs=1e-6)
         assert abs(out.osc) < 0.1
 
+    def test_oscillatory_integral_cut_at_the_jump(self):
+        # V = 2 on [1, 1.2], 0 on [0.9, 1): a panel across the jump at 1
+        # was off by 2.5e-3
+        v = named_potential("step", a=1.0, height=2.0)
+        exact = 2.0 * (math.sin(24.0) - math.sin(20.0)) / 20.0
+        got = reconstruction._oscillatory_integral(v, 0.9, 1.2, 20.0)
+        assert got == pytest.approx(exact, rel=0, abs=1e-13)
+
+    def test_oscillatory_integral_of_sampled_cells(self):
+        grid = np.linspace(0.0, PI, 41)
+        v = make_potential_sampled(np.sin(3.0 * grid) + 0.3 * grid)
+        a, b, omega = 0.37, 2.1, 30.0
+        edges = np.concatenate(([a], grid[(grid > a) & (grid < b)], [b]))
+        exact = 0.0
+        for u, w in zip(edges[:-1], edges[1:]):
+            # V = p + q t on the cell; integrate (p + q t) cos(omega t) by parts
+            q = float(v(w) - v(u)) / (w - u)
+            p = float(v(u)) - q * u
+            su, sw = math.sin(omega * u), math.sin(omega * w)
+            cu, cw = math.cos(omega * u), math.cos(omega * w)
+            exact += ((p + q * w) * sw - (p + q * u) * su) / omega \
+                + q * (cw - cu) / omega ** 2
+        got = reconstruction._oscillatory_integral(v, a, b, omega)
+        assert got == pytest.approx(exact, rel=0, abs=1e-14)
+
     def test_requires_interior_interval(self):
         v = named_potential("zero")
         nodes = synthetic_nodes(8)

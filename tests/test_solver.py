@@ -19,7 +19,7 @@ from click.testing import CliRunner
 from conftest import canonical_pd, unreachable_angle
 from dirac_nodal import (Classical, DiracProblem, EigenRecord,
                          EigenSearchConfig, IntegratorConfig, DegenerateComponent,
-                         IntegrationFailure, IterationFailure, Potential,
+                         InputError, IntegrationFailure, IterationFailure, Potential,
                          RotationLimitExceeded, ToleranceNotMet,
                          UnsupportedPrediction, characteristic, extract_nodes,
                          find_eigenvalue, find_eigenvalues, integrate,
@@ -1048,7 +1048,7 @@ class TestExtractNodes:
                             lambda *args: starts.append(args[8]) or newton(*args))
         monkeypatch.setattr(solver_mod, "_entries", lambda coef, lams:
                             evaluations.append(np.ndim(lams)) or entries(coef, lams))
-        nodes = extract_nodes(p, rec, 1).points
+        nodes = solver_mod.extract_nodal_sets(p, [rec], (1,))[0].points
         exact = np.arange(1, 9) * PI / math.sqrt(rec.lam ** 2 - 0.25)
         assert nodes.size == 8 and np.max(np.abs(starts[0] - exact)) <= 1e-13
         assert np.max(np.abs(nodes - exact)) <= 1e-13
@@ -1072,91 +1072,70 @@ class TestExtractNodes:
 
 
 class TestKeptTrajectory:
-    """extract_nodal_sets keeps the last trajectory it took, under the key
-    (problem, lambda, n_steps), and reuses it in a later call."""
+    """extract_nodes keeps the nodal sets of both components of the last
+    record it extracted, under the key (problem, index, lambda, node-mesh
+    steps); extract_nodal_sets keeps nothing."""
 
     @staticmethod
-    def counted_trajectories(monkeypatch):
+    def counted(monkeypatch, name):
         calls = []
-        trajectory = solver_mod._trajectory
-
-        def counted(problem, lam, mesh):
-            calls.append(lam)
-            return trajectory(problem, lam, mesh)
-
-        monkeypatch.setattr(solver_mod, "_trajectory", counted)
+        fn = getattr(solver_mod, name)
+        monkeypatch.setattr(solver_mod, name,
+                            lambda *args: calls.append(args) or fn(*args))
         return calls
 
     @pytest.mark.parametrize("label", FIXTURES)
     def test_components_one_then_two_propagate_once(self, cache, monkeypatch, label):
         p, cfg = cache.problem(label), cache.integrator(label)
         rec = cache.record(label, 5)
-        calls = self.counted_trajectories(monkeypatch)
-        apart = [extract_nodes(p, rec, c, cfg) for c in (1, 2)]
-        assert len(calls) == 1
-        solver_mod._last_trajectory = None
         together = solver_mod.extract_nodal_sets(p, [rec], (1, 2), cfg)
-        assert len(calls) == 2
-        for a, b in zip(apart, together):
+        batches = self.counted(monkeypatch, "extract_nodal_sets")
+        first = extract_nodes(p, rec, 1, cfg)
+        evaluations = []
+        call = Potential.__call__
+        monkeypatch.setattr(Potential, "__call__",
+                            lambda v, x: evaluations.append(x) or call(v, x))
+        second = extract_nodes(p, rec, 2, cfg)
+        assert len(batches) == 1 and not evaluations
+        # what is kept cannot be changed through what is returned
+        assert not first.points.flags.writeable and not second.points.flags.writeable
+        for a, b in zip((first, second), together):
             assert (a.index, a.component) == (b.index, b.component)
             assert a.points.tobytes() == b.points.tobytes()
 
     def test_other_key_recomputes(self, cache, monkeypatch):
         p, cfg = cache.problem("sin_half"), cache.integrator("sin_half")
         rec = cache.record("sin_half", 5)
-        calls = self.counted_trajectories(monkeypatch)
+        batches = self.counted(monkeypatch, "extract_nodal_sets")
         extract_nodes(p, rec, 1, cfg)
         extract_nodes(p, rec, 2, cfg)
         # an equal problem over the same Potential object is the same key
         extract_nodes(DiracProblem(p.mass, p.potential, p.boundary), rec, 1, cfg)
-        assert len(calls) == 1
-        extract_nodes(p, dataclasses.replace(rec, lam=rec.lam + 1e-3), 1, cfg)
-        assert len(calls) == 2
-        # a cap below twice the record's steps puts its nodes on another mesh
-        extract_nodes(p, rec, 1, IntegratorConfig(n_steps=rec.steps))
-        assert len(calls) == 3
-        fresh = DiracProblem(p.mass, named_potential("sin2x"), p.boundary)
-        extract_nodes(fresh, rec, 1, cfg)
-        assert len(calls) == 4
+        assert len(batches) == 1
+        for component in (0, 3):
+            with pytest.raises(InputError):
+                extract_nodes(p, rec, component, cfg)
+        others = [
+            (p, dataclasses.replace(rec, lam=rec.lam + 1e-3), cfg),
+            (p, dataclasses.replace(rec, index=rec.index + 1), cfg),
+            # a cap below twice the record's steps puts its nodes on another
+            # mesh
+            (p, rec, IntegratorConfig(n_steps=rec.steps)),
+            (DiracProblem(p.mass, named_potential("sin2x"), p.boundary), rec, cfg),
+        ]
+        for k, (problem, other, integrator) in enumerate(others):
+            extract_nodes(problem, other, 1, integrator)
+            assert len(batches) == 2 + 2 * k
+            extract_nodes(p, rec, 2, cfg)
+            assert len(batches) == 3 + 2 * k
 
-    def test_potential_calls_equal_on_hit_and_miss(self, cache, monkeypatch):
+    def test_batch_calls_propagate_every_time(self, cache, monkeypatch):
         p, cfg = cache.problem("pd_example"), cache.integrator("pd_example")
         rec = cache.record("pd_example", 7)
-        trajectories = self.counted_trajectories(monkeypatch)
-        counts = []
-        call = Potential.__call__
-
-        def counted(potential, x):
-            counts[-1] += 1
-            return call(potential, x)
-
-        monkeypatch.setattr(Potential, "__call__", counted)
-        sets = []
-        for component in (2, 1, 2):
-            counts.append(0)
-            sets.append(extract_nodes(p, rec, component, cfg))
-        assert len(trajectories) == 1   # a miss, then two hits
-        assert counts[0] == counts[2] > 0
-        assert sets[0].points.tobytes() == sets[2].points.tobytes()
-
-    def test_kept_states_read_only(self, cache):
-        p, cfg = cache.problem("sin_half"), cache.integrator("sin_half")
-        rec = cache.record("sin_half", 9)
-        before = extract_nodes(p, rec, 1, cfg)
-        _, traj = solver_mod._last_trajectory
-        for array in traj:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 1.0
-        # integrate returns arrays of its own: mutating them does not reach
-        # the kept trajectory
-        own = integrate(p, rec.lam, cfg)
-        assert own.y.flags.writeable and own.xs.flags.writeable
-        own.y[:] = 1.0
-        own.xs[:] = 0.0
-        after = extract_nodes(p, rec, 1, cfg)
-        assert solver_mod._last_trajectory[1] is traj
-        assert before.points.tobytes() == after.points.tobytes()
+        trajectories = self.counted(monkeypatch, "_trajectory")
+        sets = [solver_mod.extract_nodal_sets(p, [rec], (1,), cfg) for _ in range(2)]
+        assert len(trajectories) == 2
+        assert sets[0][0].points.tobytes() == sets[1][0].points.tobytes()
 
 
 class TestNodeNewton:
@@ -1438,11 +1417,10 @@ class TestStepKernel:
             assert np.array_equal(y1, ref[0]) and np.array_equal(y2, ref[1])
             y1, y2 = solver_mod._terminal(p, lams, mesh)
             assert np.array_equal(y1, ref[0]) and np.array_equal(y2, ref[1])
-            # every chunk width; with a tail of 1 entry every chunk is halved
-            # to one product, so a partial last chunk carries its unpaired
-            # steps up inside the chunk
-            for tail, bits in itertools.product((1, solver_mod._TAIL_ENTRIES), range(13)):
-                monkeypatch.setattr(solver_mod, "_TAIL_ENTRIES", tail)
+            # every chunk width; every chunk is halved to one product, so a
+            # partial last chunk carries its unpaired steps up inside the
+            # chunk
+            for bits in range(13):
                 monkeypatch.setattr(solver_mod, "_CHUNK_ENTRIES", len(lams) << bits)
                 y1, y2 = solver_mod._terminal(p, lams, mesh)
                 assert np.array_equal(y1, ref[0]) and np.array_equal(y2, ref[1])
