@@ -14,9 +14,9 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .errors import BoundaryConditionError, ConfigError, InputError
+from .errors import ConfigError
 from .model import Classical, DiracProblem, ParamDependent
-from .potentials import potential_from_json, require_number
+from .potentials import check_keys, construct, potential_from_json, require_number
 from .reconstruction import ReconstructionMode
 from .solver import EigenSearchConfig, IntegratorConfig
 
@@ -56,63 +56,51 @@ def config_hash(document: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _check_keys(obj, allowed, where):
-    if not isinstance(obj, dict):
-        raise ConfigError("expected an object", field=where)
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys {unknown}", field=where)
-
-
 def _parse_boundary(obj):
-    _check_keys(obj, _PARAM_KEYS | _CLASSICAL_KEYS, "boundary")
+    check_keys(obj, _PARAM_KEYS | _CLASSICAL_KEYS, "boundary")
     kind = obj.get("kind")
-    try:
-        if kind == "classical":
-            _check_keys(obj, _CLASSICAL_KEYS, "boundary")
-            return Classical(require_number(obj, "alpha", "boundary"),
-                             require_number(obj, "beta", "boundary"))
-        if kind == "param_dependent":
-            _check_keys(obj, _PARAM_KEYS, "boundary")
-            return ParamDependent(*(require_number(obj, k, "boundary")
-                                    for k in ("alpha", "beta", "a0", "b0", "a1", "b1")))
-    except BoundaryConditionError as exc:
-        raise ConfigError(str(exc), field="boundary") from exc
+    if kind == "classical":
+        check_keys(obj, _CLASSICAL_KEYS, "boundary")
+        return construct("boundary", Classical,
+                         require_number(obj, "alpha", "boundary"),
+                         require_number(obj, "beta", "boundary"))
+    if kind == "param_dependent":
+        check_keys(obj, _PARAM_KEYS, "boundary")
+        return construct("boundary", ParamDependent,
+                         *(require_number(obj, k, "boundary")
+                           for k in ("alpha", "beta", "a0", "b0", "a1", "b1")))
     raise ConfigError(f"kind must be 'classical' or 'param_dependent', got {kind!r}",
                       field="boundary.kind")
 
 
 def parse_config(document) -> LoadedConfig:
-    _check_keys(document, _TOP_KEYS, "<root>")
+    check_keys(document, _TOP_KEYS, "<root>")
     for key in ("mass", "potential", "boundary"):
         if key not in document:
             raise ConfigError("missing required section", field=key)
-    mass = require_number(document, "mass", "<root>")
-    potential = potential_from_json(document["potential"])
-    boundary = _parse_boundary(document["boundary"])
+    problem = construct("mass", DiracProblem,
+                        require_number(document, "mass", "<root>"),
+                        potential_from_json(document["potential"]),
+                        _parse_boundary(document["boundary"]))
 
     solver_obj = document.get("solver", {})
-    _check_keys(solver_obj, _SOLVER_KEYS, "solver")
+    check_keys(solver_obj, _SOLVER_KEYS, "solver")
     steps = solver_obj.get("steps", SolverSettings.steps)
     if isinstance(steps, bool) or not isinstance(steps, int):
         raise ConfigError("steps must be an integer", field="solver.steps")
+    construct("solver.steps", IntegratorConfig, n_steps=steps)
     lambda_tol = SolverSettings.lambda_tol
     if "lambda_tol" in solver_obj:
         lambda_tol = require_number(solver_obj, "lambda_tol", "solver")
+    construct("solver.lambda_tol", EigenSearchConfig, lambda_tolerance=lambda_tol)
     settings = SolverSettings(steps=steps, lambda_tol=lambda_tol)
 
     modes_obj = document.get("modes", {})
-    _check_keys(modes_obj, _MODE_KEYS, "modes")
-    try:
-        mode = ReconstructionMode(
-            tag=modes_obj.get("reconstruction", "corrected"),
-            lambda_source=modes_obj.get("lambda_source", "numeric"),
-        )
-        problem = DiracProblem(mass, potential, boundary)
-        settings.integrator()
-        settings.search()
-    except (InputError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    check_keys(modes_obj, _MODE_KEYS, "modes")
+    tag = modes_obj.get("reconstruction", "corrected")
+    construct("modes.reconstruction", ReconstructionMode, tag=tag)
+    mode = construct("modes.lambda_source", ReconstructionMode, tag=tag,
+                     lambda_source=modes_obj.get("lambda_source", "numeric"))
     return LoadedConfig(problem=problem, solver=settings, mode=mode,
                         document=document)
 

@@ -330,12 +330,6 @@ class NodalSet:
     def count(self):
         return int(self.points.size)
 
-    @property
-    def count_discrepancy(self):
-        if self.predicted_count is None:
-            return None
-        return self.count - self.predicted_count
-
 
 class GridSequence:
     """Admissible double sequence of grid points, the inverse problem's data.

@@ -30,6 +30,25 @@ def require_number(obj, key, where):
     return float(value)
 
 
+def check_keys(obj, allowed, where):
+    """ConfigError naming the field unless obj is an object whose keys all
+    lie in allowed."""
+    if not isinstance(obj, dict):
+        raise ConfigError("expected an object", field=where)
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown}", field=where)
+
+
+def construct(field, make, *args, **kwargs):
+    """The domain object make(*args, **kwargs), with the InputError its
+    validation raises re-raised as a ConfigError naming the field."""
+    try:
+        return make(*args, **kwargs)
+    except InputError as exc:
+        raise ConfigError(str(exc), field=field) from exc
+
+
 def _numbers(values, field):
     """A list of finite numbers as floats; ConfigError naming the field."""
     if not isinstance(values, (list, tuple)):
@@ -110,22 +129,14 @@ def named_potential(name: str, **params) -> Potential:
 
 def potential_from_json(obj) -> Potential:
     """Parse {"kind": "sampled"|"named", ...} into a Potential."""
-    if not isinstance(obj, dict):
-        raise ConfigError("potential must be an object", field="potential")
+    check_keys(obj, {"kind", "values", "name", "params"}, "potential")
     kind = obj.get("kind")
     if kind == "sampled":
-        keys = set(obj) - {"kind", "values"}
-        if keys:
-            raise ConfigError(f"unknown keys {sorted(keys)}", field="potential")
-        values = _numbers(obj.get("values"), "potential.values")
-        try:
-            return make_potential_sampled(values)
-        except InputError as exc:
-            raise ConfigError(str(exc), field="potential.values") from exc
+        check_keys(obj, {"kind", "values"}, "potential")
+        return construct("potential.values", make_potential_sampled,
+                         _numbers(obj.get("values"), "potential.values"))
     if kind == "named":
-        keys = set(obj) - {"kind", "name", "params"}
-        if keys:
-            raise ConfigError(f"unknown keys {sorted(keys)}", field="potential")
+        check_keys(obj, {"kind", "name", "params"}, "potential")
         if "name" not in obj:
             raise ConfigError("named potential needs 'name'", field="potential.name")
         params = obj.get("params", {})

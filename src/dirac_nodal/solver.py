@@ -133,11 +133,13 @@ _NODE_TOLERANCE = 1e-14
 _NODE_ITERATIONS = 47
 
 # Step-lambda entries per chunk of step tables in _terminal (a mesh whose
-# tables fit is one chunk): the chunk's temporaries (128 KiB per entry of
-# the 2x2 tables) then stay in a 2 MiB L2 cache.  Median time
-# of find_eigenvalues(3..40) over the four spectrum_batch problems of the
-# benchmark (seed 901, 30 interleaved repeats on one CPU of a 2-vCPU Xeon
-# with numpy 2.4): 336 ms at 1 << 13, 234 ms at 1 << 14, 339 ms at 1 << 15.
+# tables fit is one chunk).  The widest calls of find_eigenvalues(3..40) on
+# the benchmark's spectrum_batch problems, 76 lambdas on 256 to 640 steps,
+# exceed it.  Over those problems of seeds 1-3 (in-process on one CPU of a
+# 2-vCPU Xeon, numpy 2.4, six runs of 15 repeats per value) the peak RSS is
+# 38.8 MB at 1 << 13 and 1 << 14, 40.0-40.5 MB at 1 << 15 and 42.3-42.7 MB
+# without chunks; the medians, 0.13-0.17 s, move more with the host than
+# with the value.  1 << 14 is the widest chunk at the lowest peak.
 _CHUNK_ENTRIES = 1 << 14
 
 # A breakpoint closer than this fraction of a step to a uniform mesh node
@@ -1370,6 +1372,8 @@ def extract_nodes(problem: DiracProblem, rec: EigenRecord, component: int,
         raise InputError("component must be 1 or 2")
     cfg = cfg or IntegratorConfig()
     key = (problem, rec.index, float(rec.lam), _node_steps(rec, cfg.n_steps))
-    if _last_nodal_sets is None or _last_nodal_sets[0] != key:
-        _last_nodal_sets = (key, extract_nodal_sets(problem, [rec], (1, 2), cfg))
-    return _last_nodal_sets[1][component - 1]
+    kept = _last_nodal_sets   # one read: another thread may replace the slot
+    if kept is None or kept[0] != key:
+        kept = _last_nodal_sets = (key, extract_nodal_sets(problem, [rec], (1, 2),
+                                                           cfg))
+    return kept[1][component - 1]

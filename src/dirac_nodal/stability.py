@@ -24,6 +24,8 @@ from .reconstruction import ReconstructionMode, l1_distance, l1_error, reconstru
 
 logger = logging.getLogger(__name__)
 
+IDENTITY_TOLERANCE = 0.15   # largest |ratio - 1| of a supported identity
+
 
 def _check_positivity(case, n, m):
     """The weights of s_n are positive where n - 2 > |m|/sqrt(2) in case I
@@ -76,13 +78,29 @@ def d0_estimate(x_seq: GridSequence, y_seq: GridSequence, n_window,
     if not ns:
         raise InputError("empty index window")
     table = {n: s_n(x_seq, y_seq, n, m) for n in ns}
-    top = ns[len(ns) // 2:]
-    value = max(table[n] for n in top)
+    value = _upper_half_max(table)
     infinite = False
     if value > ceiling and len(ns) >= 2:
         slope = np.polyfit(ns, [table[n] for n in ns], 1)[0]
         infinite = slope > 0
     return D0Estimate(value=value, table=table, infinite=infinite)
+
+
+def _upper_half_max(s_values) -> float:
+    """The largest s_n over the upper half of the indices that have one; 0.0
+    when none do."""
+    usable = sorted(n for n, s in s_values.items() if s is not None)
+    return float(max((s_values[n] for n in usable[len(usable) // 2:]), default=0.0))
+
+
+def loglog_slope(pairs) -> float | None:
+    """Least-squares slope of log y against log n over the (n, y) pairs
+    whose y is positive and finite; None for fewer than two such pairs."""
+    kept = [(n, y) for n, y in pairs if y > 0 and math.isfinite(y)]
+    if len(kept) < 2:
+        return None
+    return float(np.polyfit(np.log([float(n) for n, _ in kept]),
+                            np.log([y for _, y in kept]), 1)[0])
 
 
 def d_sigma_from_d0(d0: float) -> float:
@@ -168,10 +186,8 @@ def quasinodal_check(x_seq: GridSequence, potential: Potential, m: float,
         except (InputError, DomainError, ComputationError) as exc:
             logger.debug("quasinodal reconstruction skipped at n=%d: %s", n, exc)
     slope = None
-    if len(errors) >= 2 and all(e > 0 for e in errors.values()):
-        ks = sorted(errors)
-        slope = float(np.polyfit(np.log([float(k) for k in ks]),
-                                 np.log([errors[k] for k in ks]), 1)[0])
+    if all(e > 0 for e in errors.values()):
+        slope = loglog_slope(sorted(errors.items()))
     trend_pass = slope is not None and slope < 0
     return QuasinodalReport(
         case=x_seq.case,
@@ -226,17 +242,17 @@ def pseudometric_audit(samples, n_window, m: float = 0.0,
                        passed=identity_ok and symmetry_ok and worst <= eps)
 
 
-def nodal_grid_sequence(problem: DiracProblem, indices, component: int = 1,
-                        integrator=None, search=None) -> GridSequence:
-    """Forward-solve the problem and collect nodal rows into a GridSequence;
-    an index whose component has no interior zero has no row, with a
-    warning."""
+def nodal_grid_sequence(problem: DiracProblem, indices, integrator=None,
+                        search=None) -> GridSequence:
+    """Forward-solve the problem and collect the nodal rows of component 1
+    into a GridSequence; an index whose component 1 has no interior zero has
+    no row, with a warning."""
     records = solver.find_eigenvalues(problem, indices, integrator, search)
-    nodal_sets = solver.extract_nodal_sets(problem, records, (component,), integrator)
+    nodal_sets = solver.extract_nodal_sets(problem, records, (1,), integrator)
     for ns in nodal_sets:
         if not ns.count:
-            logger.warning("nodal row unavailable at n=%d: component %d has no "
-                           "interior zero", ns.index, component)
+            logger.warning("nodal row unavailable at n=%d: component 1 has no "
+                           "interior zero", ns.index)
     return GridSequence.from_nodal_sets([ns for ns in nodal_sets if ns.count],
                                         problem.case)
 
@@ -253,12 +269,9 @@ def _deviation_trend_ok(pairs):
     first, last = pairs[0][1], pairs[-1][1]
     if last > first + 1e-12:
         return False
-    positive = [(n, d) for n, d in pairs if d > 0]
-    if len(positive) < 3:
+    if sum(d > 0 for _, d in pairs) < 3:
         return True
-    slope = np.polyfit(np.log([float(n) for n, _ in positive]),
-                       np.log([d for _, d in positive]), 1)[0]
-    return bool(slope < 0)
+    return loglog_slope(pairs) < 0
 
 
 @dataclass(frozen=True)
@@ -275,6 +288,7 @@ class StabilityReport:
     norm_paper_exact: float
     identity_trend_ok: bool
     degenerate: bool
+    verdict: str
 
 
 def stability_identity_report(v_a: Potential, v_b: Potential, boundary,
@@ -286,13 +300,15 @@ def stability_identity_report(v_a: Potential, v_b: Potential, boundary,
     The primary ratio compares (1/pi) s_n with the L1 distance of the
     mean-adjusted potentials; the raw unnormalized ratio is reported
     alongside.  Identical potentials yield a degenerate report with d0 near
-    zero and no ratios.
+    zero, no ratios and the verdict "degenerate"; else the verdict is
+    "identity_supported" when the last corrected ratio lies within
+    IDENTITY_TOLERANCE of 1 and |ratio - 1| trends down, or "inconclusive".
     """
     ns = sorted(int(n) for n in n_window)
     prob_a = DiracProblem(m, v_a, boundary)
     prob_b = DiracProblem(m, v_b, boundary)
-    seq_a = nodal_grid_sequence(prob_a, ns, 1, integrator, search)
-    seq_b = nodal_grid_sequence(prob_b, ns, 1, integrator, search)
+    seq_a = nodal_grid_sequence(prob_a, ns, integrator, search)
+    seq_b = nodal_grid_sequence(prob_b, ns, integrator, search)
 
     shift = boundary.beta - boundary.alpha
     norm_corr = l1_distance(v_a, v_b,
@@ -320,21 +336,26 @@ def stability_identity_report(v_a: Potential, v_b: Potential, boundary,
             ratios_corr[n] = (s / math.pi) / norm_corr
             ratios_paper[n] = s / norm_paper if norm_paper > 1e-12 else None
 
-    usable = [n for n in ns if s_values[n] is not None]
-    top = usable[len(usable) // 2:]
-    d0 = max((s_values[n] for n in top), default=0.0)
-    trend_ok = _deviation_trend_ok(
-        [(n, abs(ratios_corr[n] - 1.0)) for n in usable
-         if ratios_corr[n] is not None])
+    d0 = _upper_half_max(s_values)
+    deviations = [(n, abs(ratios_corr[n] - 1.0)) for n in ns
+                  if ratios_corr[n] is not None]
+    trend_ok = _deviation_trend_ok(deviations)
+    if degenerate:
+        verdict = "degenerate"
+    elif deviations and deviations[-1][1] <= IDENTITY_TOLERANCE and trend_ok:
+        verdict = "identity_supported"
+    else:
+        verdict = "inconclusive"
     return StabilityReport(
         indices=ns,
         s_values=s_values,
         ratios_corrected=ratios_corr,
         ratios_paper_exact=ratios_paper,
-        d0=float(d0),
-        d_sigma=d_sigma_from_d0(float(d0)),
+        d0=d0,
+        d_sigma=d_sigma_from_d0(d0),
         norm_corrected=norm_corr,
         norm_paper_exact=norm_paper,
-        identity_trend_ok=bool(trend_ok),
+        identity_trend_ok=trend_ok,
         degenerate=bool(degenerate),
+        verdict=verdict,
     )

@@ -17,7 +17,8 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import cli_env, unreachable_angle
-from dirac_nodal import Classical, ConfigError, InputError, solver
+from dirac_nodal import (Classical, ConfigError, InputError, asymptotics, solver,
+                         stability)
 from dirac_nodal.cli import main, read_csv_table
 from dirac_nodal.config import config_hash, load_config, parse_config
 
@@ -43,6 +44,25 @@ QUARTER_TURN = {
     "potential": {"kind": "named", "name": "constant", "params": {"c": 0.5}},
     "boundary": {"kind": "classical", "alpha": 0.0, "beta": 0.0},
     "solver": {"steps": 512},
+}
+
+
+# sin2x against poly [0.2, -0.3, 0.1], both with m = 0.5 and Classical(0.3, 0.7)
+SIN_SHIFTED = {
+    "mass": 0.5,
+    "potential": {"kind": "named", "name": "sin2x", "params": {}},
+    "boundary": {"kind": "classical", "alpha": 0.3, "beta": 0.7},
+}
+POLY_SHIFTED = dict(SIN_SHIFTED, potential={
+    "kind": "named", "name": "poly", "params": {"coeffs": [0.2, -0.3, 0.1]}})
+
+# the benchmark's case-I problem: sin2x, m = 0.5, sign terms +1 and -1
+PD_EXAMPLE = {
+    "mass": 0.5,
+    "potential": {"kind": "named", "name": "sin2x", "params": {}},
+    "boundary": {"kind": "param_dependent", "alpha": 0.4, "beta": 0.5,
+                 "a0": math.sin(0.4), "b0": -math.cos(0.4),
+                 "a1": -math.sin(0.5), "b1": math.cos(0.5)},
 }
 
 
@@ -366,6 +386,39 @@ class TestStabilityCommand:
                       "--out", str(tmp_path / "s.csv"))
         assert res.returncode == 2
 
+    def test_mismatched_solver_settings_rejected(self, tmp_path):
+        # problem B's solver section would otherwise be ignored
+        a = write_config(tmp_path, SIN_HALF, "a.json")
+        other = dict(SIN_HALF, solver={"steps": 64, "lambda_tol": 0.5})
+        b = write_config(tmp_path, other, "b.json")
+        res = run_cli("stability", "--problem-a", str(a), "--problem-b", str(b),
+                      "--n-min", "8", "--n-max", "12",
+                      "--out", str(tmp_path / "s.csv"))
+        assert res.returncode == 2, res.stderr
+        payload = json.loads(res.stderr.strip().splitlines()[-1])
+        assert payload["error"] == "input" and "solver" in payload["message"], payload
+
+    @pytest.mark.parametrize("doc_b, n_max, verdict", [
+        (POLY_SHIFTED, 30, "identity_supported"),
+        # |ratio - 1| grows from n = 12 to 13: no downward trend
+        (POLY_SHIFTED, 13, "inconclusive"),
+        (SIN_SHIFTED, 16, "degenerate"),
+    ], ids=["supported", "inconclusive", "degenerate"])
+    def test_verdict_is_the_reports(self, tmp_path, doc_b, n_max, verdict):
+        a = write_config(tmp_path, SIN_SHIFTED, "a.json")
+        b = write_config(tmp_path, doc_b, "b.json")
+        out = tmp_path / "stab.csv"
+        res = run_cli("stability", "--problem-a", str(a), "--problem-b", str(b),
+                      "--n-min", "12", "--n-max", str(n_max), "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        cfg_a, cfg_b = load_config(a), load_config(b)
+        report = stability.stability_identity_report(
+            cfg_a.problem.potential, cfg_b.problem.potential, cfg_a.problem.boundary,
+            cfg_a.problem.mass, range(12, n_max + 1), cfg_a.solver.integrator(),
+            cfg_a.solver.search())
+        summary = json.loads((tmp_path / "stab.json").read_text())
+        assert report.verdict == summary["verdict"] == verdict
+
     def test_summary_and_table(self, tmp_path):
         a = write_config(tmp_path, SIN_HALF, "a.json")
         zero = dict(SIN_HALF)
@@ -418,6 +471,44 @@ class TestValidateAsymptoticsCommand:
         assert summary["slope_lambda"] < -1.5
 
 
+    def test_length_errors_match_the_library_expansion(self, tmp_path):
+        # the command differences its node expansions; the maximum must be
+        # the one nodal_length_asym gives for the same nodes
+        cfg_path = write_config(tmp_path, SIN_SHIFTED)
+        out = tmp_path / "orders.csv"
+        res = run_cli("validate-asymptotics", "--problem", str(cfg_path),
+                      "--n-min", "3", "--n-max", "12", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        _, _, rows = read_csv_table(out)
+        cfg = load_config(cfg_path)
+        problem, integrator = cfg.problem, cfg.solver.integrator()
+        records = solver.find_eigenvalues(problem, range(3, 13), integrator,
+                                          cfg.solver.search())
+        nodal_sets = solver.extract_nodal_sets(problem, records, (1,), integrator)
+        n, rec, nodal = 12, records[-1], nodal_sets[-1]
+        js = [round((rec.lam * x - problem.potential.integral_0_to(x)
+                     + problem.boundary.alpha) / PI) for x in nodal.points]
+        expected = max(
+            abs((nodal.points[k + 1] - nodal.points[k])
+                - asymptotics.nodal_length_asym(problem, n, js[k], 1, order=2))
+            for k in range(nodal.count - 1) if js[k + 1] == js[k] + 1)
+        assert rows[-1][0] == str(n) and float(rows[-1][3]) == expected
+
+    def test_case_one_from_index_3(self, tmp_path):
+        # at n = 3 the expansion of the node with j = 0 does not converge:
+        # the node is left out of its row, with a warning naming n and j
+        cfg = write_config(tmp_path, PD_EXAMPLE)
+        out = tmp_path / "orders.csv"
+        res = run_cli("validate-asymptotics", "--problem", str(cfg),
+                      "--n-min", "3", "--n-max", "10", "--out", str(out),
+                      env={"DIRAC_NODAL_LOG": "info"})
+        assert res.returncode == 0, res.stderr
+        _, _, rows = read_csv_table(out)
+        assert [row[0] for row in rows] == [str(n) for n in range(3, 11)]
+        assert all(math.isfinite(float(row[2])) for row in rows)
+        assert "n=3, j=0" in res.stderr
+
+
 class TestQuasinodalCommand:
     def test_solver_data_passes(self, tmp_path):
         cfg = write_config(tmp_path, SIN_HALF)
@@ -463,8 +554,9 @@ def named(name, **params):
 
 
 class TestMalformedInput:
-    """A malformed number in a problem document, or a grid file that cannot
-    be read as JSON, exits 2 with the field or file in its message."""
+    """A malformed or out-of-range value in a problem document, or a grid
+    file that cannot be read as JSON, exits 2 with the field or file in its
+    message."""
 
     @pytest.mark.parametrize("key, value, field", [
         ("solver", {"lambda_tol": "abc"}, "solver.lambda_tol"),
@@ -481,12 +573,20 @@ class TestMalformedInput:
         ("potential", {"kind": "named", "name": "constant", "params": []},
          "potential.params"),
         ("potential", {"kind": "sampled", "values": ["x", 1, 2]}, "potential.values.0"),
+        ("solver", {"lambda_tol": -1e-10}, "solver.lambda_tol"),
+        ("solver", {"lambda_tol": 0}, "solver.lambda_tol"),
+        ("solver", {"steps": 32}, "solver.steps"),
+        ("mass", -1, "mass"),
+        ("modes", {"reconstruction": "bogus"}, "modes.reconstruction"),
+        ("modes", {"lambda_source": "bogus"}, "modes.lambda_source"),
         ("--grid-file", None, None),
         ("--grid-file", b"{oops", None),
         ("--grid-file", b"\xff\xfe", None),
     ], ids=["lambda_tol-text", "lambda_tol-null", "lambda_tol-list", "lambda_tol-bool",
             "lambda_tol-nan", "c-text", "c-bool", "c-inf", "step-null", "coeffs-text",
-            "coeffs-scalar", "params-list", "values-text", "grid-missing",
+            "coeffs-scalar", "params-list", "values-text", "lambda_tol-negative",
+            "lambda_tol-zero", "steps-32", "mass-negative-classical",
+            "reconstruction-bogus", "lambda_source-bogus", "grid-missing",
             "grid-not-json", "grid-not-utf8"])
     def test_exits_2_naming_the_field(self, tmp_path, key, value, field):
         doc = dict(SIN_HALF)
@@ -505,7 +605,9 @@ class TestMalformedInput:
                                                "--out", str(tmp_path / "out")])
         assert res.exit_code == 2, res.output
         payload = json.loads(res.stderr.strip().splitlines()[-1])
-        assert payload["error"] == "input" and field in payload["message"], payload
+        # the message opens with the field, or names the file before its reason
+        assert payload["error"] == "input", payload
+        assert f"{field}:" in payload["message"], payload
 
 
 class TestLogEnvironment:

@@ -7,9 +7,12 @@ oracles here; none of them go through the integrator.
 """
 
 import dataclasses
+import inspect
 import itertools
 import json
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -1128,6 +1131,46 @@ class TestKeptTrajectory:
             assert len(batches) == 2 + 2 * k
             extract_nodes(p, rec, 2, cfg)
             assert len(batches) == 3 + 2 * k
+
+    def test_paused_call_returns_its_own_record(self):
+        # thread A is paused on the return line after extracting index 7;
+        # the main thread extracts index 12, replacing the kept sets, before
+        # A returns
+        p = DiracProblem(0.5, named_potential("sin2x"), Classical(0.3, 0.7))
+        cfg = IntegratorConfig()
+        rec_a, rec_b = find_eigenvalues(p, [7, 12], cfg)
+        lines, first = inspect.getsourcelines(extract_nodes)
+        return_line = first + max(k for k, line in enumerate(lines)
+                                  if line.lstrip().startswith("return "))
+        paused, resume = threading.Event(), threading.Event()
+
+        def pause_on_return(frame, event, arg):
+            if event == "line" and frame.f_lineno == return_line:
+                paused.set()
+                resume.wait(60)
+            return pause_on_return
+
+        def trace(frame, event, arg):
+            return pause_on_return if frame.f_code is extract_nodes.__code__ else None
+
+        result = {}
+
+        def thread_a():
+            sys.settrace(trace)
+            try:
+                result["a"] = extract_nodes(p, rec_a, 1, cfg)
+            finally:
+                sys.settrace(None)
+
+        thread = threading.Thread(target=thread_a)
+        thread.start()
+        try:
+            assert paused.wait(60)
+            b = extract_nodes(p, rec_b, 1, cfg)
+        finally:
+            resume.set()
+            thread.join(60)
+        assert (result["a"].index, b.index) == (7, 12)
 
     def test_batch_calls_propagate_every_time(self, cache, monkeypatch):
         p, cfg = cache.problem("pd_example"), cache.integrator("pd_example")

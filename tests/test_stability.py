@@ -11,6 +11,7 @@ from dirac_nodal import (CaseMismatch, Classical, DomainError, GridSequence,
                          named_potential, nodal_grid_sequence,
                          pseudometric_audit, quasinodal_check, s_n,
                          stability_identity_report)
+from dirac_nodal.stability import loglog_slope
 
 PI = math.pi
 
@@ -138,6 +139,21 @@ class TestD0Estimate:
                           [20, 40, 80, 160], ceiling=10.0)
         assert est.infinite
         assert est.d_sigma == 1.0
+
+
+class TestLoglogSlope:
+    def test_exact_power_law(self):
+        pairs = [(n, 3.0 * n ** -1.75) for n in (3, 5, 8, 13, 21, 34)]
+        assert loglog_slope(pairs) == pytest.approx(-1.75, abs=1e-12)
+
+    def test_ignores_non_positive_and_non_finite(self):
+        pairs = [(n, 0.5 * n ** 2.5) for n in (4, 9, 16)]
+        noise = [(5, 0.0), (6, -1.0), (7, math.nan), (10, math.inf)]
+        assert loglog_slope(noise + pairs) == pytest.approx(2.5, abs=1e-12)
+
+    def test_needs_two_usable_points(self):
+        assert loglog_slope([]) is None
+        assert loglog_slope([(3, 1.0), (4, 0.0), (5, math.nan)]) is None
 
 
 class TestGridDiffChi:
@@ -277,7 +293,7 @@ class TestStabilityIdentityReport:
         rep = stability_identity_report(named_potential("zero"),
                                         named_potential("zero"),
                                         Classical(0.0, 0.0), 0.0, [8, 12])
-        assert rep.degenerate
+        assert rep.degenerate and rep.verdict == "degenerate"
         assert rep.d0 < 1e-8
         assert rep.ratios_corrected[8] is None
 
