@@ -28,7 +28,7 @@ _EIGENFUNCTION_MIN_LAMBDA = 5.0
 def mean_shift(problem: DiracProblem) -> float:
     """The first-order constant v = integral of V plus beta - alpha."""
     b = problem.boundary
-    return problem.potential.total_integral + b.beta - b.alpha
+    return problem.potential.total_integral + (b.beta - b.alpha)
 
 
 @dataclass(frozen=True)
@@ -143,28 +143,21 @@ def nodal_point_asym(problem: DiracProblem, n: int, j: int, component: int = 1,
         raise DomainError("nodal expansions require a positive eigenvalue")
     pot = problem.potential
 
+    # x = (base + int_0^x V - alpha)/lambda + (const + slope x)/lambda^2,
+    # truncated at the requested order
     if isinstance(b, ParamDependent):
         if component == 2:
             raise UnsupportedPrediction(
                 "no nodal expansion for component 2 with parameter-dependent "
                 "boundary conditions")
         base = j * math.pi
-        second = (0.5 * m * math.sin(2 * b.alpha) + b.left_sign_term) / lam_val ** 2
-
-        def update(x):
-            x = _clip_domain(x)
-            val = base / lam_val
-            if order >= 1:
-                val = (base + pot.integral_0_to(x) - b.alpha) / lam_val
-            if order == 2:
-                val += second + 0.5 * m * m * x / lam_val ** 2
-            return val
-
-        return _fixed_point(update, base / lam_val)
-
-    base = (j - 0.5) * math.pi if component == 2 else j * math.pi
-    sign_sin = (-1) ** (j + 1) if component == 2 else (-1) ** j
-    sign_mass = (-1) ** j
+        const = 0.5 * m * math.sin(2 * b.alpha) + b.left_sign_term
+        slope = 0.5 * m * m
+    else:
+        base = (j - 0.5) * math.pi if component == 2 else j * math.pi
+        sign_sin = (-1) ** (j + 1) if component == 2 else (-1) ** j
+        const = sign_sin * 0.5 * m * math.sin(2 * b.alpha)
+        slope = (-1) ** j * 0.5 * m * m
 
     def update(x):
         x = _clip_domain(x)
@@ -172,8 +165,7 @@ def nodal_point_asym(problem: DiracProblem, n: int, j: int, component: int = 1,
         if order >= 1:
             val = (base + pot.integral_0_to(x) - b.alpha) / lam_val
         if order == 2:
-            val += (sign_sin * 0.5 * m * math.sin(2 * b.alpha)
-                    + sign_mass * 0.5 * m * m * x) / lam_val ** 2
+            val += (const + slope * x) / lam_val ** 2
         return val
 
     return _fixed_point(update, base / lam_val)

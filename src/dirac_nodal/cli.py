@@ -30,7 +30,7 @@ from .errors import (CaseMismatch, ComputationError, ConfigError,
 from .model import GridSequence
 from .reconstruction import ReconstructionMode, l1_error, reconstruct_step
 
-logger = logging.getLogger(__name__)
+logger = logging.getLogger("dirac_nodal.cli")
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -187,9 +187,8 @@ def reconstruct(problem_path, index, mode_tag, lambda_source, out_path):
     (nodal,) = _nodal_sets(cfg, [rec], 1)
     step = reconstruct_step(nodal, cfg.problem, mode, lam=rec.lam)
     adjust = mode.lambda_source == "integer_seed"
-    boundary = cfg.problem.boundary
-    err = l1_error(step, cfg.problem.potential, adjust_mean=adjust,
-                   boundary_shift=boundary.beta - boundary.alpha)
+    shift = asymptotics.mean_shift(cfg.problem) / math.pi if adjust else 0.0
+    err = l1_error(step, cfg.problem.potential, shift)
     rows = [[_fmt(a), _fmt(b), _fmt(v)] for a, b, v in
             zip(step.breakpoints[:-1], step.breakpoints[1:], step.values)]
     _write_csv(out_path, f"config={cfg.hash[:12]}",

@@ -14,6 +14,7 @@ immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -43,13 +44,15 @@ def _as_float_array(values, name):
 
 
 class Potential:
-    """Real potential on [0, pi].
+    """Real potential on [0, pi], a scalar callable with an optional exact
+    antiderivative.
 
-    Two representations are supported: a scalar callable (optionally with an
-    exact antiderivative vanishing at 0) and a uniformly sampled grid with
-    linear interpolation.  ``integral_0_to`` is exact for sampled potentials
-    and for callables that supply an antiderivative; otherwise it falls back
-    to adaptive Simpson quadrature with absolute tolerance _QUAD_TOL.
+    A sampled potential (``values`` on the uniform grid of len(values) - 1
+    cells) is the callable of its linear interpolant, with the exact
+    antiderivative of that interpolant: the trapezoid prefix sum plus the
+    quadratic on x's cell.  ``integral_0_to`` is exact for every callable
+    that has an antiderivative; otherwise it falls back to adaptive Simpson
+    quadrature with absolute tolerance _QUAD_TOL.
 
     ``breakpoints`` are the points inside (0, pi), in increasing order,
     where V or its derivative jumps: the interior grid nodes of a sampled
@@ -57,17 +60,13 @@ class Potential:
     solver puts a mesh node on each, which keeps its sixth order.
     """
 
-    __slots__ = ("values", "_func", "_anti", "name", "params",
-                 "_grid", "_grid_h", "_prefix", "breakpoints")
+    __slots__ = ("values", "_func", "_anti", "name", "params", "breakpoints")
 
     def __init__(self, func=None, antiderivative=None, values=None,
                  name=None, params=None, breakpoints=()):
         if (func is None) == (values is None):
             raise InputError("exactly one of func/values must be given")
-        self._func = func
-        self._anti = antiderivative
-        self.name = name
-        self.params = dict(params) if params else {}
+        self.values = None
         if values is not None:
             if len(breakpoints):
                 raise InputError("a sampled potential's breakpoints are its grid nodes")
@@ -76,35 +75,30 @@ class Potential:
                 raise InputError("sampled potential needs at least 3 values (M >= 2)")
             arr.flags.writeable = False
             self.values = arr
-            m_cells = arr.size - 1
-            self._grid = np.linspace(0.0, DOMAIN_LENGTH, arr.size)
-            self._grid.flags.writeable = False
-            self._grid_h = DOMAIN_LENGTH / m_cells
+            grid = np.linspace(0.0, DOMAIN_LENGTH, arr.size)
+            h = DOMAIN_LENGTH / (arr.size - 1)
             # Trapezoid prefix sums at the grid nodes; exact for the
             # piecewise-linear interpolant.
-            seg = 0.5 * (arr[:-1] + arr[1:]) * self._grid_h
-            prefix = np.concatenate([[0.0], np.cumsum(seg)])
-            prefix.flags.writeable = False
-            self._prefix = prefix
-            self.breakpoints = self._grid[1:-1]
-        else:
-            self.values = None
-            self._grid = None
-            self._grid_h = None
-            self._prefix = None
-            breaks = np.sort(_as_float_array(breakpoints, "breakpoints"))
-            breaks = breaks[(breaks > 0.0) & (breaks < DOMAIN_LENGTH)
-                            & (np.diff(breaks, prepend=0.0) > 0.0)]
-            breaks.flags.writeable = False
-            self.breakpoints = breaks
+            prefix = np.concatenate([[0.0], np.cumsum(0.5 * (arr[:-1] + arr[1:]) * h)])
+            func = functools.partial(np.interp, xp=grid, fp=arr)
+            antiderivative = functools.partial(_linear_antiderivative, h=h,
+                                               values=arr, prefix=prefix)
+            breakpoints = grid[1:-1]
+        self._func = func
+        self._anti = antiderivative
+        self.name = name
+        self.params = dict(params) if params else {}
+        breaks = np.sort(_as_float_array(breakpoints, "breakpoints"))
+        breaks = breaks[(breaks > 0.0) & (breaks < DOMAIN_LENGTH)
+                        & (np.diff(breaks, prepend=0.0) > 0.0)]
+        breaks.flags.writeable = False
+        self.breakpoints = breaks
 
     @property
     def is_sampled(self):
         return self.values is not None
 
     def __call__(self, x):
-        if self.is_sampled:
-            return np.interp(x, self._grid, self.values)
         out = self._func(np.asarray(x, dtype=float))
         return np.asarray(out, dtype=float) + np.zeros_like(np.asarray(x, dtype=float))
 
@@ -117,13 +111,6 @@ class Potential:
     def integral_0_to(self, x):
         """Cumulative integral of V from 0 to x."""
         x = self._check_domain(x)
-        if self.is_sampled:
-            h = self._grid_h
-            k = min(int(x / h), self.values.size - 2)
-            t = x - k * h
-            v0 = self.values[k]
-            slope = (self.values[k + 1] - v0) / h
-            return float(self._prefix[k] + v0 * t + 0.5 * slope * t * t)
         if self._anti is not None:
             return float(self._anti(x) - self._anti(0.0))
         return _adaptive_simpson(self._func, 0.0, x)
@@ -156,6 +143,16 @@ def make_potential_sampled(values) -> Potential:
 def cumulative_integral(potential: Potential, x: float) -> float:
     """Integral of the potential from 0 to x (x must lie in [0, pi])."""
     return potential.integral_0_to(x)
+
+
+def _linear_antiderivative(x, h, values, prefix):
+    """Integral from 0 to x of the linear interpolant of values on the grid
+    of spacing h, whose trapezoid prefix sums at the nodes are prefix."""
+    k = min(int(x / h), values.size - 2)
+    t = x - k * h
+    v0 = values[k]
+    slope = (values[k + 1] - v0) / h
+    return float(prefix[k] + v0 * t + 0.5 * slope * t * t)
 
 
 def _adaptive_simpson(f, a, b):
@@ -204,12 +201,12 @@ class ParamDependent:
             raise BoundaryConditionError("alpha must lie in [-pi/2, pi/2]")
         if not (-half <= self.beta <= half):
             raise BoundaryConditionError("beta must lie in [-pi/2, pi/2]")
-        s0 = self.a0 * math.sin(self.alpha) - self.b0 * math.cos(self.alpha)
+        s0 = self.left_sign_term
         if not s0 > 0.0:
             raise BoundaryConditionError(
                 f"sign condition a0*sin(alpha) - b0*cos(alpha) > 0 violated "
                 f"(got {s0:.6g})")
-        s1 = self.a1 * math.sin(self.beta) - self.b1 * math.cos(self.beta)
+        s1 = self.right_sign_term
         if not s1 < 0.0:
             raise BoundaryConditionError(
                 f"sign condition a1*sin(beta) - b1*cos(beta) < 0 violated "

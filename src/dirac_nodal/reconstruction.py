@@ -223,13 +223,10 @@ def _abs_linear_cells(widths, d_lo, d_hi):
     return np.where(same, plain, split)
 
 
-def l1_error(F: StepFunction, potential: Potential, adjust_mean: bool = False,
-             boundary_shift: float = 0.0) -> float:
-    """Integral over [0, pi] of |F - V0|, where V0 is V itself or V minus its
-    first-order constant (integral of V plus boundary_shift, over pi)."""
-    shift = 0.0
-    if adjust_mean:
-        shift = (potential.total_integral + boundary_shift) / math.pi
+def l1_error(F: StepFunction, potential: Potential, shift: float = 0.0) -> float:
+    """Integral over [0, pi] of |F + shift - V|: the L1 distance of F from
+    V - shift.  An integer-seed reconstruction converges to V - v/pi, so its
+    error is taken with shift = asymptotics.mean_shift(problem) / pi."""
     edges = _union(F.breakpoints, _linear_nodes(potential))
     edges = edges[(edges >= 0.0) & (edges <= DOMAIN_LENGTH)]
     lo, hi = edges[:-1], edges[1:]

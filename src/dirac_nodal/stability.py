@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver
+from .asymptotics import mean_shift
 from .errors import (CaseMismatch, ComputationError, DomainError, InputError,
                      RowMismatch)
 from .model import DOMAIN_LENGTH, DiracProblem, GridSequence, NodalSet, Potential
@@ -174,15 +175,14 @@ def quasinodal_check(x_seq: GridSequence, potential: Potential, m: float,
     asym_pass = bool(ns) and len(flagged) <= len(ns) // 3
 
     problem = DiracProblem(m, potential, boundary)
-    shift = boundary.beta - boundary.alpha
+    shift = mean_shift(problem) / math.pi
     mode = ReconstructionMode(tag="corrected", lambda_source="integer_seed")
     errors = {}
     for n in ns:
         try:
             nodal = NodalSet(n, 1, x_seq.row(n))
             step = reconstruct_step(nodal, problem, mode)
-            errors[n] = l1_error(step, potential, adjust_mean=True,
-                                 boundary_shift=shift)
+            errors[n] = l1_error(step, potential, shift)
         except (InputError, DomainError, ComputationError) as exc:
             logger.debug("quasinodal reconstruction skipped at n=%d: %s", n, exc)
     slope = None
@@ -310,10 +310,8 @@ def stability_identity_report(v_a: Potential, v_b: Potential, boundary,
     seq_a = nodal_grid_sequence(prob_a, ns, integrator, search)
     seq_b = nodal_grid_sequence(prob_b, ns, integrator, search)
 
-    shift = boundary.beta - boundary.alpha
-    norm_corr = l1_distance(v_a, v_b,
-                            (v_a.total_integral + shift) / math.pi,
-                            (v_b.total_integral + shift) / math.pi)
+    norm_corr = l1_distance(v_a, v_b, mean_shift(prob_a) / math.pi,
+                            mean_shift(prob_b) / math.pi)
     norm_paper = l1_distance(v_a, v_b)
     degenerate = norm_corr < 1e-12
 

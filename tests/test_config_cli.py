@@ -621,3 +621,16 @@ class TestLogEnvironment:
         assert payload["error"] == "input", res.stderr
         assert payload["type"] == "ConfigError", res.stderr
         assert "DIRAC_NODAL_LOG" in payload["message"], res.stderr
+
+    def test_warnings_name_the_cli_logger(self, tmp_path):
+        # run as python -m, the module's __name__ is "__main__"; the CLI's
+        # records carry the package logger name all the same
+        cfg = write_config(tmp_path, PD_EXAMPLE)
+        res = run_cli("validate-asymptotics", "--problem", str(cfg),
+                      "--n-min", "3", "--n-max", "4",
+                      "--out", str(tmp_path / "orders.csv"),
+                      env={"DIRAC_NODAL_LOG": "info"})
+        assert res.returncode == 0, res.stderr
+        assert ("WARNING dirac_nodal.cli: node expansion left out at n=3, j=0"
+                in res.stderr), res.stderr
+        assert "__main__" not in res.stderr, res.stderr

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -116,10 +117,39 @@ class TestBreakpoints:
         values = np.cos(np.linspace(0.0, PI, 9))
         v = make_potential_sampled(values)
         assert np.array_equal(v.breakpoints, np.linspace(0.0, PI, 9)[1:-1])
+        assert not v.breakpoints.flags.writeable
         x = np.linspace(0.0, PI, 101)
         assert np.array_equal(v(x), np.interp(x, np.linspace(0.0, PI, 9), values))
+        assert v(0.7) == np.interp(0.7, np.linspace(0.0, PI, 9), values)
         with pytest.raises(InputError, match="grid nodes"):
             Potential(values=values, breakpoints=[1.0])
+
+
+class TestSampledPotentialContract:
+    """A sampled potential is the linear interpolant of its values on the
+    uniform grid, with that interpolant's exact antiderivative."""
+
+    GRID = np.linspace(0.0, PI, 41)
+    VALUES = np.sin(3.0 * GRID) + 0.3 * GRID
+
+    def test_pickle_round_trip(self):
+        v = make_potential_sampled(self.VALUES)
+        w = pickle.loads(pickle.dumps(v))
+        x = np.linspace(0.0, PI, 77)
+        assert np.array_equal(w(x), v(x))
+        assert w.integral_0_to(1.1) == v.integral_0_to(1.1)
+        assert np.array_equal(w.breakpoints, v.breakpoints)
+
+    def test_integral_is_trapezoid_prefix_plus_cell_quadratic(self):
+        v = make_potential_sampled(self.VALUES)
+        vals, h = self.VALUES, PI / (self.VALUES.size - 1)
+        prefix = np.concatenate([[0.0], np.cumsum(0.5 * (vals[:-1] + vals[1:]) * h)])
+        for x in np.random.default_rng(4).uniform(0.0, PI, 200).tolist() + [0.0, PI]:
+            k = min(int(x / h), vals.size - 2)
+            t = x - k * h
+            slope = (vals[k + 1] - vals[k]) / h
+            assert v.integral_0_to(x) == float(prefix[k] + vals[k] * t
+                                                + 0.5 * slope * t * t)
 
 
 class TestPotentialSerialization:

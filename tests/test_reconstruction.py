@@ -13,7 +13,7 @@ from conftest import canonical_pd, cli_env
 from dirac_nodal import (Classical, DiracProblem, DomainError, InputError,
                          NodalSet, ReconstructionMode, StepFunction, jn_index,
                          l1_distance, l1_error, local_average_limit,
-                         make_potential_sampled, named_potential,
+                         make_potential_sampled, mean_shift, named_potential,
                          reconstruct_step, reconstruction)
 
 PI = math.pi
@@ -234,15 +234,16 @@ class TestL1Error:
     def test_mean_adjustment_removes_constant(self):
         f = StepFunction([0.0, PI], [0.0])
         v = named_potential("constant", c=1.0)
-        assert l1_error(f, v, adjust_mean=True) == pytest.approx(0.0, abs=1e-9)
+        # V - v/pi with v = integral of V: the constant potential's own mean
+        assert l1_error(f, v, shift=v.total_integral / PI) == pytest.approx(0.0, abs=1e-9)
 
     def test_boundary_shift_enters_adjustment(self):
         f = StepFunction([0.0, PI], [0.0])
         v = named_potential("zero")
-        # target is V - (0 + shift)/pi = -0.5
-        assert l1_error(f, v, adjust_mean=True,
-                        boundary_shift=0.5 * PI) == pytest.approx(0.5 * PI,
-                                                                  abs=1e-9)
+        # beta - alpha = pi/2 enters v: the target is V - v/pi = -0.5
+        p = DiracProblem(0.0, v, Classical(0.0, 0.5 * PI))
+        assert l1_error(f, v, shift=mean_shift(p) / PI) == pytest.approx(0.5 * PI,
+                                                                       abs=1e-9)
 
     def test_sign_change_inside_cell_handled_exactly(self):
         f = StepFunction([0.0, PI], [0.5])

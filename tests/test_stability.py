@@ -314,3 +314,19 @@ class TestStabilityIdentityReport:
         for n in (10, 14):
             assert 0.7 < rep.ratios_corrected[n] < 1.3
         assert rep.d_sigma == pytest.approx(rep.d0 / (1 + rep.d0))
+
+    def test_parity_wiggling_window_is_inconclusive(self):
+        """The benchmark's stability_cli pair of seed 1922 over 12..20: the
+        corrected ratio wiggles with index parity around 0.91, so |ratio - 1|
+        does not trend down and the verdict is "inconclusive".  The
+        benchmark's reference calls this pair "identity_supported", from the
+        last ratio alone; ROADMAP item 7 is where this verdict may change."""
+        poly = named_potential("poly", coeffs=[-0.5108996222117563,
+                                               -0.22855909953891904,
+                                               -0.03095774691358473])
+        rep = stability_identity_report(named_potential("sin2x"), poly,
+                                        Classical(0.0, 0.0), 0.5, range(12, 21))
+        ratios = [rep.ratios_corrected[n] for n in range(12, 21)]
+        assert all(0.90 <= r <= 0.93 for r in ratios), ratios
+        assert rep.identity_trend_ok is False
+        assert rep.verdict == "inconclusive"
