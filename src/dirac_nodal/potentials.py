@@ -77,10 +77,11 @@ def _poly(params):
     if not coeffs:
         raise ConfigError("poly potential needs a non-empty coeffs list",
                           field="potential.params.coeffs")
-    poly = np.polynomial.Polynomial(coeffs)
-    anti = poly.integ()
-    return (lambda x: poly(np.asarray(x, dtype=float)),
-            lambda x: anti(np.asarray(x, dtype=float)), ())
+    # highest power first for np.polyval, without importing numpy.polynomial
+    poly = np.array(coeffs[::-1])
+    anti = np.polyint(poly)
+    return (lambda x: np.polyval(poly, np.asarray(x, dtype=float)),
+            lambda x: np.polyval(anti, np.asarray(x, dtype=float)), ())
 
 
 def _step(params):

@@ -186,8 +186,10 @@ def _oscillatory_integral(potential: Potential, a: float, b: float,
 
 def _union(a, b):
     """The values of a and b, sorted, without exact duplicates: np.union1d's
-    result, without the numpy.ma import that np.unique makes on first use."""
-    edges = np.sort(np.concatenate((a, b), axis=None))
+    result, without the numpy.ma import that np.unique makes on first use.
+    The stable sort merges the runs of sorted inputs instead of sorting
+    again."""
+    edges = np.sort(np.concatenate((a, b), axis=None), kind="stable")
     return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
 
 
@@ -227,12 +229,21 @@ def l1_error(F: StepFunction, potential: Potential, shift: float = 0.0) -> float
     """Integral over [0, pi] of |F + shift - V|: the L1 distance of F from
     V - shift.  An integer-seed reconstruction converges to V - v/pi, so its
     error is taken with shift = asymptotics.mean_shift(problem) / pi."""
-    edges = _union(F.breakpoints, _linear_nodes(potential))
+    bp = F.breakpoints
+    edges = _union(bp, _linear_nodes(potential))
     edges = edges[(edges >= 0.0) & (edges <= DOMAIN_LENGTH)]
-    lo, hi = edges[:-1], edges[1:]
-    consts = F(0.5 * (lo + hi)) + shift
+    # F's breakpoints in [0, pi] are edges, so F is constant on each cell: its
+    # values repeat over the runs of cells between them, padded at both ends
+    # as F(x) clips
+    first = np.searchsorted(bp, 0.0)
+    at = np.searchsorted(edges, bp[first:np.searchsorted(bp, DOMAIN_LENGTH, "right")])
+    ends = np.concatenate(([0], at, [edges.size - 1]))
+    padded = np.concatenate((F.values[:1], F.values, F.values[-1:]))
+    consts = np.repeat(padded[first:first + ends.size - 1], ends[1:] - ends[:-1])
+    consts += shift
     v_lo, v_hi = _cell_ends(potential, edges)
-    return float(np.sum(_abs_linear_cells(hi - lo, consts - v_lo, consts - v_hi)))
+    return float(np.sum(_abs_linear_cells(edges[1:] - edges[:-1], consts - v_lo,
+                                          consts - v_hi)))
 
 
 def l1_distance(v_a: Potential, v_b: Potential, shift_a: float = 0.0,

@@ -27,11 +27,11 @@ level in ``_order`` again.  The step tables are one stacked array of shape
   aligned power-of-two chunks.  Every chunk width gives the same tree, so
   each lambda's result is bitwise independent of the batch it is computed
   in;
-* a trajectory is the down-sweep of the tree at one lambda (Blelloch,
-  "Prefix Sums and Their Applications", CMU-CS-90-190, 1990): the state at
-  the start of a right child is its left sibling times the state at the
-  start of their parent.  This gives the state at every mesh node from
-  O(N) products, and the last state is bitwise the terminal state.
+* a trajectory is the down-sweep of the tree at every lambda of a batch
+  (Blelloch, "Prefix Sums and Their Applications", CMU-CS-90-190, 1990):
+  the state at the start of a right child is its left sibling times the
+  state at the start of their parent.  This gives the state at every mesh
+  node from O(N) products, and the last state is bitwise the terminal state.
 
 Both agree with a step-by-step loop to roundoff.  A step matrix needs
 cosh(sqrt(u)) and sinh(sqrt(u))/sqrt(u) with u about -(h (lambda - V))^2.
@@ -70,7 +70,7 @@ regula falsi refines it until it is ``lambda_tolerance`` wide.  Every round
 of the search evaluates the open indices in one batched propagation, and
 each index stops on its own.  The search controls its error by mesh
 refinement (Pryce, 1993; SLEDGE, Pruess and Fulton, ACM TOMS 19, 1993): it
-starts on a sixteenth of ``n_steps``, and the error estimate of each
+starts on about min(n_steps / 16, 256) steps, and the error estimate of each
 eigenvalue is its change from the mesh of half as many steps, about 63
 times the error of a sixth-order scheme.  The mesh of an index doubles
 while its estimate exceeds ``lambda_tolerance``.  A state at pi that
@@ -81,9 +81,10 @@ a wrong root.
 Nodes are extracted for many records and either or both components in one
 call, ``extract_nodal_sets``.  A record's nodes follow its eigenvalue's
 mesh: they are taken on twice the uniform steps its eigenvalue stopped on,
-at most ``n_steps``; each such mesh is built once per call, and each
-record's trajectory is taken on its mesh at its own lambda; nothing is kept
-between calls.  Every sign change between mesh nodes brackets a zero, and
+at most ``n_steps``; each such mesh is built once per call, and its records
+take one trajectory together, split so that steps times lambdas stays within
+``_CHUNK_ENTRIES``; nothing is kept between calls.  Every sign change
+between mesh nodes of the 2-D component arrays brackets a zero, and
 all brackets are refined together by a safeguarded Newton iteration on the
 partial Magnus step from the bracket's left mesh node, starting where the
 solution for V constant on the cell vanishes.  Its derivative is exact
@@ -133,13 +134,11 @@ _NODE_TOLERANCE = 1e-14
 _NODE_ITERATIONS = 47
 
 # Step-lambda entries per chunk of step tables in _terminal (a mesh whose
-# tables fit is one chunk).  The widest calls of find_eigenvalues(3..40) on
-# the benchmark's spectrum_batch problems, 76 lambdas on 256 to 640 steps,
-# exceed it.  Over those problems of seeds 1-3 (in-process on one CPU of a
-# 2-vCPU Xeon, numpy 2.4, six runs of 15 repeats per value) the peak RSS is
-# 38.8 MB at 1 << 13 and 1 << 14, 40.0-40.5 MB at 1 << 15 and 42.3-42.7 MB
-# without chunks; the medians, 0.13-0.17 s, move more with the host than
-# with the value.  1 << 14 is the widest chunk at the lowest peak.
+# tables fit is one chunk) and per trajectory of extract_nodal_sets.  For
+# find_eigenvalues(3..40) on the benchmark's spectrum_batch problems of seeds
+# 1-3 (76 lambdas on 256 to 640 steps; one CPU of a 2-vCPU Xeon, numpy 2.4)
+# the peak RSS was 38.8 MB at 1 << 13 and 1 << 14, 40.0-40.5 MB at 1 << 15
+# and 42.7 MB without chunks, at the same speed.
 _CHUNK_ENTRIES = 1 << 14
 
 # A breakpoint closer than this fraction of a step to a uniform mesh node
@@ -200,8 +199,9 @@ _MAX_EVALUATIONS = 48
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Integration grid over [0, pi]: ``n_steps`` uniform steps, plus a node
-    at each breakpoint of the potential.  The eigenvalue search starts on
-    ``n_steps / 16``, takes ``n_steps`` as its finest mesh and stops on the
+    at each breakpoint of the potential.  ``n_steps`` is a cap: the
+    eigenvalue search starts on ``n_steps >> k`` of about min(n_steps / 16,
+    256) steps, takes ``n_steps`` as its finest mesh and stops on the
     coarsest that meets its tolerance; nodes use twice the steps their
     eigenvalue stopped on, at most ``n_steps``, and trajectories use
     ``n_steps``."""
@@ -474,15 +474,6 @@ def _descend(levels, y):
     return y
 
 
-def _chunk(lams, mesh, start, steps, levels):
-    """Products, in natural order, of the aligned blocks of 2**levels steps
-    (or of all of them, if fewer) among mesh steps [start, start + steps):
-    the step matrices are built in ``_order`` and halved by ``_halve``."""
-    at = _order(steps)[0] + start
-    p = _entries(mesh.coef[:, at, None], lams)
-    return _halve(p, levels)[:, :, _order(-(-steps >> levels))[1]]
-
-
 def _lambdas(values):
     lams = np.atleast_1d(np.asarray(values, dtype=float))
     if not np.all(np.isfinite(lams)):
@@ -572,8 +563,10 @@ def _terminal(problem, lams, mesh, angle=False):
     The step matrices are multiplied by the full pairwise tree over the
     mesh: in one chunk if their tables hold at most _CHUNK_ENTRIES
     step-lambda entries, else in aligned power-of-two chunks of at most that
-    many (``_chunk``), each halved to one product; ``_halve`` finishes the
-    tree over all chunks.  For the angle the halving pauses at the level of
+    many.  Each chunk's step matrices are built in ``_order`` and halved to
+    the aligned blocks of 2**inner steps, whose products one chunk leaves in
+    ``_order`` and several are put into it together; ``_halve`` finishes the
+    tree.  For the angle the halving pauses at the level of
     ``_block_level``, ``_tree`` finishes the tree, and its down-sweep
     (``_descend``) gives the block starts to ``_rotation``.  Neither the
     chunk width nor the level changes the tree, so y(pi) and theta(pi) are
@@ -590,9 +583,13 @@ def _terminal(problem, lams, mesh, angle=False):
         level = _block_level(problem, lams, mesh)
         inner = min(level, inner)
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = np.concatenate([_chunk(lams, mesh, s, min(width, n - s), inner)
-                                 for s in range(0, n, width)], axis=2)
-        blocks = blocks[:, :, _order(blocks.shape[2])[0]]
+        chunks = (_halve(_entries(mesh.coef[:, s + _order(min(width, n - s))[0], None],
+                                  lams), inner) for s in range(0, n, width))
+        if width == n:   # one chunk, whose blocks are in _order already
+            blocks = next(chunks)
+        else:   # each chunk's blocks into natural order, then all into _order
+            blocks = np.concatenate([c[:, :, _order(c.shape[2])[1]] for c in chunks], 2)
+            blocks = blocks[:, :, _order(blocks.shape[2])[0]]
         y0 = _initial_state(problem, lams)
         if angle:
             tree = _tree(_halve(blocks, level - inner))
@@ -618,22 +615,22 @@ def _terminal(problem, lams, mesh, angle=False):
     return y_pi[0], y_pi[1], theta
 
 
-def _trajectory(problem, lam, mesh):
-    """The Trajectory at one spectral parameter: the states at the mesh nodes
-    from the down-sweep over the pairwise tree of the step matrices, and the
-    last one from the product of all, bitwise ``_terminal``'s y(pi)."""
-    lams = _lambdas(float(lam))
+def _trajectory(problem, lams, mesh):
+    """The states at the mesh nodes for every lambda, shape (2, nodes,
+    lambdas), from the down-sweep over the pairwise tree of the step
+    matrices, and the last one from the product of all, bitwise
+    ``_terminal``'s y(pi); the Trajectory for a scalar lambda."""
+    one = np.ndim(lams) == 0
+    lams = _lambdas(lams)
     order, inverse = _order(mesh.vbar.size)
-    out = np.empty((2, mesh.x.size))
     with np.errstate(over="ignore", invalid="ignore"):
         tree = _tree(_entries(mesh.coef[:, order, None], lams))
         y0 = _initial_state(problem, lams)
         q = tree[-1][:, :, 0]
-        for row, states in zip(out, _descend(tree, y0)[:, :, 0]):
-            np.take(states, inverse, out=row[:-1])
-        out[:, -1] = (q[:, 0] * y0[0] + q[:, 1] * y0[1])[:, 0]
+        out = np.concatenate((_descend(tree, y0)[:, inverse],
+                              (q[:, 0] * y0[0] + q[:, 1] * y0[1])[:, None]), axis=1)
     _check_finite(problem, lams, out)
-    return Trajectory(mesh.x, out.T)
+    return Trajectory(mesh.x, out[:, :, 0].T) if one else out
 
 
 def integrate(problem: DiracProblem, lam: float,
@@ -642,7 +639,7 @@ def integrate(problem: DiracProblem, lam: float,
     boundary-determined initial spinor; returns the state at every mesh
     node."""
     cfg = cfg or IntegratorConfig()
-    traj = _trajectory(problem, lam, _mesh(problem, cfg.n_steps))
+    traj = _trajectory(problem, float(lam), _mesh(problem, cfg.n_steps))
     if np.hypot(traj.y[:, 0], traj.y[:, 1]).min() <= 1e-300:
         raise IntegrationFailure("solution components vanished simultaneously")
     return traj
@@ -998,9 +995,11 @@ def _refine(problem, seeds, slopes, mesh, tolerance, describe):
 
 def _levels(n_steps):
     """Uniform step counts of the meshes the eigenvalue search may use,
-    coarsest first: n_steps / 16, n_steps / 8, n_steps / 4, n_steps / 2 and
-    n_steps."""
-    return n_steps >> 4, n_steps >> 3, n_steps >> 2, n_steps >> 1, n_steps
+    coarsest first: n_steps >> k from the coarsest with at least
+    min(n_steps / 16, 256) steps up to n_steps, so that the floor stops
+    moving with n_steps above 4096."""
+    floor = min(n_steps >> 4, 256)
+    return tuple(n_steps >> k for k in reversed(range((n_steps // floor).bit_length())))
 
 
 def _start_levels(problem, seeds, levels, mesh):
@@ -1029,12 +1028,12 @@ def find_eigenvalues(problem: DiracProblem, indices,
 
     Index n labels the eigenvalue whose eigenfunction has rotation index
     ``_rotation_index(boundary, n)``.  The search runs on the meshes of
-    ``_levels(integrator.n_steps)``.  Each index starts on the coarsest one
-    whose steps can count the angle's turns near its seed, N = n_steps / 16
-    unless the seed is large.  Each seed is the eigenvalue of the same
-    problem with V replaced by its mean vbar = integral(V) / pi
-    (``_mean_potential_seeds``), exact for a constant V; inside the mass gap
-    it is the massless one.  ``_bracket`` turns the seeds into brackets by
+    ``_levels(integrator.n_steps)``, from about min(n_steps / 16, 256) steps
+    up.  Each index starts on the coarsest one whose steps can count the
+    angle's turns near its seed, the first unless the seed is large.  Each
+    seed is the eigenvalue of the same problem with V replaced by its mean
+    vbar = integral(V) / pi (``_mean_potential_seeds``), exact for a
+    constant V; inside the mass gap it is the massless one.  ``_bracket`` turns the seeds into brackets by
     the Prufer angle, starting each at the seed give or take a spread that
     models the seed's error (see _SEED_FLOOR), and ``_illinois`` refines chi
     in each.  A Newton step from lambda_N, with the slope of chi across its
@@ -1259,13 +1258,14 @@ def extract_nodal_sets(problem: DiracProblem, records, components,
     eigenvalue was solved on (``rec.steps``), at most ``cfg.n_steps``, and on
     ``cfg.n_steps`` for a record without ``steps``: a sixth-order eigenvalue
     converged on N steps leaves nodes on 2N steps within about 1e-12.  Each
-    of these meshes is built once per call, and each record's trajectory is
-    taken on its mesh at its own lambda; nothing is kept between calls, so
-    two calls for one record propagate it twice.  Zeros are bracketed by the
-    sign changes between mesh nodes of every (record, component), and the
-    brackets of all of them are refined together by ``_node_newton``, so
-    each record's nodes are bitwise the same whether it is extracted alone
-    or in any batch.
+    of these meshes is built once per call, and the records that share one
+    take one trajectory together, in groups of at most _CHUNK_ENTRIES /
+    steps lambdas (one at least); nothing is kept between calls, so two
+    calls for one record propagate it twice.  Zeros are bracketed by the
+    sign changes between mesh nodes of every (record, component), found on
+    the 2-D component arrays of all of them at once, and all brackets are
+    refined together by ``_node_newton``, so each record's nodes are bitwise
+    the same whether it is extracted alone or in any batch.
     Zeros within _ENDPOINT_GUARD of an end are dropped, as are zeros within
     1e-9 of the previous one.  A component that is identically zero,
     or vanishes on three consecutive mesh nodes, raises DegenerateComponent.
@@ -1277,72 +1277,72 @@ def extract_nodal_sets(problem: DiracProblem, records, components,
     records = list(records)
     if not records:
         return []
-    steps = [_node_steps(rec, cfg.n_steps) for rec in records]
-    meshes = {n: _mesh(problem, n) for n in dict.fromkeys(steps)}
-    # per (record, component): its zeros on the mesh and its number of
-    # brackets; per bracket: its ends, end values, states at both ends,
-    # lambda, row, mean potential of its cell and the largest |vbar| of its
-    # mesh
-    zeros, counts = [], []
-    lo, hi, f_lo, f_hi, y_lo, y_hi, lams, rows, vbar, v_max = ([] for _ in range(10))
-    for rec, n in zip(records, steps):
-        xs, traj = _trajectory(problem, rec.lam, meshes[n])
-        for component in components:
-            comp = traj[:, component - 1]
-            scale = float(np.max(np.abs(comp)))
-            if scale == 0.0:
-                raise DegenerateComponent(
-                    f"component {component} is identically zero")
-            near = np.abs(comp) <= 1e-12 * scale
-            if np.any(near[:-2] & near[1:-1] & near[2:]):
-                raise DegenerateComponent(
-                    f"component {component} vanishes on an interval of the grid")
+    steps = np.array([_node_steps(rec, cfg.n_steps) for rec in records])
+    lams = np.array([float(rec.lam) for rec in records])
+    rows = np.array(components) - 1
+    per = rows.size
+    # per zero on a mesh node its (record, component) pair, numbered record by
+    # record, and place; per bracket its pair and what _node_newton takes
+    zeros, brackets = [], []
+    for n in dict.fromkeys(steps.tolist()):
+        mesh = _mesh(problem, n)
+        group = np.flatnonzero(steps == n)
+        size = max(1, _CHUNK_ENTRIES // mesh.vbar.size)
+        for chunk in (group[s:s + size] for s in range(0, group.size, size)):
+            traj = _trajectory(problem, lams[chunk], mesh)
+            comp = traj[rows]   # (components, nodes, lambdas)
+            mag = np.abs(comp)
+            scale = mag.max(axis=1, keepdims=True)
+            near = mag <= 1e-12 * scale
+            for bad, what in ((scale == 0.0, "is identically zero"),
+                              (near[:, :-2] & near[:, 1:-1] & near[:, 2:],
+                               "vanishes on an interval of the grid")):
+                if bad.any():
+                    which = components[np.argmax(bad.any(axis=(1, 2)))]
+                    raise DegenerateComponent(f"component {which} {what}")
+            inner = near[:, 1:-1]
+            c, j, r = np.unravel_index(np.flatnonzero(inner), inner.shape)
+            zeros.append((chunk[r] * per + c, mesh.x[j + 1]))
             solid = ~near
-            cells = np.flatnonzero(solid[:-1] & solid[1:]
-                                   & (comp[:-1] * comp[1:] < 0))
-            zeros.append(xs[1:-1][near[1:-1]])
-            counts.append(cells.size)
-            for out, value in ((lo, xs[cells]), (hi, xs[cells + 1]),
-                               (f_lo, comp[cells]), (f_hi, comp[cells + 1]),
-                               (y_lo, traj[cells].T), (y_hi, traj[cells + 1].T),
-                               (vbar, meshes[n].vbar[cells])):
-                out.append(value)
-            lams.append(np.full(cells.size, float(rec.lam)))
-            rows.append(np.full(cells.size, component - 1))
-            v_max.append(np.full(cells.size, meshes[n].v_max))
-    lo, hi, f_lo, f_hi, lams, rows, vbar, v_max = (
-        np.concatenate(v) for v in (lo, hi, f_lo, f_hi, lams, rows, vbar, v_max))
-    owner = np.repeat(np.arange(len(counts)), counts)
+            cells = solid[:, :-1] & solid[:, 1:] & (comp[:, :-1] * comp[:, 1:] < 0)
+            c, j, r = np.unravel_index(np.flatnonzero(cells), cells.shape)
+            brackets.append((chunk[r] * per + c, mesh.x[j], mesh.x[j + 1],
+                             comp[c, j, r], comp[c, j + 1, r], lams[chunk[r]], rows[c],
+                             mesh.vbar[j], np.full(j.size, mesh.v_max),
+                             traj[:, j, r], traj[:, j + 1, r]))
+    pair, lo, hi, f_lo, f_hi, lam, row, vbar, v_max, y_lo, y_hi = (
+        np.concatenate(v, axis=-1) for v in zip(*brackets))
+    del brackets, traj, comp, mag, near, solid, cells   # free before the refinement
 
     def describe(k):
-        rec = records[owner[k] // len(components)]
-        return (f"eigenvalue index {rec.index} component {rows[k] + 1} node in "
+        rec = records[pair[k] // per]
+        return (f"eigenvalue index {rec.index} component {row[k] + 1} node in "
                 f"[{lo[k]:.6g}, {hi[k]:.6g}]")
 
     roots = np.empty(0)
     if lo.size:
-        y_lo, y_hi = (np.concatenate(y, axis=1) for y in (y_lo, y_hi))
-        x = _node_start(problem.mass, lams, rows, vbar, y_lo, y_hi, lo, hi, f_lo, f_hi)
-        rate = np.abs(lams) + v_max + abs(problem.mass)
-        roots = _node_newton(problem, lams, rows, y_lo, lo, hi, f_lo, f_hi, x, rate,
+        x = _node_start(problem.mass, lam, row, vbar, y_lo, y_hi, lo, hi, f_lo, f_hi)
+        rate = np.abs(lam) + v_max + abs(problem.mass)
+        roots = _node_newton(problem, lam, row, y_lo, lo, hi, f_lo, f_hi, x, rate,
                              describe)
+    # each pair's zeros inside the guard, in order, each more than 1e-9 past
+    # the one before it
+    key, x = (np.concatenate(v) for v in zip(*zeros, (pair, roots)))
+    inside = (x > _ENDPOINT_GUARD) & (x < math.pi - _ENDPOINT_GUARD)
+    at = np.flatnonzero(inside)[np.lexsort((x[inside], key[inside]))]
+    key, x = key[at], x[at]
+    apart = np.ones(x.size, dtype=bool)
+    apart[1:] = (key[1:] != key[:-1]) | (x[1:] - x[:-1] > 1e-9)
+    key, x = key[apart], x[apart]
+    ends = np.searchsorted(key, np.arange(len(records) * per + 1)).tolist()
     sets = []
-    start = 0
-    for k, (exact, count) in enumerate(zip(zeros, counts)):
-        rec, component = records[k // len(components)], components[k % len(components)]
-        nodes = np.sort(np.concatenate((exact, roots[start:start + count])))
-        start += count
-        nodes = nodes[(nodes > _ENDPOINT_GUARD) & (nodes < math.pi - _ENDPOINT_GUARD)]
-        deduped = []
-        for x in nodes.tolist():
-            if not deduped or x - deduped[-1] > 1e-9:
-                deduped.append(x)
+    for k, (start, end) in enumerate(zip(ends, ends[1:])):
+        rec, component = records[k // per], components[k % per]
         try:
             predicted = node_count_prediction(problem.boundary, rec.index, component)
         except (DomainError, UnsupportedPrediction):
             predicted = None
-        result = NodalSet(rec.index, component, np.asarray(deduped),
-                          predicted_count=predicted)
+        result = NodalSet(rec.index, component, x[start:end], predicted_count=predicted)
         if predicted is not None and result.count != predicted:
             logger.debug("node count mismatch at n=%d component=%d: observed %d, "
                          "predicted %d", rec.index, component, result.count,

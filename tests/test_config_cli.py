@@ -80,6 +80,24 @@ def run_cli(*args, env=None):
 
 
 class TestConfigParsing:
+    def test_poly_config_does_not_import_numpy_polynomial(self):
+        # a CLI process that parses a poly potential would otherwise pay for
+        # importing numpy.polynomial at every start
+        code = (
+            "import sys\n"
+            "from dirac_nodal import (extract_nodes, find_eigenvalue, l1_error,\n"
+            "                         reconstruct_step)\n"
+            "from dirac_nodal.config import parse_config\n"
+            f"cfg = parse_config({POLY_SHIFTED!r})\n"
+            "p, integ = cfg.problem, cfg.solver.integrator()\n"
+            "rec = find_eigenvalue(p, 12, integ, cfg.solver.search())\n"
+            "step = reconstruct_step(extract_nodes(p, rec, 1, integ), p, lam=rec.lam)\n"
+            "assert l1_error(step, p.potential) < 1.0\n"
+            "assert 'numpy.polynomial' not in sys.modules\n")
+        res = subprocess.run([sys.executable, "-c", code], env=cli_env(),
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+
     def test_valid_document(self, tmp_path):
         cfg = load_config(write_config(tmp_path, ZERO_QUARTER))
         assert cfg.problem.mass == 0.0

@@ -265,6 +265,80 @@ class TestL1Error:
         assert l1_error(f, v) == pytest.approx(float(brute), abs=2e-3)
 
 
+def sorted_union(a, b):
+    edges = np.sort(np.concatenate((a, b), axis=None))
+    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+
+
+def searched_l1_error(F, potential, shift=0.0):
+    """l1_error by its sort-and-search formula: the edges sorted again, and F
+    looked up at each cell's midpoint."""
+    edges = sorted_union(F.breakpoints, reconstruction._linear_nodes(potential))
+    edges = edges[(edges >= 0.0) & (edges <= PI)]
+    lo, hi = edges[:-1], edges[1:]
+    consts = F(0.5 * (lo + hi)) + shift
+    v_lo, v_hi = reconstruction._cell_ends(potential, edges)
+    return float(np.sum(reconstruction._abs_linear_cells(hi - lo, consts - v_lo,
+                                                         consts - v_hi)))
+
+
+def searched_l1_distance(v_a, v_b, shift_a=0.0, shift_b=0.0):
+    grid = sorted_union(reconstruction._linear_nodes(v_a),
+                        reconstruction._linear_nodes(v_b))
+    a_lo, a_hi = reconstruction._cell_ends(v_a, grid)
+    b_lo, b_hi = reconstruction._cell_ends(v_b, grid)
+    shift = shift_a - shift_b
+    return float(np.sum(reconstruction._abs_linear_cells(
+        np.diff(grid), a_lo - b_lo - shift, a_hi - b_hi - shift)))
+
+
+# a jump on the node 1280 pi / 4096 of the uniform cells, a smooth sampled
+# potential, and one without breakpoints
+L1_POTENTIALS = {
+    "step_on_node": named_potential("step", a=PI * 20 / 64, height=1.3),
+    "step_off_node": named_potential("step", a=1.0, height=-0.7),
+    "sampled": make_potential_sampled(0.7 * np.sin(np.linspace(0.0, PI, 401))),
+    "sin2x": named_potential("sin2x"),
+}
+
+
+class TestL1Formulas:
+    """l1_error takes F's value on each cell by position, and both L1 paths
+    merge sorted edges: bitwise the sort-and-search formula."""
+
+    @pytest.mark.parametrize("label", sorted(L1_POTENTIALS))
+    def test_l1_error_bitwise_sort_and_search(self, cache, label):
+        v = L1_POTENTIALS[label]
+        nodes = cache.nodal("sin_half", 24, 1)
+        steps = [
+            # breakpoints beyond [0, pi] on both sides
+            StepFunction([-1.0, 0.5, 1.0, 2.0, 4.0], [1.0, -2.0, 0.5, 3.0]),
+            # starting after 0, and ending before pi
+            StepFunction([0.3, 1.0, PI], [1.0, -2.0]),
+            StepFunction([0.3, 1.0, 2.0], [1.0, -2.0]),
+            # wholly outside [0, pi]
+            StepFunction([-2.0, -1.0], [0.4]),
+            StepFunction([3.5, 4.0], [0.4]),
+            # a breakpoint on the jump of step_on_node and on a uniform node
+            StepFunction([0.0, PI * 20 / 64, PI / 2, PI], [0.2, 1.1, -0.3]),
+            reconstruct_step(nodes, cache.problem("sin_half"),
+                             lam=cache.record("sin_half", 24).lam),
+        ]
+        for f in steps:
+            for shift in (0.0, 0.4, -1.3):
+                got, ref = l1_error(f, v, shift), searched_l1_error(f, v, shift)
+                assert got.hex() == ref.hex()
+
+    def test_l1_distance_bitwise_sort_and_search(self):
+        labels = sorted(L1_POTENTIALS)
+        for a in labels:
+            for b in labels:
+                v_a, v_b = L1_POTENTIALS[a], L1_POTENTIALS[b]
+                for shifts in ((0.0, 0.0), (0.2, -0.1)):
+                    got = l1_distance(v_a, v_b, *shifts)
+                    assert got.hex() == searched_l1_distance(v_a, v_b, *shifts).hex()
+
+
 class TestConvergenceInvariants:
     def test_constant_exactness_rates(self):
         # numeric-lambda corrected values sit at c + c^2/n for V = c; the

@@ -583,14 +583,26 @@ def step_characteristic(lam, m, a, height, alpha, beta):
 
 
 class TestErrorControl:
-    """The search on the coarsest mesh of n_steps / 16, n_steps / 8, n_steps / 4,
-    n_steps / 2 and n_steps whose error estimate meets lambda_tol."""
+    """The search on the coarsest mesh of n_steps >> k, from about
+    min(n_steps / 16, 256) steps up to n_steps, whose error estimate meets
+    lambda_tol."""
 
     def test_levels(self):
         assert solver_mod._levels(4096) == (256, 512, 1024, 2048, 4096)
         assert solver_mod._levels(1000) == (62, 125, 250, 500, 1000)
         assert solver_mod._levels(4097) == (256, 512, 1024, 2048, 4097)
         assert solver_mod._levels(64) == (4, 8, 16, 32, 64)
+        assert solver_mod._levels(5000) == (312, 625, 1250, 2500, 5000)
+        assert solver_mod._levels(65536) == tuple(256 << k for k in range(9))
+
+    def test_first_rung_does_not_move_with_steps(self):
+        # steps is a cap: low indices start and stop on the same coarse
+        # meshes under a cap of 4096 and of 65536 steps
+        p = DiracProblem(*SIN_CLASSICAL)
+        low = find_eigenvalues(p, [3, 4, 5], IntegratorConfig(4096))
+        high = find_eigenvalues(p, [3, 4, 5], IntegratorConfig(65536))
+        assert [r.steps for r in low] == [256, 256, 256]
+        assert low == high
 
     @pytest.mark.parametrize("args", [SIN_CLASSICAL, (2.0, named_potential(
         "poly", coeffs=[1.0, -2.0, 0.5]), Classical(0.3, 0.7))], ids=["sin2x", "poly"])
@@ -1013,6 +1025,48 @@ class TestExtractNodes:
         for a, b in zip(batch, alone):
             assert np.array_equal(a.points, b.points)
 
+    @pytest.mark.parametrize("entries", [None, 1 << 11], ids=["default", "split"])
+    def test_mixed_meshes_bitwise_each_record_alone(self, monkeypatch, entries):
+        # node meshes of 512, 1024 and 2048 steps, and a record without steps
+        # on 4096; 1 << 11 entries split every mesh's records into groups
+        p = DiracProblem(2.0, named_potential("poly", coeffs=[1.0, -2.0, 0.5]),
+                         Classical(0.0, 0.0))
+        records = find_eigenvalues(p, range(3, 41))
+        records.append(EigenRecord(12, records[9].lam, 0.0, (0.0, 0.0)))
+        assert {solver_mod._node_steps(r, 4096) for r in records} == \
+            {512, 1024, 2048, 4096}
+        alone = [solver_mod.extract_nodal_sets(p, [rec], (c,))[0]
+                 for rec in records for c in (1, 2)]
+        if entries:
+            monkeypatch.setattr(solver_mod, "_CHUNK_ENTRIES", entries)
+        batch = solver_mod.extract_nodal_sets(p, records, (1, 2))
+        assert [(s.index, s.component) for s in batch] == \
+            [(s.index, s.component) for s in alone]
+        for a, b in zip(batch, alone):
+            assert a.points.tobytes() == b.points.tobytes()
+            assert a.predicted_count == b.predicted_count
+
+    @pytest.mark.parametrize("entries", [1 << 20, 1 << 14, 1 << 10])
+    def test_one_trajectory_per_node_mesh(self, monkeypatch, entries):
+        # the records of one node mesh share one trajectory, split into groups
+        # of at most entries / steps lambdas, one at least
+        p = DiracProblem(*SIN_CLASSICAL)
+        records = find_eigenvalues(p, range(3, 41))
+        meshes = [2 * r.steps for r in records]
+        calls = []
+        trajectory = solver_mod._trajectory
+        monkeypatch.setattr(solver_mod, "_trajectory", lambda problem, lams, m:
+                            calls.append((m.vbar.size, np.size(lams)))
+                            or trajectory(problem, lams, m))
+        monkeypatch.setattr(solver_mod, "_CHUNK_ENTRIES", entries)
+        solver_mod.extract_nodal_sets(p, records, (1, 2))
+        expected = []
+        for n in dict.fromkeys(meshes):
+            size, count = max(1, entries // n), meshes.count(n)
+            expected += [(n, min(size, count - s)) for s in range(0, count, size)]
+        assert calls == expected
+        assert len(calls) == {1 << 20: 2, 1 << 14: 3, 1 << 10: 7 + 24}[entries]
+
     def test_node_mesh_is_twice_the_eigenvalue_mesh(self, monkeypatch):
         # a record's nodes come from min(2 steps, n_steps) uniform steps, a
         # record without steps from n_steps; each mesh is built once a call
@@ -1025,8 +1079,10 @@ class TestExtractNodes:
         mesh, trajectory = solver_mod._mesh, solver_mod._trajectory
         monkeypatch.setattr(solver_mod, "_mesh", lambda problem, n: built.append(n)
                             or mesh(problem, n))
-        monkeypatch.setattr(solver_mod, "_trajectory", lambda problem, lam, m:
-                            taken.append(m.vbar.size) or trajectory(problem, lam, m))
+        # one entry per lambda: a mesh's records may share one trajectory
+        monkeypatch.setattr(solver_mod, "_trajectory", lambda problem, lams, m:
+                            taken.extend([m.vbar.size] * np.size(lams))
+                            or trajectory(problem, lams, m))
         for cap, sizes in ((4096, [512, 1024, 2048, 4096]), (1024, [512, 1024, 1024, 1024])):
             built.clear(), taken.clear()
             sets = solver_mod.extract_nodal_sets(p, records + [hand], (1, 2),
@@ -1062,12 +1118,12 @@ class TestExtractNodes:
         p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
         rec = find_eigenvalue(p, 5, FAST)
 
-        def fake_trajectory(problem, lam, mesh):
-            xs = np.linspace(0.0, PI, 65)
-            out = np.zeros((65, 2))
-            out[:, 0] = 0.0   # identically-zero first component
-            out[:, 1] = 1.0
-            return xs, out
+        def fake_trajectory(problem, lams, mesh):
+            # states of shape (2, nodes, lambdas) on the mesh's nodes
+            out = np.zeros((2, mesh.x.size, np.size(lams)))
+            out[0] = 0.0   # identically-zero first component
+            out[1] = 1.0
+            return out
 
         monkeypatch.setattr(solver_mod, "_trajectory", fake_trajectory)
         with pytest.raises(DegenerateComponent):
