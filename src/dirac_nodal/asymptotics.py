@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .errors import (DomainError, InputError, IterationFailure,
                      UnsupportedPrediction)
-from .model import Classical, DiracProblem, ParamDependent
+from .model import (Classical, DiracProblem, ParamDependent, component_number,
+                    integer_base)
 
 _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_MAX_ITER = 50
@@ -34,8 +35,8 @@ def mean_shift(problem: DiracProblem) -> float:
 @dataclass(frozen=True)
 class AsymptoticConstants:
     """Expansion constants of lambda_n = mu + v/pi + c/n + o(1/n), where mu is
-    n - 2 for n > 0 in case I and n otherwise: v always; c for the
-    parameter-dependent family,
+    ``model.integer_base(case, n)``: v always; c for the parameter-dependent
+    family,
 
         c = m^2/2 + m (sin 2 alpha - sin 2 beta) / (2 pi)
             + (a0 sin alpha - b0 cos alpha) / pi
@@ -71,19 +72,11 @@ class AsymptoticConstants:
         return self.c if self.c is not None else self.c1
 
 
-def _integer_base(problem, n):
-    if isinstance(problem.boundary, ParamDependent):
-        return n - 2 if n > 0 else n
-    return n
-
-
 def lambda_asym(problem: DiracProblem, n: int, order: int = 2) -> float:
     """Eigenvalue expansion through the requested order (0, 1 or 2)."""
-    if n == 0:
-        raise DomainError("index n must be nonzero")
     if order not in (0, 1, 2):
         raise InputError("order must be 0, 1 or 2")
-    value = float(_integer_base(problem, n))
+    value = float(integer_base(problem.case, n))
     if order >= 1:
         constants = AsymptoticConstants.from_problem(problem)
         value += constants.v / math.pi
@@ -94,7 +87,7 @@ def lambda_asym(problem: DiracProblem, n: int, order: int = 2) -> float:
 
 def lambda_inverse_asym(problem: DiracProblem, n: int) -> float:
     """Three-term expansion of 1/lambda_n."""
-    mu = _integer_base(problem, n)
+    mu = integer_base(problem.case, n)
     if mu < 1:
         raise DomainError(f"inverse expansion needs base index >= 1, got {mu}")
     constants = AsymptoticConstants.from_problem(problem)
@@ -134,8 +127,7 @@ def nodal_point_asym(problem: DiracProblem, n: int, j: int, component: int = 1,
     """Nodal-point expansion, implicit position resolved by fixed point."""
     if order not in (0, 1, 2):
         raise InputError("order must be 0, 1 or 2")
-    if component not in (1, 2):
-        raise InputError("component must be 1 or 2")
+    component = component_number(component)
     b = problem.boundary
     m = problem.mass
     lam_val = _resolve_lambda(problem, n, lam)
@@ -172,8 +164,9 @@ def nodal_point_asym(problem: DiracProblem, n: int, j: int, component: int = 1,
 
 
 def nodal_point_series(problem: DiracProblem, n: int, j: int) -> float:
-    """Fully expanded nodal-point series in powers of 1/(n-2) for the
-    parameter-dependent family; cross-checks the fixed-point form."""
+    """Fully expanded nodal-point series in powers of 1/mu, mu =
+    integer_base("I", n) = n - 2, for the parameter-dependent family;
+    cross-checks the fixed-point form."""
     b = problem.boundary
     if not isinstance(b, ParamDependent):
         raise UnsupportedPrediction("series form exists only for the "
@@ -183,7 +176,7 @@ def nodal_point_series(problem: DiracProblem, n: int, j: int) -> float:
     m = problem.mass
     constants = AsymptoticConstants.from_problem(problem)
     v, c = constants.v, constants.c
-    mu = float(n - 2)
+    mu = float(integer_base(problem.case, n))
     pot = problem.potential
 
     def update(x):
@@ -216,11 +209,7 @@ def nodal_length_asym(problem: DiracProblem, n: int, j: int, component: int = 1,
     m = problem.mass
     pot = problem.potential
     if isinstance(b, ParamDependent):
-        if component == 2:
-            raise UnsupportedPrediction(
-                "no nodal expansion for component 2 with parameter-dependent "
-                "boundary conditions")
-
+        # component 2 has no expansion here: nodal_point_asym raised above
         def update(length):
             val = math.pi / lam_val
             if order >= 1:
@@ -249,8 +238,7 @@ def eigenfunction_asym(problem: DiracProblem, lam: float, x: float,
     The remainder is not modeled, so the expansion is only offered for
     |lam| of at least _EIGENFUNCTION_MIN_LAMBDA.
     """
-    if component not in (1, 2):
-        raise InputError("component must be 1 or 2")
+    component = component_number(component)
     if abs(lam) < _EIGENFUNCTION_MIN_LAMBDA:
         raise DomainError(f"|lambda| must be at least {_EIGENFUNCTION_MIN_LAMBDA}")
     b = problem.boundary

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import click
 
-from . import __version__, asymptotics, solver, stability
+from . import __version__, asymptotics, reconstruction, solver, stability
 from .config import LoadedConfig, load_config, read_json
 from .errors import (CaseMismatch, ComputationError, ConfigError,
                      DiracNodalError, InputError, IterationFailure)
@@ -169,10 +169,9 @@ def nodes(problem_path, index, component, out_path):
 @click.option("--problem", "problem_path", required=True, type=click.Path())
 @click.option("--n", "index", type=int, required=True)
 @click.option("--mode", "mode_tag",
-              type=click.Choice(["corrected", "paper_exact"]), default=None,
+              type=click.Choice(reconstruction.MODE_TAGS), default=None,
               help="Override the mode from the configuration.")
-@click.option("--lambda-source",
-              type=click.Choice(["integer_seed", "numeric", "asymptotic"]),
+@click.option("--lambda-source", type=click.Choice(reconstruction.LAMBDA_SOURCES),
               default=None, help="Override the configuration's lambda source.")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_guard
@@ -186,7 +185,7 @@ def reconstruct(problem_path, index, mode_tag, lambda_source, out_path):
                                  cfg.solver.search())
     (nodal,) = _nodal_sets(cfg, [rec], 1)
     step = reconstruct_step(nodal, cfg.problem, mode, lam=rec.lam)
-    adjust = mode.lambda_source == "integer_seed"
+    adjust = mode.adjusts_mean
     shift = asymptotics.mean_shift(cfg.problem) / math.pi if adjust else 0.0
     err = l1_error(step, cfg.problem.potential, shift)
     rows = [[_fmt(a), _fmt(b), _fmt(v)] for a, b, v in
@@ -295,8 +294,8 @@ def validate_asymptotics(problem_path, n_min, n_max, out_path):
 @click.option("--n-max", type=int, required=True)
 @click.option("--grid-file", type=click.Path(), default=None,
               help="JSON grid sequence to check; defaults to solver data.")
-@click.option("--admissibility-constant", type=float, default=10.0,
-              show_default=True)
+@click.option("--admissibility-constant", type=float,
+              default=stability.ADMISSIBILITY_CONSTANT, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_guard
 def quasinodal_check_cmd(problem_path, n_min, n_max, grid_file,

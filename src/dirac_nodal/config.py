@@ -86,8 +86,6 @@ def parse_config(document) -> LoadedConfig:
     solver_obj = document.get("solver", {})
     check_keys(solver_obj, _SOLVER_KEYS, "solver")
     steps = solver_obj.get("steps", SolverSettings.steps)
-    if isinstance(steps, bool) or not isinstance(steps, int):
-        raise ConfigError("steps must be an integer", field="solver.steps")
     construct("solver.steps", IntegratorConfig, n_steps=steps)
     lambda_tol = SolverSettings.lambda_tol
     if "lambda_tol" in solver_obj:
@@ -97,10 +95,11 @@ def parse_config(document) -> LoadedConfig:
 
     modes_obj = document.get("modes", {})
     check_keys(modes_obj, _MODE_KEYS, "modes")
-    tag = modes_obj.get("reconstruction", "corrected")
+    tag = modes_obj.get("reconstruction", ReconstructionMode.tag)
     construct("modes.reconstruction", ReconstructionMode, tag=tag)
     mode = construct("modes.lambda_source", ReconstructionMode, tag=tag,
-                     lambda_source=modes_obj.get("lambda_source", "numeric"))
+                     lambda_source=modes_obj.get("lambda_source",
+                                                 ReconstructionMode.lambda_source))
     return LoadedConfig(problem=problem, solver=settings, mode=mode,
                         document=document)
 

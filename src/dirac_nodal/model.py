@@ -246,6 +246,39 @@ class Classical:
 BoundaryForm = ParamDependent | Classical
 
 
+def require_integer(value, what) -> int:
+    """value as an int: an integer, numpy's included, other than a bool;
+    InputError naming ``what`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def eigenvalue_index(n) -> int:
+    """The eigenvalue label n as an int: any integer other than 0, which
+    labels no eigenvalue (DomainError).  A bool or a non-integral value,
+    3.0 and 3.7 among them, is an InputError."""
+    n = require_integer(n, "eigenvalue index")
+    if n == 0:
+        raise DomainError("eigenvalue index n must be nonzero")
+    return n
+
+
+def integer_base(case, n) -> int:
+    """The integer part of the eigenvalue labelled n: lambda_n = integer_base
+    + v/pi + O(1/n), n - 2 for n > 0 in case I and n otherwise."""
+    n = eigenvalue_index(n)
+    return n - 2 if case == "I" and n > 0 else n
+
+
+def component_number(component) -> int:
+    """The eigenfunction component as an int: 1 (y1) or 2 (y2); any other
+    value, 1.0 and True among them, is an InputError."""
+    if require_integer(component, "component") not in (1, 2):
+        raise InputError(f"component must be 1 or 2, got {component!r}")
+    return int(component)
+
+
 @dataclass(frozen=True)
 class DiracProblem:
     """Mass, potential and boundary form; fully determines a spectrum."""
@@ -315,8 +348,7 @@ class NodalSet:
     predicted_count: int | None = None
 
     def __post_init__(self):
-        if self.component not in (1, 2):
-            raise InputError("component must be 1 or 2")
+        component_number(self.component)
         object.__setattr__(self, "points", _validated_points(self.points))
 
     @property
@@ -343,10 +375,11 @@ class GridSequence:
         self.case = case
         store = {}
         for n, pts in rows.items():
+            n = eigenvalue_index(n)
             row = _validated_points(pts)
             if not row.size:
-                raise InputError(f"empty row for index {int(n)}")
-            store[int(n)] = row
+                raise InputError(f"empty row for index {n}")
+            store[n] = row
         self._rows = store
 
     @classmethod
@@ -365,13 +398,10 @@ class GridSequence:
     def lengths(self, n):
         return np.diff(self.row(n))
 
-    def seed_count(self, n):
-        """Integer frequency surrogate for row n: n-2 in case I, n in case II."""
-        return n - 2 if self.case == "I" else n
-
     def deviation_sup(self, n):
-        """max_k n * |X_k - k*pi/seed| measured against the ideal lattice."""
-        seed = self.seed_count(n)
+        """max_k n * |X_k - k*pi/seed| measured against the ideal lattice,
+        seed = integer_base(case, n); infinite where seed <= 0."""
+        seed = integer_base(self.case, n)
         if seed <= 0:
             return math.inf
         row = self.row(n)

@@ -29,8 +29,8 @@ from . import asymptotics
 from .errors import DomainError, InputError
 from .model import DOMAIN_LENGTH, DiracProblem, NodalSet, Potential
 
-_MODE_TAGS = ("corrected", "paper_exact")
-_LAMBDA_SOURCES = ("integer_seed", "numeric", "asymptotic")
+MODE_TAGS = ("corrected", "paper_exact")
+LAMBDA_SOURCES = ("integer_seed", "numeric", "asymptotic")
 
 # Uniform cells of the piecewise-linear representation of a callable V.
 _LINEAR_CELLS = 4096
@@ -75,10 +75,16 @@ class ReconstructionMode:
     lambda_source: str = "numeric"
 
     def __post_init__(self):
-        if self.tag not in _MODE_TAGS:
-            raise InputError(f"tag must be one of {_MODE_TAGS}")
-        if self.lambda_source not in _LAMBDA_SOURCES:
-            raise InputError(f"lambda_source must be one of {_LAMBDA_SOURCES}")
+        if self.tag not in MODE_TAGS:
+            raise InputError(f"tag must be one of {MODE_TAGS}")
+        if self.lambda_source not in LAMBDA_SOURCES:
+            raise InputError(f"lambda_source must be one of {LAMBDA_SOURCES}")
+
+    @property
+    def adjusts_mean(self) -> bool:
+        """Whether the reconstruction converges to V - v/pi rather than V:
+        integer seeds cannot see the additive constant v/pi."""
+        return self.lambda_source == "integer_seed"
 
 
 def jn_index(nodes: NodalSet, x: float) -> int:
@@ -95,7 +101,7 @@ def _resolve_scale(nodes, problem, mode, lam):
         return float(lam)
     if mode.lambda_source == "asymptotic":
         return asymptotics.lambda_asym(problem, nodes.index, order=2)
-    # the integer seed is the expansion's zeroth order: n - 2 in case I, n
+    # the integer seed is the expansion's zeroth order, model.integer_base
     seed = asymptotics.lambda_asym(problem, nodes.index, order=0)
     if seed <= 0:
         raise DomainError(f"integer seed {seed:g} not positive for index {nodes.index}")

@@ -103,6 +103,7 @@ import functools
 import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -112,7 +113,8 @@ from .errors import (ComputationError, DegenerateComponent, DomainError,
                      InputError, IntegrationFailure, IterationFailure,
                      RotationLimitExceeded, ToleranceNotMet,
                      UnsupportedPrediction)
-from .model import Classical, DiracProblem, EigenRecord, NodalSet
+from .model import (Classical, DiracProblem, EigenRecord, NodalSet,
+                    component_number, eigenvalue_index, require_integer)
 
 logger = logging.getLogger(__name__)
 
@@ -209,7 +211,7 @@ class IntegratorConfig:
     n_steps: int = 4096
 
     def __post_init__(self):
-        if self.n_steps < 64:
+        if require_integer(self.n_steps, "n_steps") < 64:
             raise InputError("n_steps must be at least 64")
 
 
@@ -222,8 +224,9 @@ class EigenSearchConfig:
     lambda_tolerance: float = 1e-10
 
     def __post_init__(self):
-        if not self.lambda_tolerance > 0:
-            raise InputError("lambda_tolerance must be positive")
+        tol = self.lambda_tolerance
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
+            raise InputError(f"lambda_tolerance must be a number > 0, got {tol!r}")
 
 
 # Taylor coefficients of cosh(sqrt(u)) = sum u**k / (2k)! (column 0) and of
@@ -851,9 +854,8 @@ def _rotation_index(boundary, n):
     """The number k of half-turns, theta(pi) = psi + k pi, of the eigenfunction
     labelled n: k = n in the classical case and k = n - 1 in case I, where
     that keeps the labels of the asymptotic expansion.  Label 0 names no
-    eigenvalue (rotation index 0 classically, -1 in case I)."""
-    if n == 0:
-        raise DomainError("eigenvalue index n must be nonzero")
+    eigenvalue (rotation index 0 classically, -1 in case I): the caller
+    passes n through ``model.eigenvalue_index``."""
     return n if isinstance(boundary, Classical) else n - 1
 
 
@@ -1049,7 +1051,7 @@ def find_eigenvalues(problem: DiracProblem, indices,
     """
     integrator = integrator or IntegratorConfig()
     search = search or EigenSearchConfig()
-    indices = [int(n) for n in indices]
+    indices = [eigenvalue_index(n) for n in indices]
     if not indices:
         return []
     turns = np.array([_rotation_index(problem.boundary, n) for n in indices])
@@ -1130,24 +1132,20 @@ def find_eigenvalue(problem: DiracProblem, n: int,
 
 def node_count_prediction(boundary, n: int, component: int) -> int:
     """Closed-form interior node count for large n, per boundary family."""
-    if n < 4:
+    if eigenvalue_index(n) < 4:
         raise DomainError("node-count prediction requires n >= 4")
-    if component not in (1, 2):
-        raise InputError("component must be 1 or 2")
+    component = component_number(component)
     if isinstance(boundary, Classical):
         return abs(n) + 1 - component
     if component == 2:
         raise UnsupportedPrediction(
             "no node-count formula for component 2 with parameter-dependent "
             "boundary conditions")
+    # n - 2 where alpha >= 0 and beta > 0 hold together or fail together
     a, b = boundary.alpha, boundary.beta
-    if a >= 0 and b > 0:
+    if (a >= 0) == (b > 0):
         return n - 2
-    if a < 0 and b <= 0:
-        return n - 2
-    if a >= 0 and b <= 0:
-        return n - 3
-    return n - 1
+    return n - 3 if a >= 0 else n - 1
 
 
 def _node_start(m, lams, rows, vbar, y_lo, y_hi, lo, hi, f_lo, f_hi):
@@ -1270,9 +1268,9 @@ def extract_nodal_sets(problem: DiracProblem, records, components,
     1e-9 of the previous one.  A component that is identically zero,
     or vanishes on three consecutive mesh nodes, raises DegenerateComponent.
     """
-    components = tuple(components)
-    if not components or any(c not in (1, 2) for c in components):
-        raise InputError("component must be 1 or 2")
+    components = tuple(component_number(c) for c in components)
+    if not components:
+        raise InputError("no component given")
     cfg = cfg or IntegratorConfig()
     records = list(records)
     if not records:
@@ -1368,8 +1366,7 @@ def extract_nodes(problem: DiracProblem, rec: EigenRecord, component: int,
     DegenerateComponent, raises on a call for either component.
     """
     global _last_nodal_sets
-    if component not in (1, 2):
-        raise InputError("component must be 1 or 2")
+    component = component_number(component)
     cfg = cfg or IntegratorConfig()
     key = (problem, rec.index, float(rec.lam), _node_steps(rec, cfg.n_steps))
     kept = _last_nodal_sets   # one read: another thread may replace the slot

@@ -20,38 +20,38 @@ from . import solver
 from .asymptotics import mean_shift
 from .errors import (CaseMismatch, ComputationError, DomainError, InputError,
                      RowMismatch)
-from .model import DOMAIN_LENGTH, DiracProblem, GridSequence, NodalSet, Potential
+from .model import (DOMAIN_LENGTH, DiracProblem, GridSequence, NodalSet, Potential,
+                    eigenvalue_index, integer_base)
 from .reconstruction import ReconstructionMode, l1_distance, l1_error, reconstruct_step
 
 logger = logging.getLogger(__name__)
 
 IDENTITY_TOLERANCE = 0.15   # largest |ratio - 1| of a supported identity
-
-
-def _check_positivity(case, n, m):
-    """The weights of s_n are positive where n - 2 > |m|/sqrt(2) in case I
-    and n > |m|/sqrt(2) classically; at equality the case-I weight is 0/0."""
-    shift = 2 if case == "I" else 0
-    if not n - shift > abs(m) / math.sqrt(2.0):
-        raise DomainError(
-            f"prefactor positivity needs n > |m|/sqrt(2) + {shift}; got n={n}, m={m}")
+ADMISSIBILITY_CONSTANT = 10.0   # largest deviation_sup of an admissible row
 
 
 def s_n(x_seq: GridSequence, y_seq: GridSequence, n: int, m: float = 0.0) -> float:
-    """Weighted l1 distance between the grid-length rows at index n."""
+    """Weighted l1 distance between the grid-length rows at index n.
+
+    Its weights, in mu = integer_base(case, n), are positive where mu >
+    |m|/sqrt(2) (DomainError otherwise); at equality the case-I weight is
+    0/0."""
     if x_seq.case != y_seq.case:
         raise CaseMismatch("sequences belong to different cases")
     lx = x_seq.lengths(n)
     ly = y_seq.lengths(n)
     if lx.size != ly.size:
         raise RowMismatch(f"row {n}: {lx.size} vs {ly.size} lengths")
-    _check_positivity(x_seq.case, n, m)
+    mu = integer_base(x_seq.case, n)
+    if not mu > abs(m) / math.sqrt(2.0):
+        raise DomainError(f"prefactor positivity needs integer_base(case, n) > "
+                          f"|m|/sqrt(2); got n={n} (base {mu}), m={m}")
     diff = np.abs(lx - ly)
     if x_seq.case == "I":
-        weight = math.pi * (n - 2 - m * m / (2.0 * (n - 2)))
+        weight = math.pi * (mu - m * m / (2.0 * mu))
         return float(weight * np.sum(diff))
     k = np.arange(1, diff.size + 1)
-    weights = math.pi * (n + np.where(k % 2 == 0, 1.0, -1.0) * m * m / (2.0 * n))
+    weights = math.pi * (mu + np.where(k % 2 == 0, 1.0, -1.0) * m * m / (2.0 * mu))
     return float(np.sum(weights * diff))
 
 
@@ -75,7 +75,7 @@ def d0_estimate(x_seq: GridSequence, y_seq: GridSequence, n_window,
     Flagged infinite when the values exceed the ceiling and are still
     growing (positive fitted slope).
     """
-    ns = sorted(int(n) for n in n_window)
+    ns = sorted(eigenvalue_index(n) for n in n_window)
     if not ns:
         raise InputError("empty index window")
     table = {n: s_n(x_seq, y_seq, n, m) for n in ns}
@@ -156,8 +156,8 @@ class QuasinodalReport:
     l1_trend_pass: bool
 
 
-def quasinodal_check(x_seq: GridSequence, potential: Potential, m: float,
-                     boundary, admissibility_constant: float = 10.0) -> QuasinodalReport:
+def quasinodal_check(x_seq: GridSequence, potential: Potential, m: float, boundary,
+                     admissibility_constant=ADMISSIBILITY_CONSTANT) -> QuasinodalReport:
     """Check a grid sequence against a candidate potential.
 
     Never raises on data: every verdict is carried in the report.
@@ -304,7 +304,7 @@ def stability_identity_report(v_a: Potential, v_b: Potential, boundary,
     "identity_supported" when the last corrected ratio lies within
     IDENTITY_TOLERANCE of 1 and |ratio - 1| trends down, or "inconclusive".
     """
-    ns = sorted(int(n) for n in n_window)
+    ns = sorted(eigenvalue_index(n) for n in n_window)
     prob_a = DiracProblem(m, v_a, boundary)
     prob_b = DiracProblem(m, v_b, boundary)
     seq_a = nodal_grid_sequence(prob_a, ns, integrator, search)

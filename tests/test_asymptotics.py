@@ -8,12 +8,13 @@ import pytest
 
 from conftest import canonical_pd, loglog_slope
 from dirac_nodal import (AsymptoticConstants, Classical, DiracProblem,
-                         DomainError, IntegratorConfig, IterationFailure,
+                         DomainError, InputError, IntegratorConfig, IterationFailure,
                          UnsupportedPrediction, eigenfunction_asym,
                          find_eigenvalue, find_eigenvalues, integrate,
                          lambda_asym, lambda_inverse_asym, mean_shift,
                          named_potential, nodal_length_asym, nodal_point_asym,
                          nodal_point_series)
+from dirac_nodal.model import integer_base
 
 PI = math.pi
 
@@ -142,6 +143,24 @@ class TestLambdaAsym:
         p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
         with pytest.raises(DomainError):
             lambda_asym(p, 0)
+
+    @pytest.mark.parametrize("boundary", [Classical(0.3, 0.7), canonical_pd(0.4, 0.5)],
+                             ids=["classical", "case_one"])
+    def test_order_zero_is_integer_base(self, boundary):
+        # case I with n < 0 is where the shift's former copies disagreed
+        p = DiracProblem(0.5, named_potential("sin2x"), boundary)
+        for n in [n for n in range(-5, 11) if n]:
+            assert lambda_asym(p, n, order=0) == integer_base(p.case, n)
+            assert lambda_asym(p, np.int64(n), order=0) == integer_base(p.case, n)
+
+    @pytest.mark.parametrize("n", [3.7, 4.0, True])
+    def test_non_integer_index_rejected(self, n):
+        p = DiracProblem(0.5, named_potential("sin2x"), canonical_pd(0.4, 0.5))
+        for expansion in (lambda_asym, lambda_inverse_asym):
+            with pytest.raises(InputError, match="eigenvalue index"):
+                expansion(p, n)
+        with pytest.raises(InputError, match="eigenvalue index"):
+            nodal_point_series(p, 4.5, 1)
 
     def test_order1_does_not_need_constants(self):
         p = DiracProblem(0.5, named_potential("constant", c=0.5),

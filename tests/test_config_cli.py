@@ -21,6 +21,8 @@ from dirac_nodal import (Classical, ConfigError, InputError, asymptotics, solver
                          stability)
 from dirac_nodal.cli import main, read_csv_table
 from dirac_nodal.config import config_hash, load_config, parse_config
+from dirac_nodal.reconstruction import LAMBDA_SOURCES, MODE_TAGS, ReconstructionMode
+from dirac_nodal.solver import EigenSearchConfig, IntegratorConfig
 
 PI = math.pi
 
@@ -147,6 +149,24 @@ class TestConfigParsing:
         doc = dict(ZERO_QUARTER, mass="heavy")
         with pytest.raises(ConfigError, match="mass"):
             parse_config(doc)
+
+    def test_defaults_are_the_owners(self):
+        cfg = parse_config(SIN_HALF)
+        assert cfg.mode == ReconstructionMode()
+        assert cfg.solver.integrator() == IntegratorConfig(1024)
+        assert cfg.solver.search() == EigenSearchConfig()
+
+    def test_cli_choices_and_defaults_are_the_owners(self):
+        params = {(cmd, p.name): p for cmd in ("reconstruct", "quasinodal-check")
+                  for p in main.commands[cmd].params}
+        assert tuple(params["reconstruct", "mode_tag"].type.choices) == MODE_TAGS
+        assert tuple(params["reconstruct", "lambda_source"].type.choices) \
+            == LAMBDA_SOURCES
+        assert params["quasinodal-check", "admissibility_constant"].default \
+            == stability.ADMISSIBILITY_CONSTANT
+        # only integer seeds are compared against V - v/pi ("adjust_mean")
+        assert [ReconstructionMode(lambda_source=s).adjusts_mean
+                for s in LAMBDA_SOURCES] == [s == "integer_seed" for s in LAMBDA_SOURCES]
 
     def test_json_syntax_error_carries_location(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -594,6 +614,8 @@ class TestMalformedInput:
         ("solver", {"lambda_tol": -1e-10}, "solver.lambda_tol"),
         ("solver", {"lambda_tol": 0}, "solver.lambda_tol"),
         ("solver", {"steps": 32}, "solver.steps"),
+        ("solver", {"steps": 1000.5}, "solver.steps"),
+        ("solver", {"steps": "1024"}, "solver.steps"),
         ("mass", -1, "mass"),
         ("modes", {"reconstruction": "bogus"}, "modes.reconstruction"),
         ("modes", {"lambda_source": "bogus"}, "modes.lambda_source"),
@@ -603,7 +625,8 @@ class TestMalformedInput:
     ], ids=["lambda_tol-text", "lambda_tol-null", "lambda_tol-list", "lambda_tol-bool",
             "lambda_tol-nan", "c-text", "c-bool", "c-inf", "step-null", "coeffs-text",
             "coeffs-scalar", "params-list", "values-text", "lambda_tol-negative",
-            "lambda_tol-zero", "steps-32", "mass-negative-classical",
+            "lambda_tol-zero", "steps-32", "steps-fractional", "steps-text",
+            "mass-negative-classical",
             "reconstruction-bogus", "lambda_source-bogus", "grid-missing",
             "grid-not-json", "grid-not-utf8"])
     def test_exits_2_naming_the_field(self, tmp_path, key, value, field):

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac_nodal import (BoundaryConditionError, Classical, DiracProblem,
-                         GridSequence, InputError, NodalSet, ParamDependent,
-                         Potential, cumulative_integral, make_potential_sampled,
-                         named_potential, potential_from_json, potential_to_json)
+                         DomainError, GridSequence, InputError, NodalSet,
+                         ParamDependent, Potential, cumulative_integral,
+                         make_potential_sampled, named_potential,
+                         potential_from_json, potential_to_json)
+from dirac_nodal.model import component_number, eigenvalue_index, integer_base
 
 PI = math.pi
 
@@ -214,7 +216,53 @@ class TestBoundaryForms:
             ParamDependent(alpha, 0.0, a0, b0, 1.0, 1.0)
 
 
+class TestLabelRules:
+    """The one rule for an eigenvalue index, the one case-I shift and the one
+    component check, which every module calls."""
+
+    @pytest.mark.parametrize("n", [3, -7, np.int64(12), np.int32(-1)])
+    def test_index_is_a_nonzero_integer(self, n):
+        assert eigenvalue_index(n) == int(n)
+        assert type(eigenvalue_index(n)) is int
+
+    @pytest.mark.parametrize("n", [3.7, 3.0, np.float64(4.0), True, np.bool_(True),
+                                   "3", None])
+    def test_non_integer_index_rejected(self, n):
+        with pytest.raises(InputError, match="eigenvalue index must be an integer"):
+            eigenvalue_index(n)
+
+    def test_index_zero_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="nonzero"):
+            eigenvalue_index(0)
+
+    @pytest.mark.parametrize("case, n, base", [
+        ("I", 1, -1), ("I", 2, 0), ("I", 3, 1), ("I", 40, 38), ("I", -1, -1),
+        ("I", -3, -3), ("II", 1, 1), ("II", 40, 40), ("II", -3, -3)])
+    def test_integer_base(self, case, n, base):
+        assert integer_base(case, n) == base
+
+    def test_integer_base_follows_the_index_rule(self):
+        with pytest.raises(InputError):
+            integer_base("I", 8.5)
+        with pytest.raises(DomainError):
+            integer_base("II", 0)
+
+    @pytest.mark.parametrize("c", [1, 2, np.int64(2)])
+    def test_component_accepted(self, c):
+        assert component_number(c) == c and type(component_number(c)) is int
+
+    @pytest.mark.parametrize("c", [0, 3, -1, 1.0, 2.0, True, "1", None])
+    def test_component_rejected(self, c):
+        with pytest.raises(InputError, match="component must be"):
+            component_number(c)
+
+
 class TestNodalSet:
+    def test_component_must_be_the_integer_1_or_2(self):
+        for c in (1.0, True, 3):
+            with pytest.raises(InputError, match="component must be"):
+                NodalSet(5, c, [0.5, 1.0])
+
     def test_lengths_derived(self):
         ns = NodalSet(5, 1, [0.5, 1.0, 2.0])
         assert np.allclose(ns.lengths, [0.5, 1.0])
@@ -265,6 +313,20 @@ class TestGridSequence:
     def test_empty_row_rejected(self):
         with pytest.raises(InputError, match="empty row for index 3"):
             GridSequence("II", {4: [1.0, 2.0], 3: []})
+
+    def test_row_keys_are_eigenvalue_indices(self):
+        with pytest.raises(InputError, match="eigenvalue index must be an integer"):
+            GridSequence("II", {4.5: [1.0, 2.0]})
+        with pytest.raises(DomainError, match="nonzero"):
+            GridSequence("II", {0: [1.0, 2.0]})
+        seq = GridSequence("II", {np.int64(4): [1.0, 2.0]})
+        assert seq.indices() == [4] and type(seq.indices()[0]) is int
+
+    @pytest.mark.parametrize("n", [1, 2, -1, -3])
+    def test_deviation_sup_infinite_without_positive_base(self, n):
+        # case I rows 1 and 2 and every negative row have integer_base <= 0
+        seq = GridSequence("I", {n: [1.0, 2.0]})
+        assert seq.deviation_sup(n) == math.inf
 
     def test_deviation_sup_exact_lattice(self):
         n = 10

@@ -472,6 +472,74 @@ class TestFindEigenvalue:
             assert abs(a.lam - b.lam) < 16 * 1e-10
 
 
+class TestSolverInputErrors:
+    """Indices, components, step counts, tolerances and lambdas that the
+    solver rejects with InputError before any work."""
+
+    ZERO = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
+
+    @pytest.mark.parametrize("n", [3.7, 3.0, True])
+    def test_non_integer_index_rejected(self, n):
+        with pytest.raises(InputError, match="eigenvalue index must be an integer"):
+            find_eigenvalues(self.ZERO, [5, n], FAST)
+        with pytest.raises(InputError, match="eigenvalue index must be an integer"):
+            find_eigenvalue(self.ZERO, n, FAST)
+
+    def test_numpy_integer_indices(self):
+        plain = find_eigenvalues(self.ZERO, [3, -2, 5], FAST)
+        numpy = find_eigenvalues(self.ZERO, np.array([3, -2, 5]), FAST)
+        assert numpy == plain
+        assert all(type(r.index) is int for r in numpy)
+
+    def test_duplicate_indices_rejected(self):
+        with pytest.raises(InputError, match="duplicate eigenvalue indices"):
+            find_eigenvalues(self.ZERO, [3, 4, 3], FAST)
+
+    def test_empty_index_list_solves_nothing(self):
+        assert find_eigenvalues(self.ZERO, [], FAST) == []
+        assert solver_mod.extract_nodal_sets(self.ZERO, [], (1, 2), FAST) == []
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(InputError, match="lambda values must be finite"):
+            characteristic(self.ZERO, lam, FAST)
+
+    def test_empty_components_rejected(self):
+        rec = find_eigenvalue(self.ZERO, 5, FAST)
+        with pytest.raises(InputError, match="no component given"):
+            solver_mod.extract_nodal_sets(self.ZERO, [rec], (), FAST)
+
+    @pytest.mark.parametrize("component", [1.0, True, 3])
+    def test_component_must_be_the_integer_1_or_2(self, component):
+        rec = find_eigenvalue(self.ZERO, 5, FAST)
+        checks = [
+            lambda: extract_nodes(self.ZERO, rec, component, FAST),
+            lambda: solver_mod.extract_nodal_sets(self.ZERO, [rec], (1, component), FAST),
+            lambda: node_count_prediction(self.ZERO.boundary, 5, component),
+            lambda: asymptotics.nodal_point_asym(self.ZERO, 5, 1, component),
+            lambda: asymptotics.eigenfunction_asym(self.ZERO, rec.lam, 1.0, component)]
+        for check in checks:
+            with pytest.raises(InputError, match="component must be"):
+                check()
+
+    def test_node_count_index_rejected(self):
+        with pytest.raises(InputError, match="eigenvalue index must be an integer"):
+            node_count_prediction(self.ZERO.boundary, 4.5, 1)
+
+    @pytest.mark.parametrize("steps", [100.5, 4096.0, "4096", True])
+    def test_step_count_must_be_an_integer(self, steps):
+        with pytest.raises(InputError, match="n_steps must be an integer"):
+            IntegratorConfig(steps)
+
+    def test_numpy_step_count(self):
+        assert IntegratorConfig(np.int64(1024)).n_steps == 1024
+
+    @pytest.mark.parametrize("tol", ["x", None, True, [1e-10], 0.0, -1e-10, math.nan])
+    def test_tolerance_must_be_a_positive_number(self, tol):
+        with pytest.raises(InputError, match="lambda_tolerance must be a number > 0"):
+            EigenSearchConfig(tol)
+
+
 class TestRootFinder:
     """The safeguarded Illinois search that refines each scan bracket."""
 
@@ -1562,6 +1630,10 @@ class TestNodeCountPrediction:
         assert node_count_prediction(b, 10, 1) == 9
         b = canonical_pd(-0.1, -0.2)
         assert node_count_prediction(b, 10, 1) == 8
+        # the edges: alpha = 0 counts as alpha >= 0, beta = 0 as beta <= 0
+        assert node_count_prediction(canonical_pd(0.0, 0.0), 10, 1) == 7
+        assert node_count_prediction(canonical_pd(0.0, 0.5), 10, 1) == 8
+        assert node_count_prediction(canonical_pd(-0.1, 0.0), 10, 1) == 8
 
     def test_classical_formula(self):
         assert node_count_prediction(Classical(0.0, 0.0), 7, 2) == 6

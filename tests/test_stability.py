@@ -58,6 +58,19 @@ class TestSn:
         with pytest.raises(DomainError):
             s_n(x, x, 2)
 
+    @pytest.mark.parametrize("case, n, m, positive", [
+        ("I", 3, 1.4, True), ("I", 3, 1.5, False), ("I", -3, 0.0, False),
+        ("II", 3, 4.2, True), ("II", 3, 4.3, False), ("II", -3, 0.0, False)])
+    def test_positivity_is_on_the_integer_base(self, case, n, m, positive):
+        # the weights need integer_base(case, n) > |m|/sqrt(2): 1 in case I
+        # and 3 classically at n = 3
+        x = GridSequence(case, {n: [1.0, 2.0]})
+        if positive:
+            assert s_n(x, x, n, m) == 0.0
+        else:
+            with pytest.raises(DomainError, match="integer_base"):
+                s_n(x, x, n, m)
+
     def test_row_mismatch(self):
         x = GridSequence("II", {6: [0.5, 1.0]})
         y = GridSequence("II", {6: [0.5, 1.0, 1.5]})
@@ -125,6 +138,14 @@ class TestD0Estimate:
                                 for n, p in pts.items()})
         est = d0_estimate(x, y, [8, 12, 16])
         assert est.value == pytest.approx(max(est.table[12], est.table[16]))
+
+    def test_window_holds_eigenvalue_indices(self):
+        x = lattice_rows("II", [8, 12])
+        with pytest.raises(InputError, match="eigenvalue index must be an integer"):
+            d0_estimate(x, x, [8.5])
+        with pytest.raises(InputError, match="eigenvalue index must be an integer"):
+            d0_estimate(x, x, [8, 12.0])
+        assert d0_estimate(x, x, np.array([8, 12])).table == {8: 0.0, 12: 0.0}
 
     def test_infinite_flag(self):
         # hump perturbation of fixed amplitude: total length variation stays
@@ -314,6 +335,12 @@ class TestStabilityIdentityReport:
         for n in (10, 14):
             assert 0.7 < rep.ratios_corrected[n] < 1.3
         assert rep.d_sigma == pytest.approx(rep.d0 / (1 + rep.d0))
+
+    def test_window_holds_eigenvalue_indices(self):
+        # rejected before any solve
+        with pytest.raises(InputError, match="eigenvalue index must be an integer"):
+            stability_identity_report(named_potential("sin2x"), named_potential("zero"),
+                                      Classical(0.0, 0.0), 0.5, [10, 12.5])
 
     def test_parity_wiggling_window_is_inconclusive(self):
         """The benchmark's stability_cli pair of seed 1922 over 12..20: the
