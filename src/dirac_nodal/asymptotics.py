@@ -35,41 +35,35 @@ def mean_shift(problem: DiracProblem) -> float:
 @dataclass(frozen=True)
 class AsymptoticConstants:
     """Expansion constants of lambda_n = mu + v/pi + c/n + o(1/n), where mu is
-    ``model.integer_base(case, n)``: v always; c for the parameter-dependent
-    family,
+    ``model.integer_base(case, n)``: v = ``mean_shift``, and c, for the
+    parameter-dependent family
 
         c = m^2/2 + m (sin 2 alpha - sin 2 beta) / (2 pi)
             + (a0 sin alpha - b0 cos alpha) / pi
             - (a1 sin beta - b1 cos beta) / pi,
 
-    and c1 for the classical one,
+    and for the classical one
 
-        c1 = (m (sin 2 alpha - sin 2 beta) + m^2 pi) / (2 pi).
+        c = (m (sin 2 alpha - sin 2 beta) + m^2 pi) / (2 pi).
 
     Both match the constant fitted from solver eigenvalues to 1e-3."""
 
     v: float
-    c: float | None = None
-    c1: float | None = None
+    c: float
 
     @classmethod
     def from_problem(cls, problem: DiracProblem) -> "AsymptoticConstants":
         b = problem.boundary
         m = problem.mass
-        v = mean_shift(problem)
         if isinstance(b, ParamDependent):
             c = (0.5 * m * m
                  + m * (math.sin(2 * b.alpha) - math.sin(2 * b.beta)) / (2 * math.pi)
                  + b.left_sign_term / math.pi
                  - b.right_sign_term / math.pi)
-            return cls(v=v, c=c)
-        c1 = ((m * (math.sin(2 * b.alpha) - math.sin(2 * b.beta)) + m * m * math.pi)
-              / (2 * math.pi))
-        return cls(v=v, c1=c1)
-
-    @property
-    def second_order(self) -> float:
-        return self.c if self.c is not None else self.c1
+        else:
+            c = ((m * (math.sin(2 * b.alpha) - math.sin(2 * b.beta)) + m * m * math.pi)
+                 / (2 * math.pi))
+        return cls(v=mean_shift(problem), c=c)
 
 
 def lambda_asym(problem: DiracProblem, n: int, order: int = 2) -> float:
@@ -81,7 +75,7 @@ def lambda_asym(problem: DiracProblem, n: int, order: int = 2) -> float:
         constants = AsymptoticConstants.from_problem(problem)
         value += constants.v / math.pi
     if order == 2:
-        value += constants.second_order / n
+        value += constants.c / n
     return value
 
 
@@ -91,8 +85,7 @@ def lambda_inverse_asym(problem: DiracProblem, n: int) -> float:
     if mu < 1:
         raise DomainError(f"inverse expansion needs base index >= 1, got {mu}")
     constants = AsymptoticConstants.from_problem(problem)
-    v = constants.v
-    c = constants.second_order
+    v, c = constants.v, constants.c
     return (1.0 / mu
             - v / (mu * mu * math.pi)
             + (v * v - math.pi * math.pi * c) / (mu ** 3 * math.pi * math.pi))

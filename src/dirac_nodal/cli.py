@@ -2,9 +2,10 @@
 
 Subcommands: ``spectrum``, ``nodes``, ``reconstruct``, ``stability``,
 ``validate-asymptotics``, ``quasinodal-check``.  Outputs are CSV for tables
-and JSON for summaries; every CSV carries a provenance comment with the tool
-version and the configuration hash.  Runs are deterministic: meshes chosen
-by fixed rules, no randomness, stable float formatting.
+and JSON for summaries, named, checked and written by ``_outputs``; every file
+carries the same provenance, the tool version and the configuration hash.
+Runs are deterministic: meshes chosen by fixed rules, no randomness, stable
+float formatting.
 
 Failures print a machine-readable JSON object on stderr; invalid input exits
 with status 2, numerical failures with status 3.
@@ -71,10 +72,40 @@ def _guard(func):
     return wrapper
 
 
-def _write_csv(path, provenance, header, rows):
-    lines = [f"# dirac-nodal {__version__} {provenance}", ",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _outputs(out_path, inputs, configs, table=True, summary=True):
+    """The writer of a command's files, checked before the command solves.
+
+    The CSV table goes to ``--out`` and its JSON summary to ``--out`` with the
+    suffix ``.json``; a command without a table writes the summary alone at
+    ``--out``.  A summary that would replace its own table, or a file that
+    would replace one of ``inputs`` (paths, None for an option not given), is
+    an InputError, raised before anything is written.  Every file carries one
+    provenance, the tool version and the 12-character hash of each of
+    ``configs`` (label -> LoadedConfig): the CSV as its comment line, the JSON
+    as its ``provenance`` key.  Returns write(header, rows, report)."""
+    out = Path(out_path)
+    json_path = out.with_suffix(".json") if table else out
+    if table and summary and json_path == out:
+        raise InputError(f"--out {out}: its JSON summary would replace the table; "
+                         f"give --out a suffix other than .json")
+    for path in [path for path, kept in ((out, table), (json_path, summary)) if kept]:
+        for source in filter(None, inputs):
+            # samefile needs both files; a missing --grid-file fails when read
+            if path.exists() and os.path.exists(source) and os.path.samefile(path, source):
+                raise InputError(f"--out {out}: writing {path} would replace the "
+                                 f"input {source}")
+    provenance = " ".join([f"dirac-nodal {__version__}"]
+                          + [f"{label}={cfg.hash[:12]}" for label, cfg in configs.items()])
+
+    def write(header=None, rows=(), report=None):
+        if table:
+            lines = [f"# {provenance}", ",".join(header), *(",".join(row) for row in rows)]
+            out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if summary:
+            json_path.write_text(json.dumps(dict(report, provenance=provenance),
+                                            sort_keys=True, indent=2) + "\n",
+                                 encoding="utf-8")
+    return write
 
 
 def read_csv_table(path):
@@ -92,11 +123,6 @@ def read_csv_table(path):
     if header is None:
         raise InputError(f"{path} contains no header row")
     return comments, header, rows
-
-
-def _write_json(path, obj):
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
-                          encoding="utf-8")
 
 
 def _spectrum_records(cfg: LoadedConfig, indices):
@@ -138,11 +164,11 @@ def spectrum(problem_path, n_min, n_max, out_path):
     steps, error_estimate."""
     window = _window(n_min, n_max)
     cfg = load_config(problem_path)
+    write = _outputs(out_path, [problem_path], {"config": cfg}, summary=False)
     records = _spectrum_records(cfg, window)
-    rows = [[str(r.index), _fmt(r.lam), _fmt(r.residual), str(r.steps),
-             _fmt(r.error_estimate)] for r in records]
-    _write_csv(out_path, f"config={cfg.hash[:12]}",
-               ["n", "lambda", "residual", "steps", "error_estimate"], rows)
+    write(["n", "lambda", "residual", "steps", "error_estimate"],
+          [[str(r.index), _fmt(r.lam), _fmt(r.residual), str(r.steps),
+            _fmt(r.error_estimate)] for r in records])
 
 
 @main.command()
@@ -154,6 +180,7 @@ def spectrum(problem_path, n_min, n_max, out_path):
 def nodes(problem_path, index, component, out_path):
     """Nodal points of one eigenfunction component; CSV columns j, x, length."""
     cfg = load_config(problem_path)
+    write = _outputs(out_path, [problem_path], {"config": cfg}, summary=False)
     rec = solver.find_eigenvalue(cfg.problem, index, cfg.solver.integrator(),
                                  cfg.solver.search())
     (nodal,) = _nodal_sets(cfg, [rec], component)
@@ -162,7 +189,7 @@ def nodes(problem_path, index, component, out_path):
     for j, x in enumerate(nodal.points, start=1):
         length = _fmt(lengths[j - 1]) if j - 1 < lengths.size else ""
         rows.append([str(j), _fmt(x), length])
-    _write_csv(out_path, f"config={cfg.hash[:12]}", ["j", "x", "length"], rows)
+    write(["j", "x", "length"], rows)
 
 
 @main.command()
@@ -181,6 +208,7 @@ def reconstruct(problem_path, index, mode_tag, lambda_source, out_path):
     mode = ReconstructionMode(
         tag=mode_tag or cfg.mode.tag,
         lambda_source=lambda_source or cfg.mode.lambda_source)
+    write = _outputs(out_path, [problem_path], {"config": cfg})
     rec = solver.find_eigenvalue(cfg.problem, index, cfg.solver.integrator(),
                                  cfg.solver.search())
     (nodal,) = _nodal_sets(cfg, [rec], 1)
@@ -190,9 +218,7 @@ def reconstruct(problem_path, index, mode_tag, lambda_source, out_path):
     err = l1_error(step, cfg.problem.potential, shift)
     rows = [[_fmt(a), _fmt(b), _fmt(v)] for a, b, v in
             zip(step.breakpoints[:-1], step.breakpoints[1:], step.values)]
-    _write_csv(out_path, f"config={cfg.hash[:12]}",
-               ["x_left", "x_right", "value"], rows)
-    _write_json(Path(out_path).with_suffix(".json"), {
+    write(["x_left", "x_right", "value"], rows, {
         "n": index,
         "lambda": float(rec.lam),
         "mode": mode.tag,
@@ -220,6 +246,7 @@ def stability_cmd(path_a, path_b, n_min, n_max, out_path):
         raise InputError("stability comparison requires identical masses")
     if cfg_a.solver != cfg_b.solver:
         raise InputError("stability comparison requires identical solver settings")
+    write = _outputs(out_path, [path_a, path_b], {"config_a": cfg_a, "config_b": cfg_b})
     report = stability.stability_identity_report(
         cfg_a.problem.potential, cfg_b.problem.potential,
         cfg_a.problem.boundary, cfg_a.problem.mass,
@@ -229,9 +256,7 @@ def stability_cmd(path_a, path_b, n_min, n_max, out_path):
     columns = (report.s_values, report.ratios_corrected, report.ratios_paper_exact)
     rows = [[str(n)] + ["" if col[n] is None else _fmt(col[n]) for col in columns]
             for n in report.indices]
-    _write_csv(out_path, f"config_a={cfg_a.hash[:12]} config_b={cfg_b.hash[:12]}",
-               ["n", "S_n", "ratio_corrected", "ratio_paper_exact"], rows)
-    _write_json(Path(out_path).with_suffix(".json"), {
+    write(["n", "S_n", "ratio_corrected", "ratio_paper_exact"], rows, {
         "d0_estimate": report.d0,
         "d_sigma": report.d_sigma,
         "norm_corrected": report.norm_corrected,
@@ -255,6 +280,7 @@ def validate_asymptotics(problem_path, n_min, n_max, out_path):
         raise InputError(f"the nodal expansions need positive indices; got "
                          f"index {window[0]}")
     cfg = load_config(problem_path)
+    write = _outputs(out_path, [problem_path], {"config": cfg})
     records = _spectrum_records(cfg, window)
     nodal_sets = _nodal_sets(cfg, records, 1)
     problem = cfg.problem
@@ -280,10 +306,8 @@ def validate_asymptotics(problem_path, n_min, n_max, out_path):
         table.append((n, abs(rec.lam - asymptotics.lambda_asym(problem, n, order=2)),
                       max(node_errors, default=math.nan),
                       max(length_errors, default=math.nan)))
-    _write_csv(out_path, f"config={cfg.hash[:12]}",
-               ["n", "err_lambda", "err_node_max", "err_length_max"],
-               [[str(row[0])] + [_fmt(e) for e in row[1:]] for row in table])
-    _write_json(Path(out_path).with_suffix(".json"), {
+    write(["n", "err_lambda", "err_node_max", "err_length_max"],
+          [[str(row[0])] + [_fmt(e) for e in row[1:]] for row in table], {
         f"slope_{name}": stability.loglog_slope([(row[0], row[k]) for row in table])
         for k, name in enumerate(("lambda", "node", "length"), start=1)})
 
@@ -303,6 +327,7 @@ def quasinodal_check_cmd(problem_path, n_min, n_max, grid_file,
     """Quasinodal admissibility report for a grid sequence."""
     window = _window(n_min, n_max)
     cfg = load_config(problem_path)
+    write = _outputs(out_path, [problem_path, grid_file], {"config": cfg}, table=False)
     if grid_file is not None:
         seq = GridSequence.from_json(read_json(grid_file))
         if seq.case != cfg.problem.case:
@@ -318,7 +343,7 @@ def quasinodal_check_cmd(problem_path, n_min, n_max, grid_file,
     report = stability.quasinodal_check(
         seq, cfg.problem.potential, cfg.problem.mass, cfg.problem.boundary,
         admissibility_constant=admissibility_constant)
-    _write_json(out_path, {
+    write(report={
         "case": report.case,
         "admissibility_constant": report.admissibility_constant,
         "rows": [{"n": n, "deviation_sup": report.deviations[n],

@@ -312,7 +312,7 @@ class EigenRecord:
     breakpoints are added), and ``error_estimate`` the estimate of the
     error of ``lam``: |lam' - lam|, lam' the eigenvalue on the mesh of half
     as many uniform steps.  Both are None on a record that no search
-    produced.
+    produced.  ``index`` is stored as ``eigenvalue_index`` returns it.
     """
 
     index: int
@@ -321,6 +321,9 @@ class EigenRecord:
     bracket: tuple[float, float]
     steps: int | None = None
     error_estimate: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", eigenvalue_index(self.index))
 
 
 def _validated_points(points, lo=0.0, hi=DOMAIN_LENGTH):
@@ -339,7 +342,8 @@ class NodalSet:
     component without interior zeros.
 
     ``predicted_count`` carries the closed-form node-count prediction when
-    one exists; it is recorded for comparison, never enforced.
+    one exists; it is recorded for comparison, never enforced.  ``index`` is
+    stored as ``eigenvalue_index`` returns it.
     """
 
     index: int
@@ -348,6 +352,7 @@ class NodalSet:
     predicted_count: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "index", eigenvalue_index(self.index))
         component_number(self.component)
         object.__setattr__(self, "points", _validated_points(self.points))
 

@@ -82,12 +82,13 @@ class TestConstants:
         assert constants.c == pytest.approx(2.0 / PI, abs=1e-14)
 
     def test_massless_classical_c1_zero(self):
+        # the classical second-order constant, the paper's c1, is held in c
         p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, PI / 4))
-        assert AsymptoticConstants.from_problem(p).c1 == 0.0
+        assert AsymptoticConstants.from_problem(p).c == 0.0
 
     def test_quarter_turn_shift_is_regular(self):
-        # c1 does not depend on cos(v); v = pi/2 once made it singular
-        assert AsymptoticConstants.from_problem(QUARTER_TURN).c1 == 0.125
+        # c does not depend on cos(v); v = pi/2 once made it singular
+        assert AsymptoticConstants.from_problem(QUARTER_TURN).c == 0.125
         assert lambda_asym(QUARTER_TURN, 6, order=2) == pytest.approx(
             6.5 + 0.125 / 6, abs=1e-14)
         assert math.isfinite(lambda_asym(QUARTER_TURN, -6, order=2))
@@ -105,7 +106,7 @@ class TestSecondOrderOracle:
                                   for label, ns in ORACLE_CASES])
     def test_fitted_matches_formula(self, cache, label, ns):
         problem = ORACLE_PROBLEMS.get(label) or cache.problem(label)
-        expected = AsymptoticConstants.from_problem(problem).second_order
+        expected = AsymptoticConstants.from_problem(problem).c
         assert fitted_second_order(problem, list(ns)) == pytest.approx(expected,
                                                                         abs=1e-3)
 

@@ -17,8 +17,8 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import cli_env, unreachable_angle
-from dirac_nodal import (Classical, ConfigError, InputError, asymptotics, solver,
-                         stability)
+from dirac_nodal import (Classical, ConfigError, InputError, __version__,
+                         asymptotics, solver, stability)
 from dirac_nodal.cli import main, read_csv_table
 from dirac_nodal.config import config_hash, load_config, parse_config
 from dirac_nodal.reconstruction import LAMBDA_SOURCES, MODE_TAGS, ReconstructionMode
@@ -585,6 +585,65 @@ class TestQuasinodalCommand:
         report = json.loads(out.read_text())
         assert report["asymptotics_pass"] is False
         assert report["flagged_rows"] == [36, 44, 52]
+
+
+class TestOutputFiles:
+    """The files a command writes: named from --out, refused before the solve
+    when one would replace an input or the command's own table, and stamped
+    with one provenance."""
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, SIN_HALF, "cfg.json")
+        write_config(tmp_path, dict(SIN_HALF, potential=named("zero")), "b.json")
+        (tmp_path / "grid.json").write_text(json.dumps(
+            {"case": "II", "rows": {"4": [k * PI / 4 for k in range(1, 4)]}}))
+        (tmp_path / "alias.json").symlink_to(tmp_path / "cfg.json")
+        return tmp_path
+
+    @pytest.mark.parametrize("args, path", [
+        ("reconstruct --problem cfg.json --n 6 --out cfg.csv", "cfg.json"),
+        ("quasinodal-check --problem cfg.json --n-min 3 --n-max 5 --out cfg.json",
+         "cfg.json"),
+        ("reconstruct --problem cfg.json --n 6 --out r.json", "r.json"),
+        ("spectrum --problem cfg.json --n-min 3 --n-max 5 --out cfg.json", "cfg.json"),
+        ("nodes --problem cfg.json --n 6 --out cfg.json", "cfg.json"),
+        ("validate-asymptotics --problem cfg.json --n-min 3 --n-max 8 --out cfg.csv",
+         "cfg.json"),
+        ("stability --problem-a cfg.json --problem-b b.json --n-min 3 --n-max 5 "
+         "--out b.csv", "b.json"),
+        ("quasinodal-check --problem cfg.json --n-min 3 --n-max 5 "
+         "--grid-file grid.json --out grid.json", "grid.json"),
+        ("reconstruct --problem cfg.json --n 6 --out alias.csv", "alias.json"),
+    ], ids=["summary-on-problem", "quasinodal-on-problem", "summary-on-table",
+            "spectrum-on-problem", "nodes-on-problem", "validate-on-problem",
+            "summary-on-problem-b", "quasinodal-on-grid", "summary-on-symlink"])
+    def test_refused_before_anything_is_written(self, workdir, args, path):
+        before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+        res = CliRunner().invoke(main, args.split())
+        assert res.exit_code == 2, res.output
+        payload = json.loads(res.stderr.strip().splitlines()[-1])
+        assert payload["error"] == "input", payload
+        assert payload["message"].startswith("--out ") and path in payload["message"]
+        assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+
+    @pytest.mark.parametrize("args", [
+        "reconstruct --problem cfg.json --n 6 --out out.csv",
+        "stability --problem-a cfg.json --problem-b b.json --n-min 5 --n-max 7 "
+        "--out out.csv",
+        "validate-asymptotics --problem cfg.json --n-min 5 --n-max 7 --out out.csv",
+        "quasinodal-check --problem cfg.json --n-min 5 --n-max 7 --out out.json",
+    ], ids=lambda args: args.split()[0])
+    def test_json_carries_the_csv_provenance(self, workdir, args):
+        res = CliRunner().invoke(main, args.split())
+        assert res.exit_code == 0, res.output
+        provenance = json.loads((workdir / "out.json").read_text())["provenance"]
+        if (workdir / "out.csv").exists():
+            line = read_csv_table(workdir / "out.csv")[0][0]
+        else:
+            line = f"# dirac-nodal {__version__} config={load_config('cfg.json').hash[:12]}"
+        assert provenance == line[2:] and provenance.startswith("dirac-nodal ")
 
 
 def named(name, **params):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac_nodal import (BoundaryConditionError, Classical, DiracProblem,
-                         DomainError, GridSequence, InputError, NodalSet,
+                         DomainError, EigenRecord, GridSequence, InputError, NodalSet,
                          ParamDependent, Potential, cumulative_integral,
                          make_potential_sampled, named_potential,
                          potential_from_json, potential_to_json)
@@ -246,6 +246,19 @@ class TestLabelRules:
             integer_base("I", 8.5)
         with pytest.raises(DomainError):
             integer_base("II", 0)
+
+    @pytest.mark.parametrize("make", [
+        lambda n: EigenRecord(n, 5.25, 0.0, (5.0, 5.5)),
+        lambda n: NodalSet(n, 1, [0.5, 1.0]),
+    ], ids=["EigenRecord", "NodalSet"])
+    def test_stored_index_follows_the_rule(self, make):
+        for n in (2.5, 3.7, 3.0):
+            with pytest.raises(InputError, match="eigenvalue index must be an integer"):
+                make(n)
+        with pytest.raises(DomainError, match="nonzero"):
+            make(0)
+        index = make(np.int64(5)).index
+        assert index == 5 and type(index) is int
 
     @pytest.mark.parametrize("c", [1, 2, np.int64(2)])
     def test_component_accepted(self, c):
