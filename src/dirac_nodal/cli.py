@@ -77,18 +77,23 @@ def _outputs(out_path, inputs, configs, table=True, summary=True):
 
     The CSV table goes to ``--out`` and its JSON summary to ``--out`` with the
     suffix ``.json``; a command without a table writes the summary alone at
-    ``--out``.  A summary that would replace its own table, or a file that
-    would replace one of ``inputs`` (paths, None for an option not given), is
-    an InputError, raised before anything is written.  Every file carries one
+    ``--out``.  An ``--out`` that names no file in an existing directory, a
+    file that would replace a directory, its own table (a summary) or one of
+    ``inputs`` (paths, None for an option not given), is an InputError,
+    raised before anything is written.  Every file carries one
     provenance, the tool version and the 12-character hash of each of
     ``configs`` (label -> LoadedConfig): the CSV as its comment line, the JSON
     as its ``provenance`` key.  Returns write(header, rows, report)."""
     out = Path(out_path)
+    if not out.name or not out.parent.is_dir():
+        raise InputError(f"--out {out_path}: not a file name in an existing directory")
     json_path = out.with_suffix(".json") if table else out
     if table and summary and json_path == out:
         raise InputError(f"--out {out}: its JSON summary would replace the table; "
                          f"give --out a suffix other than .json")
     for path in [path for path, kept in ((out, table), (json_path, summary)) if kept]:
+        if path.is_dir():
+            raise InputError(f"--out {out_path}: {path} is a directory")
         for source in filter(None, inputs):
             # samefile needs both files; a missing --grid-file fails when read
             if path.exists() and os.path.exists(source) and os.path.samefile(path, source):

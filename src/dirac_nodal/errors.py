@@ -41,8 +41,10 @@ class IntegrationFailure(ComputationError):
 
 
 class RotationLimitExceeded(ComputationError):
-    """The mesh is too coarse to count the turns of the Prufer angle at some
-    spectral parameter: one step may turn it by more than the count allows."""
+    """The cap on the eigenvalue search's steps is too coarse for the mass:
+    on every mesh it allows, |m| times a step's width exceeds the pi/2 by
+    which the turn of the Prufer angle over a step may stray from the
+    integral of lambda - V for its turns to be counted."""
 
 
 class DegenerateComponent(ComputationError):

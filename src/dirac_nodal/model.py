@@ -342,8 +342,9 @@ class NodalSet:
     component without interior zeros.
 
     ``predicted_count`` carries the closed-form node-count prediction when
-    one exists; it is recorded for comparison, never enforced.  ``index`` is
-    stored as ``eigenvalue_index`` returns it.
+    one exists; it is recorded for comparison, never enforced.  ``index`` and
+    ``component`` are stored as ``eigenvalue_index`` and ``component_number``
+    return them.
     """
 
     index: int
@@ -353,7 +354,7 @@ class NodalSet:
 
     def __post_init__(self):
         object.__setattr__(self, "index", eigenvalue_index(self.index))
-        component_number(self.component)
+        object.__setattr__(self, "component", component_number(self.component))
         object.__setattr__(self, "points", _validated_points(self.points))
 
     @property

@@ -54,7 +54,9 @@ width, so the tree's down-sweep stops at the level whose blocks keep that
 deviation within pi/2.  The angles at the block ends, less the integral of
 lambda - V over each block, unwrap theta and fix the 2 pi branch of the
 terminal state's own angle.  theta(pi) is therefore bitwise the same for
-every such level and every batch.
+every such level and every batch.  Only |m| bounds that deviation, so the
+angle is counted at any lambda on a mesh whose steps hold |m| times their
+width within pi/2: the search takes no other bound on the turn per step.
 
 Each index is seeded with the eigenvalue of the problem with V replaced by
 its mean, which the Prufer angle gives in closed form up to a scalar root
@@ -69,20 +71,24 @@ changes sign exactly once in such a bracket, and a safeguarded Illinois
 regula falsi refines it until it is ``lambda_tolerance`` wide.  Every round
 of the search evaluates the open indices in one batched propagation, and
 each index stops on its own.  The search controls its error by mesh
-refinement (Pryce, 1993; SLEDGE, Pruess and Fulton, ACM TOMS 19, 1993): it
-starts on about min(n_steps / 16, 256) steps, and the error estimate of each
-eigenvalue is its change from the mesh of half as many steps, about 63
-times the error of a sixth-order scheme.  The mesh of an index doubles
-while its estimate exceeds ``lambda_tolerance``.  A state at pi that
-cancels to a tiny fraction of its terms, as for an eigenfunction decaying
-from x = 0 across a mass gap, raises IntegrationFailure instead of yielding
-a wrong root.
+refinement (Pryce, 1993; SLEDGE, Pruess and Fulton, ACM TOMS 19, 1993):
+every index starts on about min(n_steps / 16, 256) steps, or the coarsest
+mesh fine enough for |m| (RotationLimitExceeded where n_steps is not), and
+the error estimate of each eigenvalue is its change from the mesh of half
+as many steps, about 63 times the error of a sixth-order scheme.  The mesh
+of an index doubles while its estimate exceeds ``lambda_tolerance``.  A
+state at pi that cancels to a tiny fraction of its terms, as for an
+eigenfunction decaying from x = 0 across a mass gap, raises
+IntegrationFailure instead of yielding a wrong root.
 
 Nodes are extracted for many records and either or both components in one
 call, ``extract_nodal_sets``.  A record's nodes follow its eigenvalue's
 mesh: they are taken on twice the uniform steps its eigenvalue stopped on,
-at most ``n_steps``; each such mesh is built once per call, and its records
-take one trajectory together, split so that steps times lambdas stays within
+at most ``n_steps``, and that mesh doubles, past ``n_steps`` if need be,
+until one step turns the angle at the record's lambda by at most pi/2, so
+that no cell holds two zeros: ``n_steps`` caps the eigenvalue search only.
+Each such mesh is built once per call, and its records take one trajectory
+together, split so that steps times lambdas stays within
 ``_CHUNK_ENTRIES``; nothing is kept between calls.  Every sign change
 between mesh nodes of the 2-D component arrays brackets a zero, and
 all brackets are refined together by a safeguarded Newton iteration on the
@@ -157,14 +163,10 @@ _CANCELLATION = 1e-12
 
 # Largest bound on how far the turn of the Prufer angle over one block of
 # steps may stray from the integral of lambda - V when the angle is unwrapped
-# between block ends, and on the turn over one step; below pi, with a margin
-# for the commutator term and roundoff.
+# between block ends, and on the turn over one step of a node mesh, so that
+# no cell holds two zeros of a component; below pi, with a margin for the
+# commutator term and roundoff.
 _BLOCK_TURN = math.pi / 2
-
-# Largest bound on the turn of the Prufer angle over one step at its seed for
-# a mesh to start an index's search on: half of _BLOCK_TURN, so that the
-# bracket search may move lambda away from the seed.
-_START_TURN = _BLOCK_TURN / 2
 
 # Largest distance the eigenvalue refined on a mesh is looked for from the
 # eigenvalue on the coarser mesh: well inside the spacing of eigenvalues.
@@ -201,12 +203,14 @@ _MAX_EVALUATIONS = 48
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Integration grid over [0, pi]: ``n_steps`` uniform steps, plus a node
-    at each breakpoint of the potential.  ``n_steps`` is a cap: the
-    eigenvalue search starts on ``n_steps >> k`` of about min(n_steps / 16,
-    256) steps, takes ``n_steps`` as its finest mesh and stops on the
-    coarsest that meets its tolerance; nodes use twice the steps their
-    eigenvalue stopped on, at most ``n_steps``, and trajectories use
-    ``n_steps``."""
+    at each breakpoint of the potential.  ``n_steps`` caps the eigenvalue
+    search: it starts on ``n_steps >> k`` of about min(n_steps / 16, 256)
+    steps (coarser ones are left out where one step holds |m| times its
+    width above pi/2), takes ``n_steps`` as its finest mesh and stops on the
+    coarsest that meets its tolerance.  Nodes use twice the steps their
+    eigenvalue stopped on, at most ``n_steps``, doubled, past ``n_steps`` if
+    need be, until one step turns the Prufer angle by at most pi/2 at the
+    eigenvalue; trajectories use ``n_steps``."""
 
     n_steps: int = 4096
 
@@ -519,22 +523,14 @@ def _end_angle(problem, lams):
     return b.beta + np.mod(np.arctan2(c, a) - b.beta, math.pi)
 
 
-def _block_level(problem, lams, mesh):
+def _block_level(problem, mesh):
     """log2 of the steps per block over which the angle is unwrapped: the
     largest power of two whose blocks, at the widest step of the mesh, hold
-    |m| times their width to at most _BLOCK_TURN.  Raises
-    RotationLimitExceeded where one step may turn the angle by more than
-    _BLOCK_TURN, from |theta'| <= |lambda| + max|V| + |m|."""
+    |m| times their width to at most _BLOCK_TURN.  It does not depend on
+    lambda; ``_levels`` keeps the search to meshes whose steps hold |m|
+    times their width to at most _BLOCK_TURN, where blocks of one step do."""
     n = mesh.vbar.size
-    h = mesh.h_max
-    rate = float(np.abs(lams).max()) + mesh.v_max + abs(problem.mass)
-    if h * rate > _BLOCK_TURN:
-        raise RotationLimitExceeded(
-            f"lambda = {float(np.abs(lams).max()):.6g}: one step of the "
-            f"{n}-step mesh may turn the Prufer angle by {h * rate:.3g} rad, "
-            f"more than the {_BLOCK_TURN:.3g} rad a step may turn; increase "
-            "the number of steps")
-    steps = _BLOCK_TURN / (h * abs(problem.mass)) if problem.mass else n
+    steps = _BLOCK_TURN / (mesh.h_max * abs(problem.mass)) if problem.mass else n
     return min(int(steps), n).bit_length() - 1
 
 
@@ -583,7 +579,7 @@ def _terminal(problem, lams, mesh, angle=False):
         1 << (max(1, _CHUNK_ENTRIES // lams.size).bit_length() - 1)
     inner = (width - 1).bit_length()
     if angle:
-        level = _block_level(problem, lams, mesh)
+        level = _block_level(problem, mesh)
         inner = min(level, inner)
     with np.errstate(over="ignore", invalid="ignore"):
         chunks = (_halve(_entries(mesh.coef[:, s + _order(min(width, n - s))[0], None],
@@ -995,24 +991,23 @@ def _refine(problem, seeds, slopes, mesh, tolerance, describe):
     return roots, slopes, lo, hi
 
 
-def _levels(n_steps):
+def _levels(n_steps, mass):
     """Uniform step counts of the meshes the eigenvalue search may use,
     coarsest first: n_steps >> k from the coarsest with at least
     min(n_steps / 16, 256) steps up to n_steps, so that the floor stops
-    moving with n_steps above 4096."""
+    moving with n_steps above 4096, less those whose steps hold |m| times
+    their width above _BLOCK_TURN, on which ``_block_level`` cannot unwrap
+    the angle (breakpoints only narrow the steps).  That bound does not
+    depend on lambda.  Raises RotationLimitExceeded where it leaves no mesh."""
     floor = min(n_steps >> 4, 256)
-    return tuple(n_steps >> k for k in reversed(range((n_steps // floor).bit_length())))
-
-
-def _start_levels(problem, seeds, levels, mesh):
-    """For each seed, the position in ``levels`` of the coarsest mesh on which
-    one step turns the angle at the seed by at most _START_TURN, from
-    |theta'| <= |lambda| + max|V| + |m| with max|V| sampled on ``mesh``;
-    the finest mesh where none does.  Breakpoints only narrow the steps."""
-    rate = np.abs(seeds) + mesh.v_max + abs(problem.mass)
-    fits = np.array([math.pi / n for n in levels])[:, None] * rate <= _START_TURN
-    fits[-1] = True
-    return np.argmax(fits, axis=0)
+    levels = tuple(n_steps >> k for k in reversed(range((n_steps // floor).bit_length()))
+                   if math.pi / (n_steps >> k) * abs(mass) <= _BLOCK_TURN)
+    if not levels:
+        raise RotationLimitExceeded(
+            f"mass m = {mass:g}: on the {n_steps}-step mesh |m| h = "
+            f"{math.pi / n_steps * abs(mass):.3g} rad exceeds the {_BLOCK_TURN:.3g} rad "
+            f"the angle count allows; use at least {math.ceil(2 * abs(mass))} steps")
+    return levels
 
 
 def _residuals(problem, lams, mesh):
@@ -1030,24 +1025,25 @@ def find_eigenvalues(problem: DiracProblem, indices,
 
     Index n labels the eigenvalue whose eigenfunction has rotation index
     ``_rotation_index(boundary, n)``.  The search runs on the meshes of
-    ``_levels(integrator.n_steps)``, from about min(n_steps / 16, 256) steps
-    up.  Each index starts on the coarsest one whose steps can count the
-    angle's turns near its seed, the first unless the seed is large.  Each
-    seed is the eigenvalue of the same problem with V replaced by its mean
-    vbar = integral(V) / pi (``_mean_potential_seeds``), exact for a
-    constant V; inside the mass gap it is the massless one.  ``_bracket`` turns the seeds into brackets by
-    the Prufer angle, starting each at the seed give or take a spread that
-    models the seed's error (see _SEED_FLOOR), and ``_illinois`` refines chi
-    in each.  A Newton step from lambda_N, with the slope of chi across its
-    final bracket, gives the root on the mesh of N / 2 uniform steps, and
-    the error estimate is |lambda_N/2 - lambda_N|, which bounds the error of
-    lambda_N on meshes that halve for any order of convergence of at least
-    1; a difference that is not finite is an infinite estimate.  While the
-    estimate exceeds ``lambda_tolerance``, N doubles and ``_refine`` solves
-    on it from the previous root, and the estimate is the root's change
-    from the previous one.  Each index decides alone, so each record is
-    bitwise the same in any batch.  An index whose estimate still exceeds
-    the tolerance on the finest mesh raises ToleranceNotMet.
+    ``_levels(integrator.n_steps, problem.mass)``, from about min(n_steps /
+    16, 256) steps up, and every index starts on the first: the angle is
+    counted on any of them whatever lambda (``_rotation``).  Each seed is
+    the eigenvalue of the same problem with V replaced by its mean vbar =
+    integral(V) / pi (``_mean_potential_seeds``), exact for a constant V;
+    inside the mass gap it is the massless one.  ``_bracket`` turns the
+    seeds into brackets by the Prufer angle, starting each at the seed give
+    or take a spread that models the seed's error (see _SEED_FLOOR), and
+    ``_illinois`` refines chi in each.  A Newton step from lambda_N, with
+    the slope of chi across its final bracket, gives the root on the mesh of
+    N / 2 uniform steps, and the error estimate is |lambda_N/2 - lambda_N|,
+    which bounds the error of lambda_N on meshes that halve for any order of
+    convergence of at least 1; a difference that is not finite is an
+    infinite estimate.  While the estimate exceeds ``lambda_tolerance``, N
+    doubles and ``_refine`` solves on it from the previous root, and the
+    estimate is the root's change from the previous one.  Each index
+    decides alone, so each record is bitwise the same in any batch.  An
+    index whose estimate still exceeds the tolerance on the finest mesh
+    raises ToleranceNotMet.
     """
     integrator = integrator or IntegratorConfig()
     search = search or EigenSearchConfig()
@@ -1064,45 +1060,40 @@ def find_eigenvalues(problem: DiracProblem, indices,
 
     mesh_of = functools.cache(lambda n: _mesh(problem, n))
 
-    def describe_in(positions):
-        return lambda k: f"eigenvalue index {indices[positions[k]]}"
+    def describe(k):   # position k among the indices open at the call
+        return f"eigenvalue index {indices[open_[k]]}"
 
-    levels = _levels(integrator.n_steps)
-    start = _start_levels(problem, seeds, levels, mesh_of(levels[0]))
+    levels = _levels(integrator.n_steps, problem.mass)
     deviation = float(np.abs(mesh_of(levels[0]).vbar - vbar).max())
     spread = np.maximum(deviation / ((seeds - vbar) ** 2 + 1.0), _SEED_FLOOR)
     size = len(indices)
-    # per index: lambda_N/2 - lambda_N for the mesh of N steps it is on
-    lam, slope, lo, hi, residual, d1 = (np.zeros(size) for _ in range(6))
+    residual = np.zeros(size)
     estimate = np.full(size, np.inf)
     steps = np.zeros(size, dtype=int)
-    for level, n in enumerate(levels):
-        new = np.flatnonzero(start == level)
-        old = np.flatnonzero((start < level) & (estimate > tolerance))
-        if not (new.size or old.size):
-            continue
+    open_ = np.arange(size)
+    for n in levels:
         mesh = mesh_of(n)
-        if new.size:
-            describe = describe_in(new)
-            b_lo, b_hi, chi_lo, chi_hi = _bracket(problem, turns[new], seeds[new],
-                                                  spread[new], vbar, mesh, describe)
-            lam[new], slope[new] = _illinois(_chi(problem, mesh), b_lo, b_hi,
-                                             chi_lo, chi_hi, tolerance, describe)
-            # a Newton step from lambda_N for the root on N/2 steps
-            d1[new] = -_characteristic_batch(problem, lam[new],
-                                             mesh_of(n >> 1)) / slope[new]
-            lo[new], hi[new] = b_lo, b_hi
-        if old.size:
-            roots, slope[old], lo[old], hi[old] = _refine(
-                problem, lam[old], slope[old], mesh, tolerance, describe_in(old))
-            d1[old] = lam[old] - roots
-            lam[old] = roots
-        here = np.concatenate((new, old))
-        estimate[here] = np.where(np.isfinite(d1[here]), np.abs(d1[here]), np.inf)
-        steps[here] = n
-        done = here[estimate[here] <= tolerance]
-        if done.size:
-            residual[done] = _residuals(problem, lam[done], mesh)
+        if n == levels[0]:
+            lo, hi, chi_lo, chi_hi = _bracket(problem, turns, seeds, spread, vbar,
+                                              mesh, describe)
+            lam, slope = _illinois(_chi(problem, mesh), lo, hi, chi_lo, chi_hi,
+                                   tolerance, describe)
+            # a Newton step from lambda_N for the root on N/2 steps: lambda_N/2
+            # - lambda_N
+            change = -_characteristic_batch(problem, lam, mesh_of(n >> 1)) / slope
+        else:
+            roots, slope[open_], lo[open_], hi[open_] = _refine(
+                problem, lam[open_], slope[open_], mesh, tolerance, describe)
+            change = lam[open_] - roots
+            lam[open_] = roots
+        estimate[open_] = np.where(np.isfinite(change), np.abs(change), np.inf)
+        steps[open_] = n
+        done = estimate[open_] <= tolerance
+        if done.any():
+            residual[open_[done]] = _residuals(problem, lam[open_[done]], mesh)
+        open_ = open_[~done]
+        if not open_.size:
+            break
     short = np.flatnonzero(estimate > tolerance)
     if short.size:
         raise ToleranceNotMet(
@@ -1239,11 +1230,23 @@ def _node_newton(problem, lams, rows, y0, lo, hi, f_lo, f_hi, x, rate, describe)
         x = np.where((lo < step) & (step < hi), step, mid)
 
 
-def _node_steps(rec, n_steps):
+def _turn_rate(problem, lams, v_max):
+    """|lambda| + max|V| + |m|, max|V| taken as v_max: a bound on |theta'|,
+    the rate at which the Prufer angle turns at lambda."""
+    return np.abs(lams) + v_max + abs(problem.mass)
+
+
+def _node_steps(problem, rec, n_steps, mesh_of):
     """Uniform steps of the mesh the nodes of a record are extracted on: twice
     those its eigenvalue was solved on, at most n_steps, and n_steps for a
-    record that no search produced."""
-    return n_steps if rec.steps is None else min(2 * rec.steps, n_steps)
+    record that no search produced; doubled, past n_steps if need be, until
+    one step of ``mesh_of(steps)`` turns the angle at the record's lambda by
+    at most _BLOCK_TURN, so that no cell holds two zeros of a component."""
+    steps = n_steps if rec.steps is None else min(2 * rec.steps, n_steps)
+    while ((mesh := mesh_of(steps)).h_max
+           * _turn_rate(problem, rec.lam, mesh.v_max) > _BLOCK_TURN):
+        steps *= 2
+    return steps
 
 
 def extract_nodal_sets(problem: DiracProblem, records, components,
@@ -1255,11 +1258,14 @@ def extract_nodal_sets(problem: DiracProblem, records, components,
     A record's nodes are extracted on the mesh of twice the uniform steps its
     eigenvalue was solved on (``rec.steps``), at most ``cfg.n_steps``, and on
     ``cfg.n_steps`` for a record without ``steps``: a sixth-order eigenvalue
-    converged on N steps leaves nodes on 2N steps within about 1e-12.  Each
-    of these meshes is built once per call, and the records that share one
-    take one trajectory together, in groups of at most _CHUNK_ENTRIES /
-    steps lambdas (one at least); nothing is kept between calls, so two
-    calls for one record propagate it twice.  Zeros are bracketed by the
+    converged on N steps leaves nodes on 2N steps within about 1e-12.  That
+    mesh doubles, past ``cfg.n_steps`` if need be, until one step turns the
+    Prufer angle by at most _BLOCK_TURN (``_node_steps``), so that sign
+    changes between mesh nodes find every zero.  Each of these meshes is
+    built once per call, and the records that share one take one trajectory
+    together, in groups of at most _CHUNK_ENTRIES / steps lambdas (one at
+    least); nothing is kept between calls, so two calls for one record
+    propagate it twice.  Zeros are bracketed by the
     sign changes between mesh nodes of every (record, component), found on
     the 2-D component arrays of all of them at once, and all brackets are
     refined together by ``_node_newton``, so each record's nodes are bitwise
@@ -1275,7 +1281,8 @@ def extract_nodal_sets(problem: DiracProblem, records, components,
     records = list(records)
     if not records:
         return []
-    steps = np.array([_node_steps(rec, cfg.n_steps) for rec in records])
+    mesh_of = functools.cache(lambda n: _mesh(problem, n))
+    steps = np.array([_node_steps(problem, rec, cfg.n_steps, mesh_of) for rec in records])
     lams = np.array([float(rec.lam) for rec in records])
     rows = np.array(components) - 1
     per = rows.size
@@ -1283,7 +1290,7 @@ def extract_nodal_sets(problem: DiracProblem, records, components,
     # record, and place; per bracket its pair and what _node_newton takes
     zeros, brackets = [], []
     for n in dict.fromkeys(steps.tolist()):
-        mesh = _mesh(problem, n)
+        mesh = mesh_of(n)
         group = np.flatnonzero(steps == n)
         size = max(1, _CHUNK_ENTRIES // mesh.vbar.size)
         for chunk in (group[s:s + size] for s in range(0, group.size, size)):
@@ -1320,9 +1327,8 @@ def extract_nodal_sets(problem: DiracProblem, records, components,
     roots = np.empty(0)
     if lo.size:
         x = _node_start(problem.mass, lam, row, vbar, y_lo, y_hi, lo, hi, f_lo, f_hi)
-        rate = np.abs(lam) + v_max + abs(problem.mass)
-        roots = _node_newton(problem, lam, row, y_lo, lo, hi, f_lo, f_hi, x, rate,
-                             describe)
+        roots = _node_newton(problem, lam, row, y_lo, lo, hi, f_lo, f_hi, x,
+                             _turn_rate(problem, lam, v_max), describe)
     # each pair's zeros inside the guard, in order, each more than 1e-9 past
     # the one before it
     key, x = (np.concatenate(v) for v in zip(*zeros, (pair, roots)))
@@ -1349,8 +1355,8 @@ def extract_nodal_sets(problem: DiracProblem, records, components,
     return sets
 
 
-# ((problem, index, lambda, node-mesh steps), nodal sets of components 1 and
-# 2) of the record extract_nodes extracted last, or None
+# ((problem, index, lambda, record steps, n_steps), nodal sets of components
+# 1 and 2) of the record extract_nodes extracted last, or None
 _last_nodal_sets = None
 
 
@@ -1360,7 +1366,8 @@ def extract_nodes(problem: DiracProblem, rec: EigenRecord, component: int,
 
     Both components of rec come from one ``extract_nodal_sets`` call, and
     the two sets of the last record are kept: a call with the same problem,
-    index, lambda and node-mesh steps returns the kept set without
+    index, lambda, ``rec.steps`` and ``cfg.n_steps``, everything
+    ``_node_steps`` chooses the node mesh from, returns the kept set without
     propagating or evaluating the potential.  A call for one component thus
     also pays for refining the other, and a component that raises, such as
     DegenerateComponent, raises on a call for either component.
@@ -1368,7 +1375,7 @@ def extract_nodes(problem: DiracProblem, rec: EigenRecord, component: int,
     global _last_nodal_sets
     component = component_number(component)
     cfg = cfg or IntegratorConfig()
-    key = (problem, rec.index, float(rec.lam), _node_steps(rec, cfg.n_steps))
+    key = (problem, rec.index, float(rec.lam), rec.steps, cfg.n_steps)
     kept = _last_nodal_sets   # one read: another thread may replace the slot
     if kept is None or kept[0] != key:
         kept = _last_nodal_sets = (key, extract_nodal_sets(problem, [rec], (1, 2),

@@ -202,10 +202,9 @@ class TestSpectrumCommand:
         for row in rows:
             n = int(row[0])
             assert float(row[1]) == pytest.approx(n + 0.25, abs=1e-9)
-            # V = 0 propagates exactly, so each index stops on the mesh it
-            # starts on: the coarsest (512 / 16), or for n = 8, where one of
-            # its steps may turn the angle by more than pi / 4, the next
-            assert int(row[3]) == (32 if n < 8 else 64) and float(row[4]) <= 1e-10
+            # V = 0 propagates exactly, so every index stops on the mesh it
+            # starts on, the coarsest (512 / 16)
+            assert int(row[3]) == 32 and float(row[4]) <= 1e-10
 
     def test_invalid_boundary_exits_2_with_json(self, tmp_path):
         doc = dict(ZERO_QUARTER)
@@ -219,14 +218,25 @@ class TestSpectrumCommand:
         assert "a0*sin(alpha)" in payload["message"]
 
     def test_rotation_limit_exits_3(self, tmp_path):
-        # one step of pi/64 cannot resolve the Prufer angle at lambda ~ 100
+        # V = 0 at lambda ~ 100 on 64 steps, where one step turns the Prufer
+        # angle by about 4.9 rad: the labels hold
         doc = dict(ZERO_QUARTER, solver={"steps": 64})
         cfg = write_config(tmp_path, doc)
         res = run_cli("spectrum", "--problem", str(cfg), "--n-min", "99",
-                      "--n-max", "100", "--out", str(tmp_path / "x.csv"))
+                      "--n-max", "100", "--out", str(tmp_path / "s.csv"))
+        assert res.returncode == 0, res.stderr
+        rows = read_csv_table(tmp_path / "s.csv")[2]
+        assert [int(row[0]) for row in rows] == [99, 100]
+        for row in rows:
+            assert float(row[1]) == pytest.approx(int(row[0]) + 0.25, abs=1e-9)
+        # with m = 100 every mesh of at most 64 steps holds |m| h above pi/2
+        cfg = write_config(tmp_path, dict(doc, mass=100.0), "heavy.json")
+        res = run_cli("spectrum", "--problem", str(cfg), "--n-min", "3",
+                      "--n-max", "4", "--out", str(tmp_path / "x.csv"))
         assert res.returncode == 3, res.stderr
         payload = json.loads(res.stderr.strip().splitlines()[-1])
         assert payload["type"] == "RotationLimitExceeded"
+        assert payload["message"].startswith("mass m = 100:")
         assert not (tmp_path / "x.csv").exists()
 
     def test_bracket_cap_exits_3(self, tmp_path, monkeypatch):
@@ -627,6 +637,30 @@ class TestOutputFiles:
         assert payload["error"] == "input", payload
         assert payload["message"].startswith("--out ") and path in payload["message"]
         assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+
+    @pytest.mark.parametrize("out", ["nodir/x.csv", ".", "sub", "sub/"],
+                             ids=["missing-directory", "dot", "directory",
+                                  "directory-slash"])
+    @pytest.mark.parametrize("command", [
+        "spectrum --problem cfg.json --n-min 3 --n-max 5",
+        "reconstruct --problem cfg.json --n 6",
+        "quasinodal-check --problem cfg.json --n-min 3 --n-max 5",
+    ], ids=lambda command: command.split()[0])
+    def test_unwritable_out_refused_before_the_solve(self, workdir, monkeypatch,
+                                                      command, out):
+        # no file can be written at --out: exit 2, naming --out, before the
+        # solve, and nothing is written
+        (workdir / "sub").mkdir()
+        monkeypatch.setattr(solver, "find_eigenvalues", None)
+        before = {p.name: p.read_bytes() for p in workdir.iterdir() if p.is_file()}
+        res = CliRunner().invoke(main, command.split() + ["--out", out])
+        assert res.exit_code == 2, res.output
+        payload = json.loads(res.stderr.strip().splitlines()[-1])
+        assert payload["error"] == "input", payload
+        assert payload["message"].startswith(f"--out {out}"), payload
+        assert {p.name: p.read_bytes() for p in workdir.iterdir()
+                if p.is_file()} == before
+        assert not any((workdir / "sub").iterdir())
 
     @pytest.mark.parametrize("args", [
         "reconstruct --problem cfg.json --n 6 --out out.csv",

@@ -249,7 +249,7 @@ class TestLabelRules:
 
     @pytest.mark.parametrize("make", [
         lambda n: EigenRecord(n, 5.25, 0.0, (5.0, 5.5)),
-        lambda n: NodalSet(n, 1, [0.5, 1.0]),
+        lambda n: NodalSet(n, np.int64(1), [0.5, 1.0]),
     ], ids=["EigenRecord", "NodalSet"])
     def test_stored_index_follows_the_rule(self, make):
         for n in (2.5, 3.7, 3.0):
@@ -257,8 +257,12 @@ class TestLabelRules:
                 make(n)
         with pytest.raises(DomainError, match="nonzero"):
             make(0)
-        index = make(np.int64(5)).index
-        assert index == 5 and type(index) is int
+        made = make(np.int64(5))
+        assert made.index == 5 and type(made.index) is int
+        # NodalSet's component, given as np.int64(1), is stored as the int
+        # component_number returns
+        if isinstance(made, NodalSet):
+            assert made.component == 1 and type(made.component) is int
 
     @pytest.mark.parametrize("c", [1, 2, np.int64(2)])
     def test_component_accepted(self, c):

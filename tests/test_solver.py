@@ -286,9 +286,9 @@ class TestFindEigenvalue:
             assert expected == pytest.approx(
                 [math.copysign(math.hypot(n, 0.5), n) for n in indices], abs=1e-13)
         seen = []
-        start_levels = solver_mod._start_levels
-        monkeypatch.setattr(solver_mod, "_start_levels", lambda problem, seeds, *rest:
-                            seen.append(seeds.tolist()) or start_levels(problem, seeds, *rest))
+        bracket = solver_mod._bracket
+        monkeypatch.setattr(solver_mod, "_bracket", lambda problem, turns, seeds, *rest:
+                            seen.append(seeds.tolist()) or bracket(problem, turns, seeds, *rest))
         find_eigenvalues(p, indices, cache.integrator(label))
         assert seen == [expected]
 
@@ -320,9 +320,9 @@ class TestFindEigenvalue:
         p = DiracProblem(mass, named_potential("constant", c=1.3), boundary)
         vbar = p.potential.total_integral / PI
         seen = []
-        start_levels = solver_mod._start_levels
-        monkeypatch.setattr(solver_mod, "_start_levels", lambda problem, seeds, *rest:
-                            seen.append(seeds) or start_levels(problem, seeds, *rest))
+        bracket = solver_mod._bracket
+        monkeypatch.setattr(solver_mod, "_bracket", lambda problem, turns, seeds, *rest:
+                            seen.append(seeds) or bracket(problem, turns, seeds, *rest))
         records = find_eigenvalues(p, indices)
         seeds = dict(zip(indices, seen[0]))
         outside = 0
@@ -432,12 +432,24 @@ class TestFindEigenvalue:
             find_eigenvalue(p, 5, FAST)
 
     def test_rotation_limit_exceeded(self):
-        # at lambda ~ 100 one step of pi/64 may turn the angle by about 4.9 rad
-        p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
+        # only the mass limits the mesh: at lambda ~ 100 one step of pi/64
+        # turns the angle by about 4.9 rad, and the labels hold; with m = 100
+        # every mesh of at most 64 steps holds |m| h above pi/2
         coarse = IntegratorConfig(n_steps=64)
-        assert find_eigenvalue(p, 20, coarse).lam == pytest.approx(20.0, abs=1e-9)
-        with pytest.raises(RotationLimitExceeded, match="64-step mesh"):
-            find_eigenvalue(p, 100, coarse)
+        p = DiracProblem(0.0, named_potential("zero"), Classical(0.0, 0.0))
+        for n in (20, 99, 100):
+            assert find_eigenvalue(p, n, coarse).lam == pytest.approx(n, abs=1e-9)
+        heavy = DiracProblem(100.0, named_potential("zero"), Classical(0.0, 0.0))
+        with pytest.raises(RotationLimitExceeded, match="mass m = 100: .*64-step mesh"):
+            find_eigenvalue(heavy, 5, coarse)
+        # m = 3 on 64 steps and m = 10 on 256 drop the meshes too coarse for
+        # the mass, and solve on the rest: lambda_n = sqrt(n^2 + m^2) for V = 0
+        for mass, cap, first in ((3.0, 64, 8), (10.0, 256, 32)):
+            p = DiracProblem(mass, named_potential("zero"), Classical(0.0, 0.0))
+            assert solver_mod._levels(cap, mass)[0] == first
+            for rec in find_eigenvalues(p, [1, 5, 9], IntegratorConfig(cap)):
+                assert rec.lam == pytest.approx(math.hypot(rec.index, mass), abs=1e-9)
+                assert rec.steps >= first
 
     def test_cancelled_terminal_state_raises(self):
         # case I, m = 8: index 1 decays from x = 0 across the mass gap, so its
@@ -634,6 +646,9 @@ SIN_CLASSICAL = (0.5, named_potential("sin2x"), Classical(0.3, 0.7))
 # theta(pi) that the bracket search has to jump across; the error estimates
 # meet 1e-10 on 4096 steps, not on 512
 STRONG = (10.0, Potential(func=lambda x: 8.0 * np.sin(6.0 * x)), Classical(0.2, 0.9))
+# 400 cells: on 1024 and 4096 uniform steps the mesh has 1408 and 4480 steps
+SAMPLED = (0.5, make_potential_sampled(np.sin(np.linspace(0.0, PI, 401))),
+           Classical(0.3, 0.7))
 
 
 def step_characteristic(lam, m, a, height, alpha, beta):
@@ -656,12 +671,18 @@ class TestErrorControl:
     lambda_tol."""
 
     def test_levels(self):
-        assert solver_mod._levels(4096) == (256, 512, 1024, 2048, 4096)
-        assert solver_mod._levels(1000) == (62, 125, 250, 500, 1000)
-        assert solver_mod._levels(4097) == (256, 512, 1024, 2048, 4097)
-        assert solver_mod._levels(64) == (4, 8, 16, 32, 64)
-        assert solver_mod._levels(5000) == (312, 625, 1250, 2500, 5000)
-        assert solver_mod._levels(65536) == tuple(256 << k for k in range(9))
+        assert solver_mod._levels(4096, 0.5) == (256, 512, 1024, 2048, 4096)
+        assert solver_mod._levels(1000, 0.5) == (62, 125, 250, 500, 1000)
+        assert solver_mod._levels(4097, 0.5) == (256, 512, 1024, 2048, 4097)
+        assert solver_mod._levels(64, 0.0) == (4, 8, 16, 32, 64)
+        assert solver_mod._levels(5000, 0.5) == (312, 625, 1250, 2500, 5000)
+        assert solver_mod._levels(65536, 0.5) == tuple(256 << k for k in range(9))
+        # a mesh whose steps hold |m| h above pi/2 is left out, N < 2 |m|
+        assert solver_mod._levels(4096, 200.0) == (512, 1024, 2048, 4096)
+        assert solver_mod._levels(64, 3.0) == (8, 16, 32, 64)
+        assert solver_mod._levels(64, 32.0) == (64,)
+        with pytest.raises(RotationLimitExceeded, match="at least 65 steps"):
+            solver_mod._levels(64, 32.5)
 
     def test_first_rung_does_not_move_with_steps(self):
         # steps is a cap: low indices start and stop on the same coarse
@@ -797,18 +818,16 @@ class TestErrorControl:
 
     @pytest.mark.parametrize("n_steps", [64, 1000, 4097])
     def test_uneven_step_counts(self, n_steps):
-        # V = 0: lambda_n = sqrt(n^2 + m^2), exact on every mesh; on 64 steps
-        # the larger seeds start one mesh finer, where one step turns less
+        # V = 0: lambda_n = sqrt(n^2 + m^2), exact on every mesh, so every
+        # index stops on the coarsest, 4 steps on 64 where a step turns the
+        # angle by up to 6.3 rad
         p = DiracProblem(0.5, named_potential("zero"), Classical(0.0, 0.0))
-        levels = solver_mod._levels(n_steps)
+        levels = solver_mod._levels(n_steps, p.mass)
         records = find_eigenvalues(p, range(3, 9), IntegratorConfig(n_steps))
         for rec in records:
             assert rec.lam == pytest.approx(math.sqrt(rec.index ** 2 + 0.25), abs=1e-10)
-            assert rec.steps in levels and rec.error_estimate <= 1e-10
-        if n_steps == 64:
-            assert [r.steps for r in records] == [16, 32, 32, 32, 32, 64]
-        else:
-            assert {r.steps for r in records} == {levels[0]}
+            assert rec.error_estimate <= 1e-10
+        assert {r.steps for r in records} == {levels[0]}
         if n_steps > 64:
             p = DiracProblem(*SIN_CLASSICAL)
             ref = find_eigenvalues(p, range(3, 21), IntegratorConfig(16384),
@@ -889,9 +908,10 @@ class TestErrorControl:
                                                   r"eigenvalue index 40 \("):
             find_eigenvalues(p, range(30, 41), IntegratorConfig(256))
         # a difference that is not finite is an infinite estimate, without a
-        # warning: V = 0 and index 8 starts on the finest of 64 steps, and
-        # chi on 32 steps is nan
-        p = DiracProblem(0.5, named_potential("zero"), Classical(0.0, 0.0))
+        # warning: V = 0 and m = 20 leave 64 steps the only mesh of a cap of
+        # 64, and chi on 32 steps is nan
+        p = DiracProblem(20.0, named_potential("zero"), Classical(0.0, 0.0))
+        assert solver_mod._levels(64, p.mass) == (64,)
         chi = solver_mod._characteristic_batch
         monkeypatch.setattr(
             solver_mod, "_characteristic_batch", lambda problem, lams, mesh:
@@ -949,6 +969,33 @@ class TestRotationLabels:
         for rec in records:
             assert trajectory_rotation(p, rec.lam, rec.steps) == rec.index
 
+    @pytest.mark.parametrize("args", [
+        (2.0, STRONG[1], STRONG[2]),
+        (0.5, named_potential("step", a=1.0, height=2.0), Classical(0.3, 0.7)),
+        SAMPLED,
+        (0.5, named_potential("sin2x"), canonical_pd(0.4, 0.5)),
+        POLY_M2,
+    ], ids=["strong_m2", "step", "sampled", "case_one", "poly_m2"])
+    def test_label_at_four_radians_per_step(self, args, monkeypatch):
+        # every index is bracketed on the first mesh, of 256 uniform steps,
+        # where a step of pi / 256 turns the angle by 4.9 to 8.6 rad: the
+        # labels are still the rotation index, counted on 8192 steps, where
+        # one turns it by 0.27 rad at most
+        p = DiracProblem(*args)
+        indices = [-700, -400, 400, 700]
+        first = solver_mod._levels(4096, p.mass)[0]
+        meshes, bracket = [], solver_mod._bracket
+        monkeypatch.setattr(solver_mod, "_bracket", lambda problem, turns, seeds, spread,
+                            vbar, mesh, describe: meshes.append(mesh.x)
+                            or bracket(problem, turns, seeds, spread, vbar, mesh, describe))
+        records = find_eigenvalues(p, indices, IntegratorConfig(4096))
+        assert len(meshes) == 1 and np.array_equal(meshes[0], solver_mod._mesh(p, first).x)
+        assert [r.index for r in records] == indices
+        for rec in records:
+            assert PI / first * abs(rec.lam) >= 4.0
+            k = solver_mod._rotation_index(p.boundary, rec.index)
+            assert trajectory_rotation(p, rec.lam, 8192) == k
+
     def test_case_one_label_offset(self, cache):
         p = cache.problem("pd_example")
         indices = [-6, -2, -1, 1, 2, 3, 20]
@@ -975,7 +1022,7 @@ class TestRotationLabels:
         # with m = 10 the angle is unwrapped over 32 blocks of 128 steps
         p = DiracProblem(*args)
         mesh = solver_mod._mesh(p, 4096)
-        assert solver_mod._block_level(p, [0.0], mesh) == 7
+        assert solver_mod._block_level(p, mesh) == 7
         lams = np.linspace(-45.0, 45.0, 31)
         _, _, theta = solver_mod._terminal(p, lams, mesh, angle=True)
         along = [trajectory_angles(p, lam, 4096)[0][-1] for lam in lams]
@@ -1101,8 +1148,8 @@ class TestExtractNodes:
                          Classical(0.0, 0.0))
         records = find_eigenvalues(p, range(3, 41))
         records.append(EigenRecord(12, records[9].lam, 0.0, (0.0, 0.0)))
-        assert {solver_mod._node_steps(r, 4096) for r in records} == \
-            {512, 1024, 2048, 4096}
+        assert {solver_mod._node_steps(p, r, 4096, lambda n: solver_mod._mesh(p, n))
+                for r in records} == {512, 1024, 2048, 4096}
         alone = [solver_mod.extract_nodal_sets(p, [rec], (c,))[0]
                  for rec in records for c in (1, 2)]
         if entries:
@@ -1137,8 +1184,11 @@ class TestExtractNodes:
 
     def test_node_mesh_is_twice_the_eigenvalue_mesh(self, monkeypatch):
         # a record's nodes come from min(2 steps, n_steps) uniform steps, a
-        # record without steps from n_steps; each mesh is built once a call
+        # record without steps from n_steps, doubled until one step turns the
+        # angle by at most pi/2; each mesh is built once a call
         p = DiracProblem(*SIN_CLASSICAL)
+        zero = DiracProblem(0.5, named_potential("zero"), Classical(0.0, 0.0))
+        fast = find_eigenvalue(zero, 600)
         records = find_eigenvalues(p, [3, 7, 40], IntegratorConfig(4096),
                                    EigenSearchConfig(lambda_tolerance=1e-12))
         assert [r.steps for r in records] == [256, 512, 1024]
@@ -1156,12 +1206,38 @@ class TestExtractNodes:
             sets = solver_mod.extract_nodal_sets(p, records + [hand], (1, 2),
                                                  IntegratorConfig(cap))
             assert taken == sizes and sorted(built) == sorted(set(sizes))
+        # the turn rule: V = 0 stops index 600 on the first mesh, 256 steps;
+        # one step of 512 may turn the angle by pi / 512 (600 + 0.5) = 3.7
+        # rad and one of 1024 by 1.8, so its nodes take 2048 steps, past a
+        # cap of 1024 too; y1 vanishes at both ends, and has 599 interior zeros
+        assert fast.steps == 256
+        for cap in (4096, 1024):
+            built.clear(), taken.clear()
+            (ones,) = solver_mod.extract_nodal_sets(zero, [fast], (1,),
+                                                    IntegratorConfig(cap))
+            assert taken == [2048] and built == [512, 1024, 2048]
+            assert ones.count == 599
         monkeypatch.undo()
         # the same nodes as a record without steps on that mesh
         for rec, first in zip(records, sets[::2]):
             bare = EigenRecord(rec.index, rec.lam, 0.0, rec.bracket)
             alone = extract_nodes(p, bare, 1, IntegratorConfig(min(2 * rec.steps, 1024)))
             assert alone.points.tobytes() == first.points.tobytes()
+
+    def test_no_short_nodal_set_past_the_cap(self):
+        # n = 5000 at the default 4096 steps, and n = 6000 solved under a cap
+        # of 32768 and extracted at the default: their node meshes take
+        # 16384 steps, past the default cap, where one step turns the angle
+        # by at most pi/2; on 4096 steps n = 6000 had 2192 nodes in y1.  Each
+        # count is that of an extraction on 32768 steps
+        p = DiracProblem(*SIN_CLASSICAL)
+        for n, cap in ((5000, 4096), (6000, 32768)):
+            rec = find_eigenvalue(p, n, IntegratorConfig(cap))
+            bare = EigenRecord(n, rec.lam, 0.0, rec.bracket)
+            counts = [extract_nodes(p, rec, c).count for c in (1, 2)]
+            assert counts == [extract_nodes(p, bare, c, IntegratorConfig(32768)).count
+                              for c in (1, 2)]
+            assert counts[0] == n
 
     def test_first_iterate_exact_for_constant_potential(self, monkeypatch):
         # V = 0, m = 0.5, Classical(0, 0): y1 is a multiple of sin(w x), w =
@@ -1418,9 +1494,6 @@ KERNEL_PROBLEMS = {
                       Classical(0.3, 0.7)),
 }
 
-# 400 cells: on 1024 and 4096 uniform steps the mesh has 1408 and 4480 steps
-SAMPLED = (0.5, make_potential_sampled(np.sin(np.linspace(0.0, PI, 401))),
-           Classical(0.3, 0.7))
 
 
 class TestPropagationKernel:
