@@ -12,16 +12,16 @@ __version__ = "0.1.0"
 from .errors import (BoundaryConditionError, CaseMismatch, ComputationError,
                      ConfigError, DegenerateComponent, DiracNodalError,
                      DomainError, InputError, IntegrationFailure,
-                     IterationFailure, RotationLimitExceeded, RowMismatch,
-                     ToleranceNotMet, UnsupportedPrediction)
+                     IterationFailure, NodeCountMismatch,
+                     RotationLimitExceeded, RowMismatch, ToleranceNotMet,
+                     UnsupportedPrediction)
 from .model import (Classical, DiracProblem, EigenRecord, GridSequence,
                     NodalSet, ParamDependent, Potential, cumulative_integral,
                     make_potential_sampled)
 from .potentials import named_potential, potential_from_json, potential_to_json
 from .solver import (EigenSearchConfig, IntegratorConfig, Trajectory,
                      characteristic, extract_nodal_sets, extract_nodes,
-                     find_eigenvalue, find_eigenvalues, integrate,
-                     node_count_prediction)
+                     find_eigenvalue, find_eigenvalues, integrate)
 from .asymptotics import (AsymptoticConstants, eigenfunction_asym, lambda_asym,
                           lambda_inverse_asym, mean_shift, nodal_length_asym,
                           nodal_point_asym, nodal_point_series)

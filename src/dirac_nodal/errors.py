@@ -60,6 +60,10 @@ class ToleranceNotMet(ComputationError):
     mesh the search may use."""
 
 
+class NodeCountMismatch(ComputationError):
+    """A nodal set's count differs from the one the Prufer angle gives."""
+
+
 class RowMismatch(ComputationError):
     """Grid-sequence rows being compared have different lengths."""
 
@@ -69,4 +73,4 @@ class CaseMismatch(ComputationError):
 
 
 class UnsupportedPrediction(ComputationError):
-    """No node-count or expansion formula exists for this combination."""
+    """No expansion formula exists for this combination."""

@@ -341,8 +341,8 @@ class NodalSet:
     """Ordered interior zeros of one eigenfunction component; empty for a
     component without interior zeros.
 
-    ``predicted_count`` carries the closed-form node-count prediction when
-    one exists; it is recorded for comparison, never enforced.  ``index`` and
+    ``solver.extract_nodal_sets`` checks each set's count against the Prufer
+    angle wherever |lambda| exceeds max|V| + |m|.  ``index`` and
     ``component`` are stored as ``eigenvalue_index`` and ``component_number``
     return them.
     """
@@ -350,7 +350,6 @@ class NodalSet:
     index: int
     component: int
     points: np.ndarray
-    predicted_count: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "index", eigenvalue_index(self.index))

@@ -96,7 +96,12 @@ partial Magnus step from the bracket's left mesh node, starting where the
 solution for V constant on the cell vanishes.  Its derivative is exact
 from the ODE, y1' = (V - m - lambda) y2 and y2' = (lambda - V - m) y1, at
 the partial step's state, and a step that would leave the bracket is
-replaced by bisection.
+replaced by bisection.  Where |lambda| > max|V| + |m|, theta crosses every
+zero of a component one way, so a nodal set has as many nodes as there are
+multiples of pi (y1), or angles pi/2 off one (y2), strictly between theta(0)
+and theta(pi) = psi + k pi, the angles that label its eigenvalue, less
+those the endpoint guard may drop; a set with another count raises
+NodeCountMismatch.
 ``extract_nodes``, the call for one record and one component, extracts
 both components and keeps the two nodal sets of the last record, so that
 components 1 and 2 asked for in two calls are extracted once; a call for
@@ -107,7 +112,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
 import math
 import numbers
 from dataclasses import dataclass
@@ -115,14 +119,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ComputationError, DegenerateComponent, DomainError,
-                     InputError, IntegrationFailure, IterationFailure,
-                     RotationLimitExceeded, ToleranceNotMet,
-                     UnsupportedPrediction)
+from .errors import (ComputationError, DegenerateComponent, InputError,
+                     IntegrationFailure, IterationFailure, NodeCountMismatch,
+                     RotationLimitExceeded, ToleranceNotMet)
 from .model import (Classical, DiracProblem, EigenRecord, NodalSet,
                     component_number, eigenvalue_index, require_integer)
-
-logger = logging.getLogger(__name__)
 
 # Nodes of the three-point Gauss-Legendre rule on [0, 1], and its weights
 _GAUSS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
@@ -488,11 +489,12 @@ def _lambdas(values):
     return lams
 
 
-def _check_finite(problem, lams, *arrays):
+def _check_finite(problem, lams, mesh, *arrays):
     if not all(np.isfinite(a).all() for a in arrays):
         raise IntegrationFailure(
-            f"components overflowed during integration (mass={problem.mass}, "
-            f"lambda range [{lams.min():.6g}, {lams.max():.6g}])")
+            f"components overflowed during integration on {mesh.h.size} steps "
+            f"(mass={problem.mass}, lambda range [{lams.min():.6g}, "
+            f"{lams.max():.6g}]); more steps may resolve it")
 
 
 def _angle(y1, y2):
@@ -528,10 +530,12 @@ def _block_level(problem, mesh):
     largest power of two whose blocks, at the widest step of the mesh, hold
     |m| times their width to at most _BLOCK_TURN.  It does not depend on
     lambda; ``_levels`` keeps the search to meshes whose steps hold |m|
-    times their width to at most _BLOCK_TURN, where blocks of one step do."""
+    times their width to at most _BLOCK_TURN, where blocks of one step do,
+    or exceed it by the _NODE_MERGE a breakpoint may widen a step by, far
+    below the pi the unwrap resolves."""
     n = mesh.vbar.size
     steps = _BLOCK_TURN / (mesh.h_max * abs(problem.mass)) if problem.mass else n
-    return min(int(steps), n).bit_length() - 1
+    return max(min(int(steps), n), 1).bit_length() - 1
 
 
 def _rotation(problem, lams, mesh, level, starts, y_pi):
@@ -601,16 +605,17 @@ def _terminal(problem, lams, mesh, angle=False):
         if angle:
             starts = _descend(tree, y0)[:, _order(tree[0].shape[2])[1]]
             theta = _rotation(problem, lams, mesh, level, starts, y_pi)
-    _check_finite(problem, lams, y_pi)
+    _check_finite(problem, lams, mesh, y_pi)
     lost = np.hypot(*y_pi) < _CANCELLATION * terms
     if lost.any():
         raise IntegrationFailure(
             f"the state at pi cancelled to below {_CANCELLATION:g} of its terms "
-            f"at lambda = {lams[lost][0]:.6g}: shooting from x = 0 cannot "
-            "resolve a solution that decays from x = 0 across a mass gap")
+            f"at lambda = {lams[lost][0]:.6g} on {n} steps: shooting from x = 0 "
+            "cannot resolve a solution that decays from x = 0 across a mass "
+            "gap, but more steps may resolve a mesh too coarse for lambda")
     if not angle:
         return y_pi[0], y_pi[1]
-    _check_finite(problem, lams, theta)
+    _check_finite(problem, lams, mesh, theta)
     return y_pi[0], y_pi[1], theta
 
 
@@ -628,7 +633,7 @@ def _trajectory(problem, lams, mesh):
         q = tree[-1][:, :, 0]
         out = np.concatenate((_descend(tree, y0)[:, inverse],
                               (q[:, 0] * y0[0] + q[:, 1] * y0[1])[:, None]), axis=1)
-    _check_finite(problem, lams, out)
+    _check_finite(problem, lams, mesh, out)
     return Trajectory(mesh.x, out[:, :, 0].T) if one else out
 
 
@@ -1121,24 +1126,6 @@ def find_eigenvalue(problem: DiracProblem, n: int,
     return find_eigenvalues(problem, [n], integrator, search)[0]
 
 
-def node_count_prediction(boundary, n: int, component: int) -> int:
-    """Closed-form interior node count for large n, per boundary family."""
-    if eigenvalue_index(n) < 4:
-        raise DomainError("node-count prediction requires n >= 4")
-    component = component_number(component)
-    if isinstance(boundary, Classical):
-        return abs(n) + 1 - component
-    if component == 2:
-        raise UnsupportedPrediction(
-            "no node-count formula for component 2 with parameter-dependent "
-            "boundary conditions")
-    # n - 2 where alpha >= 0 and beta > 0 hold together or fail together
-    a, b = boundary.alpha, boundary.beta
-    if (a >= 0) == (b > 0):
-        return n - 2
-    return n - 3 if a >= 0 else n - 1
-
-
 def _node_start(m, lams, rows, vbar, y_lo, y_hi, lo, hi, f_lo, f_hi):
     """First iterates of node refinement in the brackets [lo, hi], mesh cells
     whose states at the ends are y_lo and y_hi and whose mean potential is
@@ -1240,13 +1227,42 @@ def _node_steps(problem, rec, n_steps, mesh_of):
     """Uniform steps of the mesh the nodes of a record are extracted on: twice
     those its eigenvalue was solved on, at most n_steps, and n_steps for a
     record that no search produced; doubled, past n_steps if need be, until
-    one step of ``mesh_of(steps)`` turns the angle at the record's lambda by
-    at most _BLOCK_TURN, so that no cell holds two zeros of a component."""
+    a step of (1 + _NODE_MERGE) pi / steps, the widest one (a breakpoint
+    narrows the steps it splits and widens its neighbour by at most
+    _NODE_MERGE when it takes a uniform node's place), turns the angle at
+    the record's lambda by at most _BLOCK_TURN, so that no cell holds two
+    zeros of a component.  max|V| is read from the first of these meshes, so
+    only it and the one kept are built."""
     steps = n_steps if rec.steps is None else min(2 * rec.steps, n_steps)
-    while ((mesh := mesh_of(steps)).h_max
-           * _turn_rate(problem, rec.lam, mesh.v_max) > _BLOCK_TURN):
+    rate = _turn_rate(problem, rec.lam, mesh_of(steps).v_max)
+    while (1 + _NODE_MERGE) * math.pi / steps * rate > _BLOCK_TURN:
         steps *= 2
     return steps
+
+
+def _node_counts(problem, lams, turns, rows, margin=0.0):
+    """Interior zeros, shape (lambdas, rows), of the components rows + 1 of
+    the eigenfunctions at lams with rotation indices turns, leaving out
+    those whose angle is within margin (rad, one per lambda) of either end.
+
+    Component 1 vanishes where the Prufer angle theta is a multiple of pi,
+    with theta' = lambda - V + m there, and component 2 where theta is pi/2
+    off one, with theta' = lambda - V - m.  Where |lambda| > max|V| + |m|
+    each such angle strictly between theta(0) = ``_start_angle`` and
+    theta(pi) = ``_end_angle`` + k pi is crossed once, one way, and no other
+    is; elsewhere the count may be wrong.  Both angles are taken in units of
+    pi and rounded before the integer k is added, so that an end on a zero,
+    such as beta = 0 at k pi, is exact (Pryce, "Numerical Solution of
+    Sturm-Liouville Problems", 1993, ch. 5)."""
+    shift = np.asarray(rows) / 2
+    start = _start_angle(problem, lams, *_initial_state(problem, lams)) / math.pi
+    start = start[:, None] - shift
+    end = _end_angle(problem, lams)[:, None] / math.pi - shift
+    turns = np.asarray(turns)[:, None]
+    margin = np.asarray(margin)[..., None] / math.pi
+    up = np.ceil(end - margin) + turns - np.floor(start + margin)
+    down = np.ceil(start - margin) - np.floor(end + margin) - turns
+    return np.maximum(np.maximum(up, down) - 1, 0).astype(int)
 
 
 def extract_nodal_sets(problem: DiracProblem, records, components,
@@ -1273,6 +1289,12 @@ def extract_nodal_sets(problem: DiracProblem, records, components,
     Zeros within _ENDPOINT_GUARD of an end are dropped, as are zeros within
     1e-9 of the previous one.  A component that is identically zero,
     or vanishes on three consecutive mesh nodes, raises DegenerateComponent.
+    Where |lambda| exceeds max|V| on the record's node mesh plus |m|, a set
+    whose count is not that of ``_node_counts`` raises NodeCountMismatch,
+    naming the index, the component and both counts; a set may lack the
+    nodes of angles within _ENDPOINT_GUARD (|lambda| + max|V| + |m|) of
+    theta(0) or theta(pi), which the guard may have dropped.  Inside that
+    band nothing is checked.
     """
     components = tuple(component_number(c) for c in components)
     if not components:
@@ -1338,21 +1360,26 @@ def extract_nodal_sets(problem: DiracProblem, records, components,
     apart = np.ones(x.size, dtype=bool)
     apart[1:] = (key[1:] != key[:-1]) | (x[1:] - x[:-1] > 1e-9)
     key, x = key[apart], x[apart]
-    ends = np.searchsorted(key, np.arange(len(records) * per + 1)).tolist()
-    sets = []
-    for k, (start, end) in enumerate(zip(ends, ends[1:])):
-        rec, component = records[k // per], components[k % per]
-        try:
-            predicted = node_count_prediction(problem.boundary, rec.index, component)
-        except (DomainError, UnsupportedPrediction):
-            predicted = None
-        result = NodalSet(rec.index, component, x[start:end], predicted_count=predicted)
-        if predicted is not None and result.count != predicted:
-            logger.debug("node count mismatch at n=%d component=%d: observed %d, "
-                         "predicted %d", rec.index, component, result.count,
-                         predicted)
-        sets.append(result)
-    return sets
+    ends = np.searchsorted(key, np.arange(len(records) * per + 1))
+    turns = [_rotation_index(problem.boundary, rec.index) for rec in records]
+    v_max = np.array([mesh_of(n).v_max for n in steps.tolist()])
+    rule = _node_counts(problem, lams, turns, rows).ravel()
+    count = np.diff(ends)
+    outside = np.repeat(np.abs(lams) > v_max + abs(problem.mass), per)
+    wrong = np.flatnonzero(outside & (count != rule))
+    if wrong.size:
+        # the guard may have dropped the node of an angle within
+        # _ENDPOINT_GUARD |theta'| of an end
+        least = _node_counts(problem, lams, turns, rows,
+                             _ENDPOINT_GUARD * _turn_rate(problem, lams, v_max)).ravel()
+        wrong = wrong[(count[wrong] < least[wrong]) | (count[wrong] > rule[wrong])]
+        if wrong.size:
+            raise NodeCountMismatch("node counts differ from the Prufer angle's: " + ", ".join(
+                f"eigenvalue index {records[k // per].index} component "
+                f"{components[k % per]}: {count[k]} nodes, not {rule[k]}" for k in wrong))
+    ends = ends.tolist()
+    return [NodalSet(records[k // per].index, components[k % per], x[start:end])
+            for k, (start, end) in enumerate(zip(ends, ends[1:]))]
 
 
 # ((problem, index, lambda, record steps, n_steps), nodal sets of components

@@ -67,10 +67,22 @@ class TestA2ConstantShift:
         announce("A2", f"constant shift c={c}: max err {worst:.2e} (tol 1e-8)")
 
 
+def classical_count(alpha, beta, n, component):
+    """Interior zeros of component 1 (theta a multiple of pi) or 2 (theta pi/2
+    off one) of the classical eigenfunction with index n, whose Prufer angle
+    runs from alpha to beta + n pi, crossing each such angle once."""
+    shift = (component - 1) * PI / 2
+    return sum(1 for j in range(-abs(n) - 2, abs(n) + 3)
+               if min(alpha, beta + n * PI) < j * PI + shift < max(alpha, beta + n * PI))
+
+
 class TestA3NodeCounts:
     PD_COMBOS = [(0.5, 0.6), (0.5, -0.6), (-0.5, 0.6), (-0.5, -0.6)]
 
     def test_param_dependent_table(self, cache):
+        # component 1 has n - 2 nodes where alpha >= 0 and beta > 0 hold
+        # together or fail together, n - 3 where only alpha >= 0 holds and
+        # n - 1 where only beta > 0 does
         indices = list(range(6, 41, 2))
         for alpha, beta in self.PD_COMBOS:
             label = f"a3_pd_{alpha}_{beta}"
@@ -79,17 +91,18 @@ class TestA3NodeCounts:
                                         canonical_pd(alpha, beta)),
                            IntegratorConfig(2048))
             cache.records(label, indices)
+            offset = 2 if (alpha >= 0) == (beta > 0) else 3 if alpha >= 0 else 1
             for n in indices:
                 nodal = cache.nodal(label, n, 1)
-                assert nodal.count == nodal.predicted_count, (
+                assert nodal.count == n - offset, (
                     f"(alpha={alpha}, beta={beta}, n={n}): observed "
-                    f"{nodal.count} vs predicted {nodal.predicted_count}")
+                    f"{nodal.count} vs {n - offset}")
         announce("A3", "parameter-dependent node counts match the sign table "
                        "for all four combinations, n in [6,40]")
 
     def test_classical_counts_with_systematic_finding(self, cache):
+        # both components have the count of the angle's crossings, offset 0
         indices = list(range(6, 41, 2))
-        findings = []
         for alpha, beta in [(0.7, 0.9), (0.3, 1.2)]:
             label = f"a3_cl_{alpha}_{beta}"
             cache.register(label,
@@ -98,40 +111,21 @@ class TestA3NodeCounts:
                            IntegratorConfig(2048))
             cache.records(label, indices)
             for component in (1, 2):
-                diffs = set()
-                for n in indices:
-                    nodal = cache.nodal(label, n, component)
-                    diffs.add(nodal.count - nodal.predicted_count)
-                assert len(diffs) == 1, (
-                    f"non-systematic count deviation {sorted(diffs)} for "
-                    f"component {component}")
-                offset = diffs.pop()
-                if component == 1:
-                    assert offset == 0
-                else:
-                    # observed = prediction + 1 across the whole window: the
-                    # reference count formula undercounts the second
-                    # component by exactly one; reported, not absorbed
-                    assert offset == 1
-                    findings.append(
-                        f"component 2 at (alpha={alpha}, beta={beta}): "
-                        f"observed = predicted + 1 for every n in [6,40]")
-        for f in findings:
-            print(f"[A3][finding] {f}")
-        announce("A3", "classical node counts: component 1 exact; component 2 "
-                       "systematic +1 reported as a finding")
+                diffs = {cache.nodal(label, n, component).count
+                         - classical_count(alpha, beta, n, component)
+                         for n in indices}
+                assert diffs == {0}, (
+                    f"count deviation {sorted(diffs)} for component {component}")
+        announce("A3", "classical node counts: both components exact, n in [6,40]")
 
     def test_degenerate_endpoint_family_finding(self, cache):
-        # alpha = beta = 0 pins eigenfunction zeros to both endpoints, which
-        # removes one interior node of the first component
-        diffs = set()
+        # alpha = beta = 0 pins y1's zeros to both endpoints, which leaves it
+        # n - 1 interior nodes, and y2 n
         for n in (6, 12, 24):
-            nodal = cache.nodal("sin_half", n, 1)
-            diffs.add(nodal.count - nodal.predicted_count)
-        assert diffs == {-1}
-        print("[A3][finding] component 1 with alpha=beta=0: observed = "
-              "predicted - 1 (boundary zeros leave the interior)")
-        announce("A3", "degenerate endpoint family: systematic -1 reported")
+            for component, count in ((1, n - 1), (2, n)):
+                assert classical_count(0.0, 0.0, n, component) == count
+                assert cache.nodal("sin_half", n, component).count == count
+        announce("A3", "degenerate endpoint family: n - 1 nodes in y1, n in y2")
 
 
 class TestA4AsymptoticOrder:

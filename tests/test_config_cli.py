@@ -387,6 +387,23 @@ class TestNodesCommand:
         lengths = [float(r[2]) for r in rows[:-1]]
         assert all(l > 0 for l in lengths)
 
+    def test_node_count_mismatch_exits_3(self, tmp_path, monkeypatch):
+        # in-process, so that the node mesh of the rule before the turn
+        # bound, min(2 steps, n_steps), reaches the command: n = 6000 on 4096
+        # steps finds 2192 of the 6000 zeros in y1, and the count check fails
+        cfg = write_config(tmp_path, SIN_SHIFTED)
+        monkeypatch.delenv("DIRAC_NODAL_LOG", raising=False)
+        monkeypatch.setattr(solver, "_node_steps", lambda problem, rec, n_steps,
+                            mesh_of: min(2 * rec.steps, n_steps))
+        res = CliRunner().invoke(main, [
+            "nodes", "--problem", str(cfg), "--n", "6000", "--out",
+            str(tmp_path / "nodes.csv")])
+        assert res.exit_code == 3, res.output
+        payload = json.loads(res.stderr.strip().splitlines()[-1])
+        assert payload["type"] == "NodeCountMismatch"
+        assert "eigenvalue index 6000 component 1: 2192 nodes, not 6000" in payload["message"]
+        assert not (tmp_path / "nodes.csv").exists()
+
 
 class TestReconstructCommand:
     def test_report_and_determinism(self, tmp_path):

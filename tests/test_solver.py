@@ -22,12 +22,11 @@ from click.testing import CliRunner
 from conftest import canonical_pd, unreachable_angle
 from dirac_nodal import (Classical, DiracProblem, EigenRecord,
                          EigenSearchConfig, IntegratorConfig, DegenerateComponent,
-                         InputError, IntegrationFailure, IterationFailure, Potential,
-                         RotationLimitExceeded, ToleranceNotMet,
-                         UnsupportedPrediction, characteristic, extract_nodes,
+                         InputError, IntegrationFailure, IterationFailure,
+                         NodeCountMismatch, Potential, RotationLimitExceeded,
+                         ToleranceNotMet, characteristic, extract_nodes,
                          find_eigenvalue, find_eigenvalues, integrate,
-                         make_potential_sampled, named_potential,
-                         node_count_prediction, DomainError)
+                         make_potential_sampled, named_potential, DomainError)
 from dirac_nodal import asymptotics, cli, lambda_asym
 from dirac_nodal import solver as solver_mod
 
@@ -451,6 +450,20 @@ class TestFindEigenvalue:
                 assert rec.lam == pytest.approx(math.hypot(rec.index, mass), abs=1e-9)
                 assert rec.steps >= first
 
+    def test_mass_limit_with_a_merged_breakpoint(self):
+        # m = 32 on 64 steps holds |m| h at pi/2 exactly; a jump 1e-12 past
+        # the node pi/2 takes its place and widens a step by 1e-12, so one
+        # step holds slightly more, and the search unwraps over one-step
+        # blocks instead of failing with a negative shift count
+        p = DiracProblem(32.0, named_potential("step", a=PI / 2 + 1e-12, height=1.0),
+                         Classical(0.3, 0.7))
+        assert solver_mod._mesh(p, 64).h_max * 32 > PI / 2
+        assert solver_mod._levels(64, 32.0) == (64,)
+        for n in (1, 10, -3):
+            rec = find_eigenvalue(p, n, IntegratorConfig(64))
+            assert rec.steps == 64
+            assert rec.lam == pytest.approx(find_eigenvalue(p, n, FAST).lam, abs=1e-9)
+
     def test_cancelled_terminal_state_raises(self):
         # case I, m = 8: index 1 decays from x = 0 across the mass gap, so its
         # state at pi is roundoff; index 2 decays towards x = 0 and is found
@@ -458,8 +471,19 @@ class TestFindEigenvalue:
         rec = find_eigenvalue(p, 2)
         assert abs(rec.lam - find_eigenvalue(p, 2, IntegratorConfig(8192)).lam) <= 1e-10
         assert trajectory_rotation(p, rec.lam, 4096) == 1
-        with pytest.raises(IntegrationFailure, match="cancelled"):
+        with pytest.raises(IntegrationFailure, match="cancelled.* on 256 steps: .* "
+                           "more steps may resolve"):
             find_eigenvalue(p, 1)
+
+    def test_overflow_names_the_mesh(self):
+        # a cap of 64 steps starts the search on 4 steps, and the error
+        # estimate of n = 60 takes chi on 2, where one step spans many
+        # oscillations and the components overflow
+        p = DiracProblem(2.0, named_potential("poly", coeffs=[1.0, -2.0, 0.5]),
+                         Classical(0.3, 0.7))
+        with pytest.raises(IntegrationFailure, match="overflowed during integration "
+                           r"on 2 steps .*; more steps may resolve it"):
+            find_eigenvalue(p, 60, IntegratorConfig(64))
 
     @pytest.mark.parametrize("boundary", [Classical(0.0, 0.0), canonical_pd(0.4, 0.5)],
                              ids=["classical", "case_one"])
@@ -527,16 +551,11 @@ class TestSolverInputErrors:
         checks = [
             lambda: extract_nodes(self.ZERO, rec, component, FAST),
             lambda: solver_mod.extract_nodal_sets(self.ZERO, [rec], (1, component), FAST),
-            lambda: node_count_prediction(self.ZERO.boundary, 5, component),
             lambda: asymptotics.nodal_point_asym(self.ZERO, 5, 1, component),
             lambda: asymptotics.eigenfunction_asym(self.ZERO, rec.lam, 1.0, component)]
         for check in checks:
             with pytest.raises(InputError, match="component must be"):
                 check()
-
-    def test_node_count_index_rejected(self):
-        with pytest.raises(InputError, match="eigenvalue index must be an integer"):
-            node_count_prediction(self.ZERO.boundary, 4.5, 1)
 
     @pytest.mark.parametrize("steps", [100.5, 4096.0, "4096", True])
     def test_step_count_must_be_an_integer(self, steps):
@@ -1159,7 +1178,6 @@ class TestExtractNodes:
             [(s.index, s.component) for s in alone]
         for a, b in zip(batch, alone):
             assert a.points.tobytes() == b.points.tobytes()
-            assert a.predicted_count == b.predicted_count
 
     @pytest.mark.parametrize("entries", [1 << 20, 1 << 14, 1 << 10])
     def test_one_trajectory_per_node_mesh(self, monkeypatch, entries):
@@ -1209,13 +1227,14 @@ class TestExtractNodes:
         # the turn rule: V = 0 stops index 600 on the first mesh, 256 steps;
         # one step of 512 may turn the angle by pi / 512 (600 + 0.5) = 3.7
         # rad and one of 1024 by 1.8, so its nodes take 2048 steps, past a
-        # cap of 1024 too; y1 vanishes at both ends, and has 599 interior zeros
+        # cap of 1024 too; only the first mesh, for max|V|, and the kept one
+        # are built; y1 vanishes at both ends, and has 599 interior zeros
         assert fast.steps == 256
         for cap in (4096, 1024):
             built.clear(), taken.clear()
             (ones,) = solver_mod.extract_nodal_sets(zero, [fast], (1,),
                                                     IntegratorConfig(cap))
-            assert taken == [2048] and built == [512, 1024, 2048]
+            assert taken == [2048] and built == [512, 2048]
             assert ones.count == 599
         monkeypatch.undo()
         # the same nodes as a record without steps on that mesh
@@ -1238,6 +1257,20 @@ class TestExtractNodes:
             assert counts == [extract_nodes(p, bare, c, IntegratorConfig(32768)).count
                               for c in (1, 2)]
             assert counts[0] == n
+
+    def test_too_coarse_node_mesh_raises(self, monkeypatch):
+        # the node mesh of the rule before the turn bound, min(2 steps,
+        # n_steps): n = 6000, solved on 4096 steps, takes 4096 at the default
+        # config, where sign changes between mesh nodes find 2192 of its 6000
+        # zeros in y1; the count check raises instead of returning them
+        p = DiracProblem(*SIN_CLASSICAL)
+        rec = find_eigenvalue(p, 6000, IntegratorConfig(32768))
+        assert rec.steps == 4096
+        monkeypatch.setattr(solver_mod, "_node_steps", lambda problem, rec, n_steps,
+                            mesh_of: min(2 * rec.steps, n_steps))
+        with pytest.raises(NodeCountMismatch, match="eigenvalue index 6000 component 1: "
+                           "2192 nodes, not 6000"):
+            extract_nodes(p, rec, 1)
 
     def test_first_iterate_exact_for_constant_potential(self, monkeypatch):
         # V = 0, m = 0.5, Classical(0, 0): y1 is a multiple of sin(w x), w =
@@ -1319,8 +1352,7 @@ class TestKeptTrajectory:
             with pytest.raises(InputError):
                 extract_nodes(p, rec, component, cfg)
         others = [
-            (p, dataclasses.replace(rec, lam=rec.lam + 1e-3), cfg),
-            (p, dataclasses.replace(rec, index=rec.index + 1), cfg),
+            (p, dataclasses.replace(rec, lam=rec.lam + 1e-12), cfg),
             # a cap below twice the record's steps puts its nodes on another
             # mesh
             (p, rec, IntegratorConfig(n_steps=rec.steps)),
@@ -1331,6 +1363,17 @@ class TestKeptTrajectory:
             assert len(batches) == 2 + 2 * k
             extract_nodes(p, rec, 2, cfg)
             assert len(batches) == 3 + 2 * k
+        # another index, or a lambda 1e-3 off the eigenvalue, is another key
+        # too: the kept set would be returned, but the set extracted again
+        # has a count its label does not allow (y1 vanishes at both ends of
+        # the eigenfunction of index 5, which has 4 interior nodes; 1e-3
+        # above it a fifth comes in from x = pi)
+        for other, message in ((dataclasses.replace(rec, index=rec.index + 1), "index 6 "
+                                "component 1: 4 nodes, not 5"),
+                               (dataclasses.replace(rec, lam=rec.lam + 1e-3), "index 5 "
+                                "component 1: 5 nodes, not 4")):
+            with pytest.raises(NodeCountMismatch, match=message):
+                extract_nodes(p, other, 1, cfg)
 
     def test_paused_call_returns_its_own_record(self):
         # thread A is paused on the return line after extracting index 7;
@@ -1694,31 +1737,102 @@ class TestStepKernel:
 
 
 class TestNodeCountPrediction:
+    """Node counts by the Prufer angle (``solver._node_counts``), which
+    ``extract_nodal_sets`` enforces where |lambda| > max|V| + |m|."""
+
+    @staticmethod
+    def rule(p, rec, component):
+        turns = [solver_mod._rotation_index(p.boundary, rec.index)]
+        return int(solver_mod._node_counts(p, np.array([rec.lam]), turns,
+                                           np.array([component - 1]))[0, 0])
+
+    @staticmethod
+    def crossings(p, rec, component):
+        # zeros of y1 where theta crosses k pi, of y2 where it crosses k pi +
+        # pi/2, counted along a fine trajectory
+        theta, _ = trajectory_angles(p, rec.lam, 4096)
+        shift = (component - 1) * PI / 2
+        return int(np.abs(np.diff(np.floor((theta - shift) / PI))).sum())
+
     def test_table_values(self):
-        b = canonical_pd(0.1, 0.5)
-        assert node_count_prediction(b, 10, 1) == 8
-        b = canonical_pd(0.1, -0.2)
-        assert node_count_prediction(b, 10, 1) == 7
-        b = canonical_pd(-0.1, 0.5)
-        assert node_count_prediction(b, 10, 1) == 9
-        b = canonical_pd(-0.1, -0.2)
-        assert node_count_prediction(b, 10, 1) == 8
-        # the edges: alpha = 0 counts as alpha >= 0, beta = 0 as beta <= 0
-        assert node_count_prediction(canonical_pd(0.0, 0.0), 10, 1) == 7
-        assert node_count_prediction(canonical_pd(0.0, 0.5), 10, 1) == 8
-        assert node_count_prediction(canonical_pd(-0.1, 0.0), 10, 1) == 8
+        # case I, component 1, at n = 40: n - 2 nodes where alpha >= 0 and
+        # beta > 0 hold together or fail together, n - 3 where only alpha >= 0
+        # holds and n - 1 where only beta > 0 does.  alpha = 0 counts as
+        # alpha < 0, as y1(0) = 1 at every lambda, and beta = 0 as beta > 0,
+        # as psi = atan(1 / lambda).  The sign of alpha = 0.1 shows only above
+        # lambda = cot(0.1), about 10: at n = 10 (lambda about 8) those rows
+        # have one node more
+        table = {(0.1, 0.5): 38, (0.1, -0.2): 37, (-0.1, 0.5): 39, (-0.1, -0.2): 38,
+                 (0.0, 0.0): 39, (0.0, 0.5): 39, (-0.1, 0.0): 39}
+        for (alpha, beta), count in table.items():
+            p = DiracProblem(0.5, named_potential("sin2x"), canonical_pd(alpha, beta))
+            records = find_eigenvalues(p, [10, 40])
+            ten, forty = solver_mod.extract_nodal_sets(p, records, (1,))
+            assert forty.count == count, (alpha, beta)
+            assert ten.count == count - 30 + (alpha == 0.1), (alpha, beta)
+            assert ten.count == self.crossings(p, records[0], 1)
 
     def test_classical_formula(self):
-        assert node_count_prediction(Classical(0.0, 0.0), 7, 2) == 6
-        assert node_count_prediction(Classical(0.3, 0.3), 7, 1) == 7
+        # alpha = beta = 0: y1 vanishes at both ends and has |n| - 1 interior
+        # nodes, y2 has |n|.  (beta + n pi) / pi exceeds n in floating point
+        # at these n, so the rule rounds beta / pi before adding n
+        p = DiracProblem(0.5, named_potential("sin2x"), Classical(0.0, 0.0))
+        records = find_eigenvalues(p, [-13, 13, 26, 52])
+        assert all((0.0 + n * PI) / PI > n for n in (13, 26, 52))
+        sets = solver_mod.extract_nodal_sets(p, records, (1, 2))
+        expected = [c for n in (-13, 13, 26, 52) for c in (abs(n) - 1, abs(n))]
+        assert [s.count for s in sets] == expected
+        assert [self.rule(p, rec, c) for rec in records for c in (1, 2)] == expected
 
-    def test_param_dependent_component2_unsupported(self):
-        with pytest.raises(UnsupportedPrediction):
-            node_count_prediction(canonical_pd(0.1, 0.5), 10, 2)
+    def test_four_boundary_table(self):
+        # sin2x, m = 0.5: (component 1, component 2) counts less n
+        table = {(0.3, 0.7): (0, 0), (1.0, 2.0): (0, 1), (2.5, 0.4): (0, -1),
+                 (0.0, 0.0): (-1, 0)}
+        indices = (5, 40, 400, 1000)
+        for (alpha, beta), offsets in table.items():
+            p = DiracProblem(0.5, named_potential("sin2x"), Classical(alpha, beta))
+            sets = solver_mod.extract_nodal_sets(p, find_eigenvalues(p, indices), (1, 2))
+            assert [s.count for s in sets] == [n + d for n in indices for d in offsets]
 
-    def test_small_index_rejected(self):
-        with pytest.raises(DomainError):
-            node_count_prediction(Classical(0.0, 0.0), 3, 1)
+    def test_param_dependent_component2(self):
+        # case I, component 2: the rule's count is that of the angle's
+        # crossings along the trajectory
+        for alpha, beta in ((0.1, 0.5), (0.1, -0.2), (-0.1, 0.5), (-0.1, -0.2)):
+            p = DiracProblem(0.5, named_potential("sin2x"), canonical_pd(alpha, beta))
+            rec = find_eigenvalue(p, 10)
+            (twos,) = solver_mod.extract_nodal_sets(p, [rec], (2,))
+            assert twos.count == self.crossings(p, rec, 2) == self.rule(p, rec, 2)
+
+    def test_inside_the_band_unchecked(self):
+        # pd_example at n = 1: lambda = 0.25 is below max|V| + |m| = 1.5, so
+        # theta' = lambda - V - m changes sign at zeros of y2, and theta
+        # crosses pi/2 off a multiple of pi twice where the ends leave none
+        # between them; the set keeps its two nodes and nothing raises
+        p = DiracProblem(0.5, named_potential("sin2x"), canonical_pd(0.4, 0.5))
+        rec = find_eigenvalue(p, 1)
+        (twos,) = solver_mod.extract_nodal_sets(p, [rec], (2,))
+        assert twos.count == self.crossings(p, rec, 2) == 2
+        assert self.rule(p, rec, 2) == 0
+
+    def test_node_dropped_by_the_guard_allowed(self):
+        # an end angle just short of a zero's puts a real zero within
+        # _ENDPOINT_GUARD of the end: the guard drops it and the rule counts
+        # it.  y2(0) = -2.7e-8 for alpha = 1.5707963 (zero near 2.7e-8 /
+        # lambda), y1 at alpha = pi - 1e-7 and at beta = 1e-7 likewise;
+        # alpha = pi/2 - 1e-13 leaves y2(0) below the 1e-12 that counts as
+        # zero on a mesh node; case I with alpha = 0 starts 1 / lambda short
+        # of pi, a zero near 1 / lambda**2.  Each set is returned with the
+        # count it had before the rule was enforced
+        cases = [(Classical(1.5707963, 0.7), 40, 2, 39), (Classical(PI - 1e-7, 0.7), 40, 1, 39),
+                 (Classical(0.3, 1e-7), 40, 1, 39), (Classical(PI / 2 - 1e-13, 0.7), 40, 2, 39),
+                 (canonical_pd(0.0, 0.5), 20000, 1, 19998)]
+        for boundary, n, component, count in cases:
+            p = DiracProblem(0.5, named_potential("sin2x"), boundary)
+            rec = find_eigenvalue(p, n)
+            (s,) = solver_mod.extract_nodal_sets(p, [rec], (component,))
+            assert s.count == self.rule(p, rec, component) - 1 == count, boundary
+            assert s.points[0] > solver_mod._ENDPOINT_GUARD
+            assert s.points[-1] < PI - solver_mod._ENDPOINT_GUARD
 
 
 class TestZeroPotentialPipeline:
